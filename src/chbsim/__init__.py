@@ -10,11 +10,11 @@ from .grid import (
     DIRICHLET,
     NEUMANN,
     Grid,
-    ScalarField,
     SymTensorField,
     VectorField2,
     divergence,
-    gradient,
+    flux_stiffness_matrix,
+    laplacian_stiffness_form,
     neumann_laplacian,
     symmetric_gradient,
 )
@@ -24,12 +24,12 @@ __all__ = [
     "DIRICHLET",
     "NEUMANN",
     "Grid",
-    "ScalarField",
     "SymTensorField",
     "VectorField2",
     "MaterialModel",
     "divergence",
-    "gradient",
+    "flux_stiffness_matrix",
+    "laplacian_stiffness_form",
     "neumann_laplacian",
     "symmetric_gradient",
 ]

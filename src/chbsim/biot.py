@@ -1,4 +1,4 @@
-"""Fluid-content/pressure conjugate operators and the weighted space.
+"""Fluid-content/pressure conjugate operators and the fluid generator.
 
 For a frozen phase field phi the model couples the fluid content theta
 and the pressure p through the quasi-static displacement.  Eliminating
@@ -29,12 +29,12 @@ into a self-adjoint, bounded-below operator for phi = phi0; the
 H-symmetrized spectrum is computed by the reference oracle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import AUGMENTED, PLAIN, EllipticProblem, solve_elasticity
-from .grid import ScalarField, neumann_laplacian
+from .grid import divergence, neumann_laplacian
 
 # The coupled model's strain energy density C(E-T):(E-T) has strain
 # derivative 2 C (E-T); its elasticity operator therefore carries twice
@@ -53,8 +53,6 @@ class BiotContext:
     grid: object
     material: object
     phi: np.ndarray
-    tol: float = 1e-12
-    maxiter: int = 40000
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float).ravel()
@@ -63,71 +61,30 @@ class BiotContext:
         self.kappa = self.material.permeability(self.phi)
         self.plain = EllipticProblem(
             self.grid, self.material, self.phi, variant=PLAIN,
-            scale=STIFFNESS_SCALE, tol=self.tol, maxiter=self.maxiter)
+            scale=STIFFNESS_SCALE)
         self.augmented = EllipticProblem(
             self.grid, self.material, self.phi, variant=AUGMENTED,
-            scale=STIFFNESS_SCALE, tol=self.tol, maxiter=self.maxiter)
+            scale=STIFFNESS_SCALE)
 
     def _solve(self, problem, scalar_source):
         rhs = problem.assemble_rhs(scalar_source=scalar_source)
         return solve_elasticity(problem, rhs)[0]
-
-    def _div(self, u):
-        g = self.grid
-        return g.dx_op @ u.ux + g.dy_op @ u.uy
 
 
 def apply_B_tilde(ctx, q):
     """Pressure -> fluid content map (see module docstring)."""
     q = np.asarray(q, dtype=float).ravel()
     v = ctx._solve(ctx.plain, ctx.alpha * q)
-    return q / ctx.modulus + ctx.alpha * ctx._div(v)
+    return q / ctx.modulus + ctx.alpha * divergence(v)
 
 
 def apply_A_tilde(ctx, theta):
     """Fluid content -> pressure map, inverse of apply_B_tilde."""
     theta = np.asarray(theta, dtype=float).ravel()
     w = ctx._solve(ctx.augmented, ctx.alpha * ctx.modulus * theta)
-    return ctx.modulus * (theta - ctx.alpha * ctx._div(w))
+    return ctx.modulus * (theta - ctx.alpha * divergence(w))
 
 
-def apply_fluid_operator(ctx, theta, kappa=None):
-    """theta -> -div( kappa grad( A theta ) ), zero-flux realization.
-
-    kappa defaults to the context's permeability field; passing a
-    different field evaluates the operator at a phase other than the
-    frozen one used for the content/pressure conversion.
-    """
-    p = apply_A_tilde(ctx, theta)
-    k = ctx.kappa if kappa is None else kappa
-    lap = neumann_laplacian(ScalarField(ctx.grid, p), k)
-    return -lap.values
-
-
-@dataclass
-class WeightedSpaceH:
-    """Inner product (u, v)_H = (u, A(phi0) v)_L2 with frozen phi0.
-
-    The equivalence constants with the plain L2 norm are the extreme
-    eigenvalues of A(phi0); they are computed densely by the reference
-    oracle and reported here for bookkeeping.
-    """
-
-    ctx: BiotContext
-    c_lower: float = field(default=None)
-    c_upper: float = field(default=None)
-
-    def inner(self, u, v):
-        w = self.ctx.grid.quad_weights()
-        return float(np.dot(u * w, apply_A_tilde(self.ctx, v)))
-
-    def norm(self, u):
-        val = self.inner(u, u)
-        # roundoff guard: the form is positive definite
-        return float(np.sqrt(max(val, 0.0)))
-
-    def set_equivalence_constants(self, c_lower, c_upper):
-        if not (0.0 < c_lower <= c_upper):
-            raise ValueError("equivalence constants must satisfy 0 < c <= C")
-        self.c_lower = c_lower
-        self.c_upper = c_upper
+def apply_fluid_operator(ctx, theta):
+    """theta -> -div( kappa grad( A theta ) ), zero-flux realization."""
+    return -neumann_laplacian(ctx.grid, apply_A_tilde(ctx, theta), ctx.kappa)

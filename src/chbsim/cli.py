@@ -23,8 +23,7 @@ from .stepper import StepFailure, initial_state, run_simulation
 
 def write_vtk_snapshot(path, grid, material, state):
     """Write one STRUCTURED_POINTS file with phi, theta, p, |u|, u_x, u_y."""
-    div_u = divergence(state.u).values
-    p = pressure(material, state.phi, state.theta, div_u)
+    p = pressure(material, state.phi, state.theta, divergence(state.u))
     u_mag = np.hypot(state.u.ux, state.u.uy)
     fields = [("phi", state.phi), ("theta", state.theta), ("p", p),
               ("u_mag", u_mag), ("u_x", state.u.ux), ("u_y", state.u.uy)]

@@ -31,7 +31,7 @@ entering as + sum w_k q_k (div w)_k (the weak form of -grad q), and edge
 tractions on the Neumann edges with boundary trapezoid quadrature.
 
 DirectSolver wraps a sparse LU for the time stepper's window-frozen
-systems; the scalar CG front end solves the SPD systems that are still
+systems; conjugate_gradient solves the one SPD system that is still
 iterative (Jacobi diagonal supplied by the caller).  Both report failure
 the same way: SolverFailure.
 """
@@ -157,11 +157,6 @@ def conjugate_gradient(apply_a, b, diag=None, tol=1e-10, maxiter=5000, x0=None):
         history)
 
 
-def solve_scalar_spd(apply_a, b, diag=None, tol=1e-10, maxiter=5000, x0=None):
-    """Generic SPD scalar solve; thin wrapper kept for call-site clarity."""
-    return conjugate_gradient(apply_a, b, diag=diag, tol=tol, maxiter=maxiter, x0=x0)
-
-
 PLAIN = "plain"
 AUGMENTED = "augmented"
 VISCO = "visco"
@@ -177,8 +172,7 @@ class EllipticProblem:
     coupled model uses scale = 2 because its strain energy density
     C(E-T):(E-T) has strain derivative 2 C (E-T).  The coefficients are
     frozen at construction, so the stiffness is assembled and factored
-    at most once per problem.  tol and maxiter are accepted for call
-    compatibility; the factored solve does not use them.
+    at most once per problem.
     """
 
     grid: object
@@ -187,8 +181,6 @@ class EllipticProblem:
     variant: str = PLAIN
     scale: float = 1.0
     shift: float = 0.0
-    tol: float = 1e-10
-    maxiter: int = 20000
 
     lam: np.ndarray = field(init=False)
     mu: np.ndarray = field(init=False)

@@ -23,10 +23,14 @@ produce exactly zero interior forces, and what keeps phase and fluid
 mass conserved to solver tolerance.
 
 The zero-flux (Neumann) Laplacian is a finite-volume flux balance over
-trapezoidal control volumes; it is conservative (constants map to zero,
-weighted means are preserved under evolution) and second-order accurate
-including the boundary rows for fields that satisfy the zero-flux
-condition.
+trapezoidal control volumes, written once through the cached face
+operators: G (differences across the faces between adjacent nodes), the
+face average c_bar of a nodal coefficient, and the face volumes v.  Its
+application -G'(v c_bar G f)/w, its matrix B = G' diag(v c_bar) G and
+its energy sum v c_bar (G f)^2 are the same form.  It is conservative
+(constants map to zero, weighted means are preserved under evolution)
+and second-order accurate including the boundary rows for fields that
+satisfy the zero-flux condition.
 """
 
 from dataclasses import dataclass, field
@@ -97,11 +101,7 @@ class Grid:
 
     def quad_weights(self):
         """Trapezoidal quadrature weights (control volumes), flat array."""
-        tx = np.ones(self.nx)
-        tx[0] = tx[-1] = 0.5
-        ty = np.ones(self.ny)
-        ty[0] = ty[-1] = 0.5
-        return (self.hx * self.hy) * np.outer(ty, tx).ravel()
+        return (self.hx * self.hy) * np.outer(_trapezoid(self.ny), _trapezoid(self.nx)).ravel()
 
     def integrate(self, values):
         return float(np.dot(self.quad_weights(), np.asarray(values).ravel()))
@@ -126,33 +126,13 @@ class Grid:
             m[-1, :] = True
         return m.ravel()
 
-    def edge_node_mask(self, edge):
-        m = np.zeros(self.shape, dtype=bool)
-        if edge == "left":
-            m[:, 0] = True
-        elif edge == "right":
-            m[:, -1] = True
-        elif edge == "bottom":
-            m[0, :] = True
-        elif edge == "top":
-            m[-1, :] = True
-        else:
-            raise ValueError(f"unknown edge '{edge}'")
-        return m.ravel()
-
     def boundary_quad_weights(self, edge):
         """1D trapezoid weights along one edge (flat array, zero off-edge)."""
         w = np.zeros(self.shape)
         if edge in ("left", "right"):
-            t = np.ones(self.ny)
-            t[0] = t[-1] = 0.5
-            col = 0 if edge == "left" else -1
-            w[:, col] = self.hy * t
+            w[:, 0 if edge == "left" else -1] = self.hy * _trapezoid(self.ny)
         else:
-            t = np.ones(self.nx)
-            t[0] = t[-1] = 0.5
-            row = 0 if edge == "bottom" else -1
-            w[row, :] = self.hx * t
+            w[0 if edge == "bottom" else -1, :] = self.hx * _trapezoid(self.nx)
         return w.ravel()
 
     # --- cached sparse difference operators -------------------------------
@@ -215,47 +195,48 @@ def _sbp_first_derivative(n, h):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _face_pair(n, a, b):
+    """(n-1) x n map from nodes to the faces between them: a f_i + b f_{i+1}."""
+    i = np.arange(n - 1)
+    return sp.csr_matrix((np.repeat([a, b], n - 1), (np.tile(i, 2), np.concatenate([i, i + 1]))),
+                         shape=(n - 1, n))
+
+
 def _build_ops(grid):
-    d1x = _sbp_first_derivative(grid.nx, grid.hx)
-    d1y = _sbp_first_derivative(grid.ny, grid.hy)
-    ix = sp.identity(grid.nx, format="csr")
-    iy = sp.identity(grid.ny, format="csr")
+    nx, ny = grid.nx, grid.ny
+    d1x = _sbp_first_derivative(nx, grid.hx)
+    d1y = _sbp_first_derivative(ny, grid.hy)
+    ix = sp.identity(nx, format="csr")
+    iy = sp.identity(ny, format="csr")
     dx = sp.kron(iy, d1x, format="csr")
     dy = sp.kron(d1y, ix, format="csr")
     strain = sp.bmat([[dx, None], [None, dy], [dy, dx], [dx, dy]], format="csc")
+    # faces: the x-faces (row-major over (ny, nx-1)), then the y-faces
+    # (row-major over (ny-1, nx)); a face's volume is the trapezoid
+    # control volume it crosses
+    face_grad = sp.vstack([sp.kron(iy, _face_pair(nx, -1.0 / grid.hx, 1.0 / grid.hx)),
+                           sp.kron(_face_pair(ny, -1.0 / grid.hy, 1.0 / grid.hy), ix)],
+                          format="csr")
+    face_avg = sp.vstack([sp.kron(iy, _face_pair(nx, 0.5, 0.5)),
+                          sp.kron(_face_pair(ny, 0.5, 0.5), ix)], format="csr")
+    face_grad.eliminate_zeros()   # kron stores small blocks densely
+    face_avg.eliminate_zeros()
+    tx, ty = _trapezoid(nx), _trapezoid(ny)
+    face_vol = (grid.hx * grid.hy) * np.concatenate(
+        [np.repeat(ty, nx - 1), np.tile(tx, ny - 1)])
     return {"dx": dx, "dy": dy, "dxt": dx.T.tocsr(), "dyt": dy.T.tocsr(),
-            "strain": strain}
+            "strain": strain, "face_grad": face_grad, "face_grad_t": face_grad.T.tocsr(),
+            "face_avg": face_avg, "face_vol": face_vol}
+
+
+def _trapezoid(n):
+    """1D trapezoid factors: 1/2 on the two end nodes, 1 inside."""
+    t = np.ones(n)
+    t[0] = t[-1] = 0.5
+    return t
 
 
 # --- fields ---------------------------------------------------------------
-
-
-@dataclass
-class ScalarField:
-    """Nodal scalar field; values flat, row-major."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.values.size != self.grid.n_nodes:
-            raise ValueError("field length does not match grid")
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        x, y = grid.coords()
-        return cls(grid, fn(x, y))
-
-    @classmethod
-    def constant(cls, grid, c):
-        return cls(grid, np.full(grid.n_nodes, float(c)))
-
-    def as2d(self):
-        return self.values.reshape(self.grid.shape)
-
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -321,120 +302,56 @@ def symmetric_gradient(u):
 def divergence(u):
     """Divergence of a vector field = trace of the symmetric gradient."""
     g = u.grid
-    return ScalarField(g, g.dx_op @ u.ux + g.dy_op @ u.uy)
+    return g.dx_op @ u.ux + g.dy_op @ u.uy
 
 
-def gradient(f):
-    """Nodal gradient of a scalar field (same stencils as divergence)."""
-    g = f.grid
-    return VectorField2(g, g.dx_op @ f.values, g.dy_op @ f.values)
+def _face_weights(grid, coeff):
+    """Face volume times the face-averaged flux coefficient, v * c_bar.
+
+    coeff is a positive scalar or a positive nodal field; the face value
+    is the arithmetic mean of the two adjacent nodes.
+    """
+    ops = grid._ops()
+    if np.ndim(coeff) == 0:
+        if coeff <= 0.0:
+            raise ValueError("flux coefficient must be positive everywhere")
+        return float(coeff) * ops["face_vol"]
+    coeff = np.asarray(coeff, dtype=float).ravel()
+    if np.any(coeff <= 0.0):
+        raise ValueError("flux coefficient must be positive everywhere")
+    return ops["face_vol"] * (ops["face_avg"] @ coeff)
 
 
-def neumann_laplacian(f, coeff):
-    """Zero-flux div(c grad f) with face-averaged coefficients.
+def neumann_laplacian(grid, f, coeff):
+    """Zero-flux div(c grad f) = -G' (v c_bar G f) / w, flat in and out.
 
     Finite-volume flux balance over trapezoidal control volumes; fluxes
     through the outer boundary faces are zero.  Conservative: the
     quadrature-weighted mean of the output vanishes identically, and
     constants are mapped to zero.
     """
-    g = f.grid
-    c2 = _coeff_grid(g, coeff)
-    f2 = f.values.reshape(g.shape)
-    return ScalarField(g, _nl_apply(g, f2, c2).ravel())
-
-
-def _coeff_grid(g, coeff):
-    """Validate a flux coefficient and return it shaped (ny, nx)."""
-    if isinstance(coeff, ScalarField):
-        coeff = coeff.values
-    c2 = np.asarray(coeff, dtype=float)
-    c2 = c2.reshape(g.shape) if c2.ndim else np.full(g.shape, float(c2))
-    if np.any(c2 <= 0.0):
-        raise ValueError("flux coefficient must be positive everywhere")
-    return c2
-
-
-def _nl_apply(grid, f2, c2):
-    hx, hy = grid.hx, grid.hy
-    # face coefficients: arithmetic mean of the two adjacent nodes
-    cfx = 0.5 * (c2[:, 1:] + c2[:, :-1])
-    cfy = 0.5 * (c2[1:, :] + c2[:-1, :])
-    fx = cfx * (f2[:, 1:] - f2[:, :-1]) / hx   # flux density across x-faces
-    fy = cfy * (f2[1:, :] - f2[:-1, :]) / hy
-    out = np.zeros_like(f2)
-    out[:, :-1] += fx
-    out[:, 1:] -= fx
-    out /= hx
-    # halve the control volume on left/right boundary columns
-    out[:, 0] *= 2.0
-    out[:, -1] *= 2.0
-    outy = np.zeros_like(f2)
-    outy[:-1, :] += fy
-    outy[1:, :] -= fy
-    outy /= hy
-    outy[0, :] *= 2.0
-    outy[-1, :] *= 2.0
-    return out + outy
+    ops = grid._ops()
+    flux = _face_weights(grid, coeff) * (ops["face_grad"] @ f)
+    return -(ops["face_grad_t"] @ flux) / grid.quad_weights()
 
 
 def flux_stiffness_matrix(grid, coeff=1.0):
-    """Sparse SPD matrix B with neumann_laplacian(f, c) = -B f / w.
+    """Sparse B = G' diag(v c_bar) G, so neumann_laplacian(f, c) = -B f / w.
 
     B is the flux-balance form of the zero-flux operator: symmetric,
-    positive semidefinite, kernel = constants, f' B f = sum_faces
-    c |grad f|^2 dV.  Used by the time stepper for system applies and
-    Jacobi diagonals.
+    positive semidefinite, kernel = constants, f' B f equals
+    laplacian_stiffness_form.  The time stepper assembles its window
+    systems from it.
     """
-    ny, nx = grid.shape
-    hx, hy = grid.hx, grid.hy
-    c2 = _coeff_grid(grid, coeff)
-    ty = np.ones(ny)
-    ty[0] = ty[-1] = 0.5
-    tx = np.ones(nx)
-    tx[0] = tx[-1] = 0.5
-    idx = np.arange(nx * ny).reshape(ny, nx)
-    rows, cols, vals = [], [], []
-    # x-faces: weight c_face * (hy * ty_j) / hx
-    cf = 0.5 * (c2[:, 1:] + c2[:, :-1]) * (hy / hx) * ty[:, None]
-    a = idx[:, :-1].ravel()
-    b = idx[:, 1:].ravel()
-    v = cf.ravel()
-    rows += [a, b, a, b]
-    cols += [a, b, b, a]
-    vals += [v, v, -v, -v]
-    # y-faces: weight c_face * (hx * tx_i) / hy
-    cf = 0.5 * (c2[1:, :] + c2[:-1, :]) * (hx / hy) * tx[None, :]
-    a = idx[:-1, :].ravel()
-    b = idx[1:, :].ravel()
-    v = cf.ravel()
-    rows += [a, b, a, b]
-    cols += [a, b, b, a]
-    vals += [v, v, -v, -v]
-    n = nx * ny
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    ops = grid._ops()
+    return (ops["face_grad_t"] @ sp.diags(_face_weights(grid, coeff)) @ ops["face_grad"]).tocsr()
 
 
-def laplacian_stiffness_form(f, coeff=1.0):
-    """Quadratic form f -> sum_faces c |grad f|^2 dV (the Dirichlet energy
+def laplacian_stiffness_form(grid, f, coeff=1.0):
+    """Dirichlet energy sum_faces v c_bar (G f)^2 of the zero-flux Laplacian.
 
-    of the zero-flux Laplacian, so that <f, -neumann_laplacian(f, c)>_W
-    equals this exactly).  Used for interface-energy evaluation.
+    Equals <f, -neumann_laplacian(f, c)>_W exactly; used for the
+    interface energy.
     """
-    g = f.grid
-    c2 = np.asarray(coeff).reshape(g.shape) if np.ndim(coeff) else np.full(g.shape, float(coeff))
-    f2 = f.values.reshape(g.shape)
-    hx, hy = g.hx, g.hy
-    tx = np.ones(g.nx)
-    tx[0] = tx[-1] = 0.5
-    ty = np.ones(g.ny)
-    ty[0] = ty[-1] = 0.5
-    cfx = 0.5 * (c2[:, 1:] + c2[:, :-1])
-    cfy = 0.5 * (c2[1:, :] + c2[:-1, :])
-    ex = cfx * ((f2[:, 1:] - f2[:, :-1]) / hx) ** 2   # x-face volume: hx*hy*ty_j
-    ey = cfy * ((f2[1:, :] - f2[:-1, :]) / hy) ** 2
-    sx = float(np.sum(ex * ty[:, None]) * hx * hy)
-    sy = float(np.sum(ey * tx[None, :]) * hx * hy)
-    return sx + sy
+    gf = grid._ops()["face_grad"] @ f
+    return float(np.dot(_face_weights(grid, coeff), gf * gf))

@@ -137,20 +137,6 @@ class MaterialModel:
             return self.tau1 * _blend_d(phi)
         raise ValueError("deriv must be 0 or 1")
 
-    _COEFFS = {
-        "mobility": "mobility",
-        "permeability": "permeability",
-        "biot_modulus": "biot_modulus",
-        "biot_alpha": "biot_alpha",
-        "tau": "tau",
-    }
-
-    def eval_coefficient(self, name, phi, deriv=0):
-        """Evaluate a named scalar coefficient family (or its derivative)."""
-        if name not in self._COEFFS:
-            raise ValueError(f"unknown coefficient '{name}'")
-        return getattr(self, self._COEFFS[name])(phi, deriv)
-
     # --- double well ------------------------------------------------------
 
     def psi(self, phi):

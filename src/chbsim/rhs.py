@@ -23,13 +23,13 @@ sigma_rest is the stress minus its viscous part.  Evaluating F through
 the derived fields keeps every sign tied to the governing equations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .biot import STIFFNESS_SCALE, apply_fluid_operator
 from .elliptic import AUGMENTED, VISCO, EllipticProblem, solve_elasticity
-from .grid import ScalarField, SymTensorField, VectorField2, neumann_laplacian, symmetric_gradient
+from .grid import SymTensorField, VectorField2, divergence, neumann_laplacian, symmetric_gradient
 
 
 @dataclass
@@ -113,7 +113,7 @@ def chemical_potential(grid, material, phi, theta, u):
     """
     strain = symmetric_gradient(u)
     div_u = strain.trace()
-    lap_phi = neumann_laplacian(ScalarField(grid, phi), 1.0).values
+    lap_phi = neumann_laplacian(grid, phi, 1.0)
     _, _, _, w_phi = material.elastic_density_derivatives(
         phi, strain.xx, strain.yy, strain.xy)
     zeta = theta - material.biot_alpha(phi) * div_u
@@ -147,18 +147,12 @@ def stress(grid, material, phi, theta, u, strain_rate=None):
     return SymTensorField(grid, sxx, syy, sxy)
 
 
-def rest_stress(grid, material, phi, theta, u):
-    """sigma minus its viscous part: W_E - alpha M zeta I (visco regime rhs)."""
-    return stress(grid, material, phi, theta, u, strain_rate=None)
-
-
 # --- displacement reconstruction (elastic regime) -------------------------
 
 
-def displacement_problem(grid, material, phi, tol=1e-12, maxiter=40000):
+def displacement_problem(grid, material, phi):
     """Augmented quasi-static displacement problem at phase phi."""
-    return EllipticProblem(grid, material, phi, variant=AUGMENTED,
-                           scale=STIFFNESS_SCALE, tol=tol, maxiter=maxiter)
+    return EllipticProblem(grid, material, phi, variant=AUGMENTED, scale=STIFFNESS_SCALE)
 
 
 def reconstruct_displacement(problem, material, theta, sources, t):
@@ -181,12 +175,10 @@ def reconstruct_displacement(problem, material, theta, sources, t):
 
 def phase_rhs(grid, material, phi0, phi, mu_chem, s_phase):
     """F_phi = eps Lap(m(phi0) Lap phi) + div(m(phi) grad mu) + S_phase."""
-    lap_phi = neumann_laplacian(ScalarField(grid, phi), 1.0).values
+    lap_phi = neumann_laplacian(grid, phi, 1.0)
     m0 = material.mobility(phi0)
-    stiff = material.eps * neumann_laplacian(
-        ScalarField(grid, m0 * lap_phi), 1.0).values
-    transport = neumann_laplacian(
-        ScalarField(grid, mu_chem), material.mobility(phi)).values
+    stiff = material.eps * neumann_laplacian(grid, m0 * lap_phi, 1.0)
+    transport = neumann_laplacian(grid, mu_chem, material.mobility(phi))
     out = stiff + transport
     if s_phase is not None:
         out = out + s_phase
@@ -202,11 +194,9 @@ def rhs_elastic(grid, material, ctx0, phi, theta, u, sources, t):
     mu_chem = chemical_potential(grid, material, phi, theta, u)
     f_phi = phase_rhs(grid, material, ctx0.phi, phi, mu_chem,
                       sources.phase_at(grid, t) if sources is not None else None)
-    div_u = (grid.dx_op @ u.ux) + (grid.dy_op @ u.uy)
-    p = pressure(material, phi, theta, div_u)
+    p = pressure(material, phi, theta, divergence(u))
     f_theta = (apply_fluid_operator(ctx0, theta)
-               + neumann_laplacian(ScalarField(grid, p),
-                                   material.permeability(phi)).values)
+               + neumann_laplacian(grid, p, material.permeability(phi)))
     if sources is not None:
         s_fluid = sources.fluid_at(grid, t)
         if s_fluid is not None:
@@ -221,19 +211,16 @@ class ViscoOperators:
     grid: object
     material: object
     phi0: np.ndarray
-    tol: float = 1e-12
-    maxiter: int = 40000
 
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=float).ravel()
         # visco stiffness at phi0 (for A0 and the implicit u-substep)
         self.visco0 = EllipticProblem(
             self.grid, self.material, self.phi0, variant=VISCO,
-            scale=STIFFNESS_SCALE, tol=self.tol, maxiter=self.maxiter)
+            scale=STIFFNESS_SCALE)
         # elastic stiffness at phi0, model scale
         self.elastic0 = EllipticProblem(
-            self.grid, self.material, self.phi0, scale=STIFFNESS_SCALE,
-            tol=self.tol, maxiter=self.maxiter)
+            self.grid, self.material, self.phi0, scale=STIFFNESS_SCALE)
         self.kappa_m0 = (self.material.permeability(self.phi0)
                          * self.material.biot_modulus(self.phi0))
 
@@ -251,11 +238,14 @@ def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
     f_phi = phase_rhs(grid, material, ctx_ops.phi0, phi, mu_chem,
                       sources.phase_at(grid, t) if sources is not None else None)
 
-    # displacement velocity: Knu(phi) E(udot) balances f, g and sigma_rest
-    sigma_rest = rest_stress(grid, material, phi, theta, u)
-    visco_phi = EllipticProblem(
-        grid, material, phi, variant=VISCO, scale=STIFFNESS_SCALE,
-        tol=ctx_ops.tol, maxiter=ctx_ops.maxiter)
+    # displacement velocity: Knu(phi) E(udot) balances f, g and the rest
+    # stress sigma_rest (sigma without its viscous part); at phi = phi0
+    # Knu is the window's visco0, factored once
+    sigma_rest = stress(grid, material, phi, theta, u)
+    if np.array_equal(phi, ctx_ops.phi0):
+        visco_phi = ctx_ops.visco0
+    else:
+        visco_phi = EllipticProblem(grid, material, phi, variant=VISCO, scale=STIFFNESS_SCALE)
     rhs_ext = visco_phi.assemble_rhs(
         body=sources.body_at(grid, t) if sources is not None else None,
         traction=sources.traction if sources is not None else None)
@@ -265,11 +255,9 @@ def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
     a0u = ctx_ops.apply_a0(u)
     f_u = VectorField2(grid, a0u.ux + udot.ux, a0u.uy + udot.uy)
 
-    div_u = (grid.dx_op @ u.ux) + (grid.dy_op @ u.uy)
-    p = pressure(material, phi, theta, div_u)
-    f_theta = (-neumann_laplacian(ScalarField(grid, theta), ctx_ops.kappa_m0).values
-               + neumann_laplacian(ScalarField(grid, p),
-                                   material.permeability(phi)).values)
+    p = pressure(material, phi, theta, divergence(u))
+    f_theta = (-neumann_laplacian(grid, theta, ctx_ops.kappa_m0)
+               + neumann_laplacian(grid, p, material.permeability(phi)))
     if sources is not None:
         s_fluid = sources.fluid_at(grid, t)
         if s_fluid is not None:

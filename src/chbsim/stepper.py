@@ -40,7 +40,7 @@ import scipy.sparse as sp
 from .biot import BiotContext, apply_B_tilde
 from .elliptic import (PLAIN, VISCO, DirectSolver, EllipticProblem, SolverFailure,
                        conjugate_gradient, solve_elasticity)
-from .grid import ScalarField, VectorField2, flux_stiffness_matrix, neumann_laplacian
+from .grid import VectorField2, divergence, flux_stiffness_matrix, neumann_laplacian
 from .rhs import (SimState, chemical_potential, displacement_problem,
                   eigenstrain_tensor_source, phase_rhs, pressure,
                   reconstruct_displacement, rhs_elastic, rhs_visco,
@@ -83,11 +83,6 @@ class StepperConfig:
         if self.formulation not in (THETA_FORM, PRESSURE_FORM):
             raise ValueError(f"unknown formulation '{self.formulation}'")
 
-    @property
-    def tol_inner(self):
-        """Tolerance handed to the frozen bundles: two orders below tol_lin."""
-        return self.tol_lin * 1e-2
-
 
 @dataclass
 class PicardReport:
@@ -117,17 +112,11 @@ def _wnorm2(w, v):
 
 @dataclass
 class _FrozenPhase:
-    """Window-frozen data shared by both regimes, with the phase solver.
-
-    tol_inner and max_lin are handed to the window-start elasticity
-    problems, whose solves are direct and do not use them.
-    """
+    """Window-frozen data shared by both regimes, with the phase solver."""
 
     grid: object
     material: object
     phi0: np.ndarray
-    tol_inner: float
-    max_lin: int
 
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=float).ravel()
@@ -152,8 +141,7 @@ class FrozenElastic(_FrozenPhase):
 
     def __post_init__(self):
         super().__post_init__()
-        self.ctx0 = BiotContext(self.grid, self.material, self.phi0,
-                                tol=self.tol_inner, maxiter=self.max_lin)
+        self.ctx0 = BiotContext(self.grid, self.material, self.phi0)
         self.b_kappa = flux_stiffness_matrix(self.grid, self.ctx0.kappa)
         self._content_solvers = {}
 
@@ -190,8 +178,7 @@ class FrozenVisco(_FrozenPhase):
 
     def __post_init__(self):
         super().__post_init__()
-        self.ops = ViscoOperators(self.grid, self.material, self.phi0,
-                                  tol=self.tol_inner, maxiter=self.max_lin)
+        self.ops = ViscoOperators(self.grid, self.material, self.phi0)
         self.b_km = flux_stiffness_matrix(self.grid, self.ops.kappa_m0)
         self._shifted = {}
 
@@ -201,7 +188,7 @@ class FrozenVisco(_FrozenPhase):
         if prob is None:
             prob = EllipticProblem(
                 self.grid, self.material, self.phi0, variant=VISCO,
-                scale=2.0, shift=dt, tol=self.tol_inner, maxiter=self.max_lin)
+                scale=2.0, shift=dt)
             self._shifted[dt] = prob
         return prob
 
@@ -209,11 +196,10 @@ class FrozenVisco(_FrozenPhase):
 # --- linear substeps ------------------------------------------------------
 
 
-def linear_substep_phi(frozen, dt, r, tol=None, maxiter=None, x0=None):
+def linear_substep_phi(frozen, dt, r):
     """Solve (I + dt eps Lap(m(phi0) Lap .)) phi = r (SPD symmetrized).
 
-    Direct solve with the window's cached factorization; tol, maxiter
-    and x0 are accepted for call compatibility and not used.
+    Direct solve with the window's cached factorization.
     """
     w = frozen.w
     x, rep = frozen.phase_solver(dt).solve(w * r)
@@ -238,15 +224,13 @@ def _solve_conjugate_pressure(frozen, dt, rhs_w):
     return sol[:n], v, rep
 
 
-def linear_substep_theta_elastic(frozen, dt, r, tol=None, maxiter=None, x0=None,
-                                 tol_inner=None):
+def linear_substep_theta_elastic(frozen, dt, r):
     """Solve (I + dt A(phi0)) theta = r via the conjugate pressure q.
 
     Returns (theta, v, report) with v the displacement of the pressure
     unfolding.  theta is recovered from the flux form
     theta = r + dt NL(q, kappa0), which conserves the weighted mean of r
-    exactly.  The solve is direct; tol, maxiter, x0 and tol_inner are
-    accepted for call compatibility and not used.
+    exactly.  The solve is direct.
     """
     w = frozen.w
     q, v, rep = _solve_conjugate_pressure(frozen, dt, w * r)
@@ -297,10 +281,12 @@ def picard_window(grid, material, state, sources, cfg, frozen=None):
     return _picard_window_elastic(grid, material, state, sources, cfg, frozen)
 
 
-def _shrink_loop(cfg, attempt_fn):
+def _shrink_loop(cfg, t, attempt_fn):
+    """Run attempt_fn(dt) from window start t, shrinking dt on failure."""
     dt = cfg.dt
-    shrinks = 0
+    tried = []
     while True:
+        tried.append(dt)
         try:
             result = attempt_fn(dt)
         except SolverFailure:
@@ -310,18 +296,18 @@ def _shrink_loop(cfg, attempt_fn):
             rep = PicardReport(
                 iterations=len(residuals), residual=residuals[-1] if residuals else 0.0,
                 residuals=residuals, rho=_median_ratio(residuals),
-                converged=True, dt_used=dt, shrinks=shrinks)
+                converged=True, dt_used=dt, shrinks=len(tried) - 1)
             return new_state, rep
-        shrinks += 1
-        if shrinks > cfg.max_shrinks:
+        if len(tried) > cfg.max_shrinks:
             raise StepFailure(
-                f"window at t = {cfg.t_end} failed after {cfg.max_shrinks} dt shrinks")
+                f"window at t = {t:.6g} failed after {cfg.max_shrinks} dt shrinks "
+                f"(dt tried: {', '.join(f'{d:.6g}' for d in tried)})")
         dt *= cfg.shrink_factor
 
 
 def _picard_window_elastic(grid, material, state, sources, cfg, frozen):
     if frozen is None:
-        frozen = FrozenElastic(grid, material, state.phi, cfg.tol_inner, cfg.max_lin)
+        frozen = FrozenElastic(grid, material, state.phi)
     w = frozen.w
     scale = _converged_scale(w, state)
 
@@ -335,8 +321,7 @@ def _picard_window_elastic(grid, material, state, sources, cfg, frozen):
             phi_new, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
             theta_new, _, _ = linear_substep_theta_elastic(
                 frozen, dt, state.theta + dt * f_theta)
-            problem = displacement_problem(grid, material, phi_new,
-                                           tol=cfg.tol_inner, maxiter=cfg.max_lin)
+            problem = displacement_problem(grid, material, phi_new)
             u_new, _ = reconstruct_displacement(problem, material, theta_new,
                                                 sources, t_new)
             delta = np.sqrt(_wnorm2(w, phi_new - phi_k) + _wnorm2(w, theta_new - theta_k))
@@ -346,7 +331,7 @@ def _picard_window_elastic(grid, material, state, sources, cfg, frozen):
                 return SimState(grid, phi_k, theta_k, u_k, t_new), residuals
         return None
 
-    new_state, rep = _shrink_loop(cfg, attempt)
+    new_state, rep = _shrink_loop(cfg, state.t, attempt)
     return new_state, rep, frozen
 
 
@@ -359,15 +344,13 @@ def _picard_window_pressure(grid, material, state, sources, cfg, frozen):
     theta = p / M + alpha div u.
     """
     if frozen is None:
-        frozen = FrozenElastic(grid, material, state.phi, cfg.tol_inner, cfg.max_lin)
+        frozen = FrozenElastic(grid, material, state.phi)
     w = frozen.w
     scale = _converged_scale(w, state)
-    div0 = (grid.dx_op @ state.u.ux) + (grid.dy_op @ state.u.uy)
-    p_start = pressure(material, state.phi, state.theta, div0)
+    p_start = pressure(material, state.phi, state.theta, divergence(state.u))
 
     def solve_u(phi, p, t):
-        prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=2.0,
-                               tol=cfg.tol_inner, maxiter=cfg.max_lin)
+        prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=2.0)
         scalar = eigenstrain_tensor_source(material, phi) + material.biot_alpha(phi) * p
         rhs = prob.assemble_rhs(
             body=sources.body_at(grid, t) if sources is not None else None,
@@ -376,8 +359,7 @@ def _picard_window_pressure(grid, material, state, sources, cfg, frozen):
         return solve_elasticity(prob, rhs)[0]
 
     def content_of(phi, p, u):
-        div_u = (grid.dx_op @ u.ux) + (grid.dy_op @ u.uy)
-        return p / material.biot_modulus(phi) + material.biot_alpha(phi) * div_u
+        return p / material.biot_modulus(phi) + material.biot_alpha(phi) * divergence(u)
 
     def attempt(dt):
         t_new = state.t + dt
@@ -388,16 +370,14 @@ def _picard_window_pressure(grid, material, state, sources, cfg, frozen):
         for _ in range(cfg.max_picard):
             # phase update through the pressure form of the potential
             zeta = p_k / material.biot_modulus(phi_k)
-            theta_like = zeta + material.biot_alpha(phi_k) * (
-                (grid.dx_op @ u_k.ux) + (grid.dy_op @ u_k.uy))
+            theta_like = zeta + material.biot_alpha(phi_k) * divergence(u_k)
             mu_chem = chemical_potential(grid, material, phi_k, theta_like, u_k)
             f_phi = phase_rhs(grid, material, frozen.phi0, phi_k, mu_chem,
                               sources.phase_at(grid, t_new) if sources is not None else None)
             phi_new, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
             # pressure update: theta(p) = B0 p + c_k, frozen permeability
             c_k = content_of(phi_k, p_k, u_k) - apply_B_tilde(frozen.ctx0, p_k)
-            extra = (neumann_laplacian(ScalarField(grid, p_k),
-                                       material.permeability(phi_k)).values
+            extra = (neumann_laplacian(grid, p_k, material.permeability(phi_k))
                      + (b_k0 @ p_k) / w)   # NL(p, kappa(phi)) - NL(p, kappa0)
             r = state.theta - c_k + dt * extra
             s_fluid = sources.fluid_at(grid, t_new) if sources is not None else None
@@ -414,13 +394,13 @@ def _picard_window_pressure(grid, material, state, sources, cfg, frozen):
                 return SimState(grid, phi_k, theta, u_k, t_new), residuals
         return None
 
-    new_state, rep = _shrink_loop(cfg, attempt)
+    new_state, rep = _shrink_loop(cfg, state.t, attempt)
     return new_state, rep, frozen
 
 
 def _picard_window_visco(grid, material, state, sources, cfg, frozen):
     if frozen is None:
-        frozen = FrozenVisco(grid, material, state.phi, cfg.tol_inner, cfg.max_lin)
+        frozen = FrozenVisco(grid, material, state.phi)
     w = frozen.w
     scale = _converged_scale(w, state) + np.sqrt(
         _wnorm2(w, state.u.ux) + _wnorm2(w, state.u.uy))
@@ -448,15 +428,14 @@ def _picard_window_visco(grid, material, state, sources, cfg, frozen):
                 return SimState(grid, phi_k, theta_k, u_k, t_new), residuals
         return None
 
-    new_state, rep = _shrink_loop(cfg, attempt)
+    new_state, rep = _shrink_loop(cfg, state.t, attempt)
     return new_state, rep, frozen
 
 
 # --- driver ---------------------------------------------------------------
 
 
-def initial_state(grid, material, phi, theta, sources=None, u_init="quasistatic",
-                  tol=1e-12):
+def initial_state(grid, material, phi, theta, sources=None, u_init="quasistatic"):
     """Assemble a consistent initial state.
 
     u_init = 'quasistatic' reconstructs the displacement from (phi,
@@ -467,7 +446,7 @@ def initial_state(grid, material, phi, theta, sources=None, u_init="quasistatic"
     if u_init == "zero":
         u = VectorField2.zero(grid)
     elif u_init == "quasistatic":
-        problem = displacement_problem(grid, material, phi, tol=tol)
+        problem = displacement_problem(grid, material, phi)
         u, _ = reconstruct_displacement(problem, material, theta, sources, 0.0)
     else:
         raise ValueError(f"unknown u_init '{u_init}'")

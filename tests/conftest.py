@@ -45,3 +45,33 @@ def smooth_phi(grid, rng, amp=0.8, modes=3):
             f += rng.normal() * np.cos(kx * np.pi * x / grid.lx) \
                  * np.cos(ky * np.pi * y / grid.ly)
     return amp * np.tanh(f)
+
+
+def reference_neumann_laplacian(grid, f, coeff):
+    """Independent stencil of the zero-flux div(c grad f), flat in and out.
+
+    Node-by-node flux balance over the trapezoid control volumes, written
+    without the grid's face operators: face coefficients are the mean of
+    the two adjacent nodes, outer boundary fluxes are zero, and the
+    boundary control volumes are halved.
+    """
+    hx, hy = grid.hx, grid.hy
+    f2 = np.asarray(f, dtype=float).reshape(grid.shape)
+    c2 = np.broadcast_to(np.asarray(coeff, dtype=float), grid.n_nodes).reshape(grid.shape)
+    cfx = 0.5 * (c2[:, 1:] + c2[:, :-1])
+    cfy = 0.5 * (c2[1:, :] + c2[:-1, :])
+    fx = cfx * (f2[:, 1:] - f2[:, :-1]) / hx   # flux density across x-faces
+    fy = cfy * (f2[1:, :] - f2[:-1, :]) / hy
+    out = np.zeros_like(f2)
+    out[:, :-1] += fx
+    out[:, 1:] -= fx
+    out /= hx
+    out[:, 0] *= 2.0
+    out[:, -1] *= 2.0
+    outy = np.zeros_like(f2)
+    outy[:-1, :] += fy
+    outy[1:, :] -= fy
+    outy /= hy
+    outy[0, :] *= 2.0
+    outy[-1, :] *= 2.0
+    return (out + outy).ravel()

@@ -40,7 +40,7 @@ def operator_reports():
     reports = []
     t0 = time.time()
     for _ in range(10):
-        ctx = BiotContext(g, m, smooth_phi(g, rng), tol=1e-13)
+        ctx = BiotContext(g, m, smooth_phi(g, rng))
         reports.append(verify_operator_identities(ctx))
     return reports, time.time() - t0
 
@@ -71,7 +71,7 @@ def test_criterion_03_norm_equivalence(operator_reports):
     cc = max(r["a_eig_max"] for r in reports)
     g = make_grid(8, tags=MIXED)
     rng = np.random.default_rng(11)
-    ctx0 = BiotContext(g, decoupled_material(), smooth_phi(g, rng), tol=1e-13)
+    ctx0 = BiotContext(g, decoupled_material(), smooth_phi(g, rng))
     rep0 = verify_operator_identities(ctx0)
     decoupled_dev = max(abs(rep0["a_eig_min"] - 1.0), abs(rep0["a_eig_max"] - 1.0))
     ok = 0.0 < c <= cc and decoupled_dev <= 1e-10
@@ -83,10 +83,9 @@ def test_criterion_03_norm_equivalence(operator_reports):
 def test_criterion_04_h_dissipativity():
     g = make_grid(8, tags=MIXED)
     rng = np.random.default_rng(4)
-    ctx = BiotContext(g, make_material(), smooth_phi(g, rng), tol=1e-13)
+    ctx = BiotContext(g, make_material(), smooth_phi(g, rng))
     _, residue, flagged, beta = fluid_operator_spectrum(ctx)
-    ctx0 = BiotContext(g, decoupled_material(k1=0.0), smooth_phi(g, rng),
-                       tol=1e-13)
+    ctx0 = BiotContext(g, decoupled_material(k1=0.0), smooth_phi(g, rng))
     _, _, _, beta0 = fluid_operator_spectrum(ctx0)
     ok = (not flagged) and residue <= 1e-8 and np.isfinite(beta) \
         and beta0 <= 1e-10
@@ -219,7 +218,7 @@ def test_criterion_09_elliptic_solver_contract():
     m = make_material()
     rng = np.random.default_rng(9)
     phi = smooth_phi(g, rng)
-    prob = EllipticProblem(g, m, phi, tol=1e-13, maxiter=40000)
+    prob = EllipticProblem(g, m, phi)
     n = g.n_nodes
     mat = np.zeros((2 * n, 2 * n))
     for j in range(2 * n):

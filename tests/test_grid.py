@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from chbsim.grid import (Grid, DIRICHLET, NEUMANN, ScalarField, VectorField2,
-                         divergence, gradient, neumann_laplacian,
-                         symmetric_gradient, flux_stiffness_matrix)
-from conftest import FULL_DIRICHLET, MIXED, make_grid, smooth_phi
+from chbsim.grid import (Grid, NEUMANN, VectorField2, divergence,
+                         flux_stiffness_matrix, laplacian_stiffness_form,
+                         neumann_laplacian, symmetric_gradient)
+from conftest import (FULL_DIRICHLET, MIXED, make_grid, reference_neumann_laplacian,
+                      smooth_phi)
 
 
 def test_grid_geometry():
@@ -71,35 +74,32 @@ def test_divergence_is_trace_of_strain():
     u = VectorField2(g, rng.standard_normal(g.n_nodes),
                      rng.standard_normal(g.n_nodes))
     e = symmetric_gradient(u)
-    d = divergence(u)
-    assert np.array_equal(d.values, e.xx + e.yy)
-    assert np.allclose(divergence(VectorField2(g, *g.coords())).values, 2.0,
-                       atol=1e-12)
+    assert np.array_equal(divergence(u), e.xx + e.yy)
+    assert np.allclose(divergence(VectorField2(g, *g.coords())), 2.0, atol=1e-12)
 
 
 def test_neumann_laplacian_constants_in_kernel():
     g = make_grid(9, tags=MIXED)
-    f = ScalarField.constant(g, 5.0)
-    c = ScalarField.constant(g, 3.0)
-    out = neumann_laplacian(f, c)
-    assert np.allclose(out.values, 0.0, atol=1e-12)
+    out = neumann_laplacian(g, np.full(g.n_nodes, 5.0), np.full(g.n_nodes, 3.0))
+    assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_neumann_laplacian_rejects_nonpositive_coefficient():
     g = make_grid(8)
-    f = ScalarField.constant(g, 1.0)
+    f = np.ones(g.n_nodes)
     with pytest.raises(ValueError):
-        neumann_laplacian(f, ScalarField.constant(g, -1.0))
+        neumann_laplacian(g, f, np.full(g.n_nodes, -1.0))
+    with pytest.raises(ValueError):
+        neumann_laplacian(g, f, 0.0)
 
 
 def test_neumann_laplacian_interior_accuracy():
     g = make_grid(64, tags=MIXED)
     x, _ = g.coords()
-    f = ScalarField(g, np.cos(np.pi * x))
-    out = neumann_laplacian(f, ScalarField.constant(g, 1.0))
+    out = neumann_laplacian(g, np.cos(np.pi * x), np.ones(g.n_nodes))
     exact = -np.pi**2 * np.cos(np.pi * x)
     h2 = g.hx**2
-    assert np.max(np.abs(out.values - exact)) <= 10.0 * np.pi**4 * h2
+    assert np.max(np.abs(out - exact)) <= 10.0 * np.pi**4 * h2
 
 
 def test_neumann_laplacian_second_order_convergence():
@@ -107,11 +107,11 @@ def test_neumann_laplacian_second_order_convergence():
     for n in (16, 32, 64):
         g = make_grid(n)
         x, y = g.coords()
-        f = ScalarField(g, np.cos(np.pi * x) * np.cos(np.pi * y))
-        out = neumann_laplacian(f, ScalarField.constant(g, 1.0))
-        exact = -2.0 * np.pi**2 * f.values
+        f = np.cos(np.pi * x) * np.cos(np.pi * y)
+        out = neumann_laplacian(g, f, np.ones(g.n_nodes))
+        exact = -2.0 * np.pi**2 * f
         w = g.quad_weights()
-        errs.append(np.sqrt(np.dot(w, (out.values - exact) ** 2)))
+        errs.append(np.sqrt(np.dot(w, (out - exact) ** 2)))
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5
 
@@ -124,8 +124,8 @@ def test_flux_matrix_matches_matrix_free_application():
     b = flux_stiffness_matrix(g, coeff)
     w = g.quad_weights()
     via_matrix = -(b @ f) / w
-    direct = neumann_laplacian(ScalarField(g, f), ScalarField(g, coeff)).values
-    assert np.max(np.abs(via_matrix - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+    ref = reference_neumann_laplacian(g, f, coeff)
+    assert np.max(np.abs(via_matrix - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_flux_matrix_conservation_and_symmetry():
@@ -146,25 +146,90 @@ def test_flux_matrix_conservation_and_symmetry():
 def test_gradient_exact_on_affine():
     g = make_grid(8, lx=2.0)
     x, y = g.coords()
-    gv = gradient(ScalarField(g, 2.0 * x - 3.0 * y + 1.0))
-    assert np.allclose(gv.ux, 2.0, atol=1e-12)
-    assert np.allclose(gv.uy, -3.0, atol=1e-12)
+    f = 2.0 * x - 3.0 * y + 1.0
+    assert np.allclose(g.dx_op @ f, 2.0, atol=1e-12)
+    assert np.allclose(g.dy_op @ f, -3.0, atol=1e-12)
 
 
-def test_first_derivative_summation_by_parts():
+# --- properties over random grid shapes ----------------------------------
+
+
+@st.composite
+def grids(draw):
+    """Grids with nx, ny in [4, 12] and domain lengths in [0.2, 5]."""
+    nx = draw(st.integers(4, 12))
+    ny = draw(st.integers(4, 12))
+    lx = draw(st.floats(0.2, 5.0))
+    ly = draw(st.floats(0.2, 5.0))
+    return Grid(nx, ny, lx, ly, dict(FULL_DIRICHLET))
+
+
+@st.composite
+def laplacian_cases(draw):
+    """A grid, a field f and a positive nodal coefficient on it."""
+    g = draw(grids())
+    f = draw(arrays(float, g.n_nodes, elements=st.floats(-10.0, 10.0)))
+    coeff = draw(arrays(float, g.n_nodes, elements=st.floats(0.1, 10.0)))
+    return g, f, coeff
+
+
+@settings(deadline=None)
+@given(laplacian_cases())
+def test_laplacian_apply_and_matrix_match_reference_stencil(case):
+    """neumann_laplacian(f, c) = -B f / w = the independent stencil."""
+    g, f, coeff = case
+    w = g.quad_weights()
+    b = flux_stiffness_matrix(g, coeff)
+    ref = reference_neumann_laplacian(g, f, coeff)
+    # round-off scale: the size of the stencil terms that cancel in L f
+    tol = 1e-13 * max(1.0, np.max(abs(b) @ np.abs(f) / w))
+    assert np.max(np.abs(neumann_laplacian(g, f, coeff) - ref)) <= tol
+    assert np.max(np.abs(-(b @ f) / w - ref)) <= tol
+
+
+@settings(deadline=None)
+@given(laplacian_cases())
+def test_laplacian_energy_identity_symmetry_and_conservation(case):
+    """f'Bf = laplacian_stiffness_form(f) = <f, -L f>_W against the
+    reference stencil; B is symmetric with B 1 = 0; the weighted mean of
+    L f vanishes."""
+    g, f, coeff = case
+    w = g.quad_weights()
+    b = flux_stiffness_matrix(g, coeff)
+    terms = abs(b) @ np.abs(f)      # size of the terms that cancel
+    quad = float(f @ (b @ f))
+    ref_form = -float(np.dot(w * f, reference_neumann_laplacian(g, f, coeff)))
+    tol = 1e-13 * max(1.0, float(np.abs(f) @ terms))
+    assert abs(quad - ref_form) <= tol
+    assert abs(laplacian_stiffness_form(g, f, coeff) - ref_form) <= tol
+    bmax = abs(b).max()
+    assert abs(b - b.T).max() == 0.0
+    assert np.max(np.abs(b @ np.ones(g.n_nodes))) <= 1e-14 * bmax
+    lap = neumann_laplacian(g, f, coeff)
+    assert abs(np.dot(w, lap)) <= 1e-13 * max(1.0, float(np.sum(terms)))
+
+
+@settings(deadline=None)
+@given(grids(), st.integers(0, 2**32 - 1))
+def test_first_derivative_summation_by_parts(g, seed):
     """Discrete Gauss identity: sum w (df) g + sum w f (dg) = boundary flux.
 
-    Holds exactly for the derivative pair, which is what makes constant
-    sources produce exactly balanced interior forces."""
-    g = make_grid(9, 7, lx=1.3, ly=0.7)
-    rng = np.random.default_rng(5)
+    Holds exactly for the derivative pair, in x and in y, which is what
+    makes constant sources produce exactly balanced interior forces."""
+    rng = np.random.default_rng(seed)
     f = rng.standard_normal(g.n_nodes)
     v = rng.standard_normal(g.n_nodes)
     w = g.quad_weights()
-    lhs = np.dot(w, (g.dx_op @ f) * v) + np.dot(w, f * (g.dx_op @ v))
     f2 = f.reshape(g.ny, g.nx)
     v2 = v.reshape(g.ny, g.nx)
+    tx = np.ones(g.nx)
+    tx[0] = tx[-1] = 0.5
     ty = np.ones(g.ny)
     ty[0] = ty[-1] = 0.5
-    bnd = g.hy * np.dot(ty, f2[:, -1] * v2[:, -1] - f2[:, 0] * v2[:, 0])
-    assert lhs == pytest.approx(bnd, abs=1e-12)
+    lhs_x = np.dot(w, (g.dx_op @ f) * v) + np.dot(w, f * (g.dx_op @ v))
+    bnd_x = g.hy * np.dot(ty, f2[:, -1] * v2[:, -1] - f2[:, 0] * v2[:, 0])
+    lhs_y = np.dot(w, (g.dy_op @ f) * v) + np.dot(w, f * (g.dy_op @ v))
+    bnd_y = g.hx * np.dot(tx, f2[-1, :] * v2[-1, :] - f2[0, :] * v2[0, :])
+    scale = g.lx * g.ly * np.max(np.abs(f)) * np.max(np.abs(v)) + 1.0
+    assert lhs_x == pytest.approx(bnd_x, abs=1e-12 * scale)
+    assert lhs_y == pytest.approx(bnd_y, abs=1e-12 * scale)

@@ -24,18 +24,6 @@ def test_double_well_values():
     assert (m.psi(np.linspace(-2, 2, 41)) >= 0.0).all()
 
 
-def test_eval_coefficient_dispatch_and_errors():
-    m = make_material()
-    phi = np.array([0.3, -0.7])
-    assert np.allclose(m.eval_coefficient("mobility", phi), m.mobility(phi))
-    assert np.allclose(m.eval_coefficient("permeability", phi, 1),
-                       m.permeability(phi, 1))
-    with pytest.raises(ValueError):
-        m.eval_coefficient("bogus", phi)
-    with pytest.raises(ValueError):
-        m.mobility(phi, deriv=3)
-
-
 def test_validation_names_violated_assumption():
     with pytest.raises(ValueError, match="mobility must be positive"):
         make_material(m0=-1.0)
@@ -107,6 +95,8 @@ def test_scalar_coefficient_derivatives_finite_difference():
         ref = _central(fn, pts)
         scale = np.maximum(np.abs(ref), 1.0)
         assert np.max(np.abs(got - ref) / scale) <= 1e-6
+    with pytest.raises(ValueError):
+        m.mobility(pts, deriv=3)
 
 
 def test_energy_density_derivatives_finite_difference():

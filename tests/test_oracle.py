@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chbsim.biot import BiotContext
-from chbsim.grid import ScalarField, neumann_laplacian
+from chbsim.grid import neumann_laplacian
 from chbsim.oracle import (DENSE_CAP, DenseOperator, densify, spectral_check,
                            verify_operator_identities)
 from conftest import MIXED, decoupled_material, make_grid, make_material, smooth_phi
@@ -21,9 +21,7 @@ def test_densify_rejects_large_grids():
 def test_dense_laplacian_stencil_structure():
     g = make_grid(4, tags=MIXED)
     w = g.quad_weights()
-    op = densify(lambda v: neumann_laplacian(ScalarField(g, v),
-                                             ScalarField.constant(g, 1.0)).values,
-                 g.n_nodes, weights=w)
+    op = densify(lambda v: neumann_laplacian(g, v, 1.0), g.n_nodes, weights=w)
     # constants in the kernel: zero row sums
     assert np.max(np.abs(op.matrix.sum(axis=1))) <= 1e-12
     # interior node sees the 5-point stencil (h = 1/3)
@@ -55,7 +53,7 @@ def test_verify_identities_decoupled_case():
     """alpha = 0, M = 1 makes both conjugate operators the identity."""
     g = make_grid(8, tags=MIXED)
     rng = np.random.default_rng(0)
-    ctx = BiotContext(g, decoupled_material(), smooth_phi(g, rng), tol=1e-13)
+    ctx = BiotContext(g, decoupled_material(), smooth_phi(g, rng))
     rep = verify_operator_identities(ctx)
     assert rep["ab_defect"] <= 1e-12
     assert rep["ba_defect"] <= 1e-12
@@ -66,7 +64,7 @@ def test_verify_identities_decoupled_case():
 def test_verify_identities_coupled_case():
     g = make_grid(8, tags=MIXED)
     rng = np.random.default_rng(1)
-    ctx = BiotContext(g, make_material(), smooth_phi(g, rng), tol=1e-13)
+    ctx = BiotContext(g, make_material(), smooth_phi(g, rng))
     rep = verify_operator_identities(ctx)
     assert rep["ab_defect"] <= 1e-7 and rep["ba_defect"] <= 1e-7
     assert rep["b_eig_min"] > 0 and rep["a_eig_min"] > 0

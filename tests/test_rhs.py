@@ -73,7 +73,7 @@ def test_derived_fields_are_local():
     changed = np.nonzero(np.abs(pert_mu - base_mu) > 1e-13)[0]
     iy, ix = divmod(changed, 10)
     assert (np.abs(iy - 5) + np.abs(ix - 5) <= 2).all()
-    dv = divergence(u).values
+    dv = divergence(u)
     base_p = pressure(m, phi, theta, dv)
     p2 = pressure(m, phi2, theta, dv)
     assert (np.nonzero(np.abs(p2 - base_p) > 1e-14)[0] == [k]).all()
@@ -90,11 +90,11 @@ def test_quasistatic_momentum_balance():
     rng = np.random.default_rng(1)
     phi = smooth_phi(g, rng)
     theta = 0.3 * smooth_phi(g, rng)
-    prob = displacement_problem(g, m, phi, tol=1e-13)
+    prob = displacement_problem(g, m, phi)
     u, _ = reconstruct_displacement(prob, m, theta, SourceSpec(), 0.0)
-    plain = EllipticProblem(g, m, phi, scale=STIFFNESS_SCALE, tol=1e-13)
+    plain = EllipticProblem(g, m, phi, scale=STIFFNESS_SCALE)
     kx, ky = plain.apply(u.ux, u.uy)
-    p = pressure(m, phi, theta, divergence(u).values)
+    p = pressure(m, phi, theta, divergence(u))
     rx, ry = plain.assemble_rhs(
         scalar_source=eigenstrain_tensor_source(m, phi) + m.biot_alpha(phi) * p)
     res = np.concatenate([kx - rx, ky - ry])
@@ -108,8 +108,8 @@ def test_rhs_elastic_vanishes_at_uniform_equilibrium():
                       lam_a=1.0, lam_b=1.0, mu_a=1.0, mu_b=1.0)
     phi = np.ones(g.n_nodes)           # pure phase: psi'(1) = 0
     theta = np.full(g.n_nodes, 0.7)
-    ctx0 = BiotContext(g, m, phi, tol=1e-13)
-    prob = displacement_problem(g, m, phi, tol=1e-13)
+    ctx0 = BiotContext(g, m, phi)
+    prob = displacement_problem(g, m, phi)
     u, _ = reconstruct_displacement(prob, m, theta, SourceSpec(), 0.0)
     f_phi, f_theta = rhs_elastic(g, m, ctx0, phi, theta, u, SourceSpec(), 0.0)
     assert np.max(np.abs(f_phi)) <= 1e-9
@@ -123,7 +123,7 @@ def test_rhs_visco_vanishes_at_uniform_equilibrium():
                       lam_a=1.0, lam_b=1.0, mu_a=1.0, mu_b=1.0)
     phi = np.ones(g.n_nodes)
     theta = np.zeros(g.n_nodes)
-    ops = ViscoOperators(g, m, phi, tol=1e-13)
+    ops = ViscoOperators(g, m, phi)
     u = VectorField2.zero(g)
     f_phi, f_u, f_theta = rhs_visco(g, m, ops, phi, theta, u, SourceSpec(), 0.0)
     assert np.max(np.abs(f_phi)) <= 1e-9
@@ -137,8 +137,8 @@ def test_rhs_lipschitz_sampled():
     m = make_material()
     rng = np.random.default_rng(2)
     phi0 = smooth_phi(g, rng, amp=0.5)
-    ctx0 = BiotContext(g, m, phi0, tol=1e-12)
-    prob = displacement_problem(g, m, phi0, tol=1e-12)
+    ctx0 = BiotContext(g, m, phi0)
+    prob = displacement_problem(g, m, phi0)
     w = g.quad_weights()
 
     def fval(phi, theta):
@@ -158,3 +158,31 @@ def test_rhs_lipschitz_sampled():
         ratios.append(nf / dx)
     assert np.isfinite(ratios).all()
     assert max(ratios) < 1e4
+
+
+def test_rhs_visco_at_phi0_reuses_the_window_factor(monkeypatch):
+    """On the first Picard iterate phi = phi0, so the u-dot problem is the
+    window's visco0: once apply_a0 has factored it, rhs_visco factors
+    nothing new.  A different phase still gets its own factorization."""
+    import chbsim.elliptic as elliptic
+    g = make_grid(8, tags=MIXED)
+    m = make_material(rho=1)
+    rng = np.random.default_rng(3)
+    phi0 = smooth_phi(g, rng)
+    theta = 0.1 * smooth_phi(g, rng)
+    u = VectorField2(g, 0.01 * rng.standard_normal(g.n_nodes),
+                     0.01 * rng.standard_normal(g.n_nodes))
+    ops = ViscoOperators(g, m, phi0)
+    ops.apply_a0(u)
+    created = []
+
+    class CountingSolver(elliptic.DirectSolver):
+        def __init__(self, *args, **kwargs):
+            created.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "DirectSolver", CountingSolver)
+    rhs_visco(g, m, ops, phi0.copy(), theta, u, SourceSpec(), 0.0)
+    assert created == []
+    rhs_visco(g, m, ops, phi0 + 0.01, theta, u, SourceSpec(), 0.0)
+    assert len(created) == 1
