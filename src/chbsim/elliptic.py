@@ -20,10 +20,15 @@ edge is required by the grid, which rules out rigid-body kernels.
 Each problem has two representations of the same form.  apply() is
 matrix-free (strain -> pointwise stiffness -> adjoint strain) and is
 what the dense oracles and tests build their reference matrices from.
-stiffness_matrix() assembles K = E' diag(w C) E on the free dofs; its
-sparse LU is computed on the first solve and cached on the problem, so
-every later solve with the same frozen coefficients is a pair of
-triangular solves.
+stiffness_matrix() assembles K = E' diag(w C) E on the free dofs.  A
+problem without a reference computes the sparse LU of K on its first
+solve and caches it, so every later solve with the same frozen
+coefficients is a pair of triangular solves.  A problem given a
+reference problem (same grid and variant, typically frozen at the
+window-start phase) factors nothing: it solves K x = b by CG
+preconditioned with the reference's cached LU.  The two stiffnesses
+differ by O(|phi - phi_ref|), so a few iterations reach the fixed
+relative tolerance REFERENCE_CG_TOL.
 
 Right-hand sides accept a body force, a nodal tensor source P entering
 as + sum w_k P_k : E(w)_k (the weak form of -div P), a scalar source q
@@ -31,9 +36,10 @@ entering as + sum w_k q_k (div w)_k (the weak form of -grad q), and edge
 tractions on the Neumann edges with boundary trapezoid quadrature.
 
 DirectSolver wraps a sparse LU for the time stepper's window-frozen
-systems; conjugate_gradient solves the one SPD system that is still
-iterative (Jacobi diagonal supplied by the caller).  Both report failure
-the same way: SolverFailure.
+systems; conjugate_gradient solves the SPD systems that are iterative,
+with a preconditioner step supplied by the caller (the reference LU
+above, or the Jacobi step of the visco content substep).  Both report
+failure the same way: SolverFailure.
 """
 
 from dataclasses import dataclass, field
@@ -92,6 +98,10 @@ class DirectSolver:
         except RuntimeError as exc:
             raise SolverFailure(f"sparse factorization failed: {exc}", []) from exc
 
+    def apply_inverse(self, b):
+        """x = A^{-1} b with no residual check: a preconditioner step."""
+        return self._lu.solve(b)
+
     def solve(self, b):
         """x = A^{-1} b with its residual report."""
         b = np.asarray(b, dtype=float)
@@ -102,14 +112,15 @@ class DirectSolver:
         return x, SolveReport(0, res, [res])
 
 
-def conjugate_gradient(apply_a, b, diag=None, tol=1e-10, maxiter=5000, x0=None):
+def conjugate_gradient(apply_a, b, precondition=None, tol=1e-10, maxiter=5000, x0=None):
     """Preconditioned CG for SPD operators.
 
     Stops when ||r|| <= tol * ||b|| + 1e-300 (relative with an absolute
-    floor so b = 0 returns x = 0 immediately).  diag is the operator
-    diagonal for Jacobi preconditioning; None means no preconditioning.
-    Raises SolverFailure when maxiter is exhausted, and at once on a
-    non-finite right-hand side or curvature p'Ap.
+    floor so b = 0 returns x = 0 immediately).  precondition maps a
+    residual r to M^{-1} r for an SPD preconditioner M; None means no
+    preconditioning.  Raises SolverFailure when maxiter is exhausted,
+    and at once on a non-finite right-hand side or a curvature p'Ap
+    that is not positive.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
@@ -117,6 +128,9 @@ def conjugate_gradient(apply_a, b, diag=None, tol=1e-10, maxiter=5000, x0=None):
         raise SolverFailure("non-finite right-hand side", [bnorm])
     if bnorm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, [0.0])
+    if precondition is None:
+        def precondition(r):
+            return r
     target = tol * bnorm
     if x0 is None:
         x = np.zeros_like(b)
@@ -124,11 +138,7 @@ def conjugate_gradient(apply_a, b, diag=None, tol=1e-10, maxiter=5000, x0=None):
     else:
         x = np.array(x0, dtype=float)
         r = b - apply_a(x)
-    minv = None
-    if diag is not None:
-        d = np.asarray(diag, dtype=float)
-        minv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 1.0)
-    z = r * minv if minv is not None else r
+    z = precondition(r)
     p = z.copy()
     rz = float(np.dot(r, z))
     res = float(np.linalg.norm(r))
@@ -148,7 +158,7 @@ def conjugate_gradient(apply_a, b, diag=None, tol=1e-10, maxiter=5000, x0=None):
         history.append(res)
         if res <= target:
             return x, SolveReport(it, res, history)
-        z = r * minv if minv is not None else r
+        z = precondition(r)
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -156,6 +166,13 @@ def conjugate_gradient(apply_a, b, diag=None, tol=1e-10, maxiter=5000, x0=None):
         f"CG did not converge in {maxiter} iterations (residual {res:.3e}, target {target:.3e})",
         history)
 
+
+# Relative tolerance and iteration cap of the CG solves preconditioned by
+# a reference problem's LU.  The reference stiffness is within
+# O(|phi - phi_ref|) of the problem's own, so CG needs a handful of
+# iterations; the cap only bounds a failing solve.
+REFERENCE_CG_TOL = 1e-12
+REFERENCE_CG_MAXITER = 100
 
 PLAIN = "plain"
 AUGMENTED = "augmented"
@@ -173,6 +190,11 @@ class EllipticProblem:
     C(E-T):(E-T) has strain derivative 2 C (E-T).  The coefficients are
     frozen at construction, so the stiffness is assembled and factored
     at most once per problem.
+
+    reference, when given, is a problem on the same grid with the same
+    variant whose LU preconditions CG on this problem's stiffness (see
+    the module docstring); this problem is then never factored, and the
+    reference is factored on first need.
     """
 
     grid: object
@@ -181,6 +203,7 @@ class EllipticProblem:
     variant: str = PLAIN
     scale: float = 1.0
     shift: float = 0.0
+    reference: "EllipticProblem" = None
 
     lam: np.ndarray = field(init=False)
     mu: np.ndarray = field(init=False)
@@ -190,6 +213,9 @@ class EllipticProblem:
             raise ValueError(f"unknown elliptic variant '{self.variant}'")
         if self.shift < 0:
             raise ValueError("shift must be nonnegative")
+        if self.reference is not None and (self.reference.grid != self.grid
+                                           or self.reference.variant != self.variant):
+            raise ValueError("reference problem needs the same grid and variant")
         self.phi = np.asarray(self.phi, dtype=float).ravel()
         if self.phi.size != self.grid.n_nodes:
             raise ValueError("phase field length does not match grid")
@@ -269,16 +295,29 @@ class EllipticProblem:
             self._stiffness = (strain.T @ weight @ strain).tocsc()
         return self._stiffness
 
+    def factor(self):
+        """The DirectSolver of the stiffness, factored on the first call."""
+        if self._solver is None:
+            self._solver = DirectSolver(self.stiffness_matrix())
+        return self._solver
+
     def solve(self, b):
         """K^{-1} b on the free dofs of a stacked (bx, by) vector.
 
-        Factors the stiffness on the first call.  Returns the stacked
-        solution, zero on the Dirichlet dofs, and its SolveReport.
+        Without a reference, a direct solve with this problem's factor;
+        with one, CG preconditioned by the reference's factor.  Returns
+        the stacked solution, zero on the Dirichlet dofs, and its
+        SolveReport.
         """
-        if self._solver is None:
-            self._solver = DirectSolver(self.stiffness_matrix())
         x = np.zeros(2 * self.grid.n_nodes)
-        x[self.free_dofs], report = self._solver.solve(b[self.free_dofs])
+        b_free = b[self.free_dofs]
+        if self.reference is None:
+            x[self.free_dofs], report = self.factor().solve(b_free)
+        else:
+            x[self.free_dofs], report = conjugate_gradient(
+                self.stiffness_matrix().dot, b_free,
+                precondition=self.reference.factor().apply_inverse,
+                tol=REFERENCE_CG_TOL, maxiter=REFERENCE_CG_MAXITER)
         return x, report
 
     # --- right-hand side assembly ----------------------------------------

@@ -33,6 +33,7 @@ and second-order accurate including the boundary rows for fields that
 satisfy the zero-flux condition.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,14 +139,7 @@ class Grid:
     # --- cached sparse difference operators -------------------------------
 
     def _ops(self):
-        ops = _OP_CACHE.get(self._key())
-        if ops is None:
-            ops = _build_ops(self)
-            _OP_CACHE[self._key()] = ops
-        return ops
-
-    def _key(self):
-        return (self.nx, self.ny, self.lx, self.ly)
+        return _grid_ops(self.nx, self.ny, self.lx, self.ly)
 
     @property
     def dx_op(self):
@@ -169,9 +163,6 @@ class Grid:
         """Sparse (4n x 2n) map from stacked (ux, uy) to the stacked rows
         (exx, eyy, gxy, div u), gxy = dy ux + dx uy the engineering shear."""
         return self._ops()["strain"]
-
-
-_OP_CACHE = {}
 
 
 def _sbp_first_derivative(n, h):
@@ -202,10 +193,21 @@ def _face_pair(n, a, b):
                          shape=(n - 1, n))
 
 
-def _build_ops(grid):
-    nx, ny = grid.nx, grid.ny
-    d1x = _sbp_first_derivative(nx, grid.hx)
-    d1y = _sbp_first_derivative(ny, grid.hy)
+# A run uses one grid shape; the bound only keeps a process that meets
+# many shapes (a test session, a sweep) from holding every operator set.
+OP_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=OP_CACHE_SIZE)
+def _grid_ops(nx, ny, lx, ly):
+    """The sparse operators of an nx x ny grid on [0, lx] x [0, ly].
+
+    They do not depend on the edge tags, so grids that differ only in
+    their tags share one set.  Cached; callers must not modify them.
+    """
+    hx, hy = lx / (nx - 1), ly / (ny - 1)
+    d1x = _sbp_first_derivative(nx, hx)
+    d1y = _sbp_first_derivative(ny, hy)
     ix = sp.identity(nx, format="csr")
     iy = sp.identity(ny, format="csr")
     dx = sp.kron(iy, d1x, format="csr")
@@ -214,15 +216,15 @@ def _build_ops(grid):
     # faces: the x-faces (row-major over (ny, nx-1)), then the y-faces
     # (row-major over (ny-1, nx)); a face's volume is the trapezoid
     # control volume it crosses
-    face_grad = sp.vstack([sp.kron(iy, _face_pair(nx, -1.0 / grid.hx, 1.0 / grid.hx)),
-                           sp.kron(_face_pair(ny, -1.0 / grid.hy, 1.0 / grid.hy), ix)],
+    face_grad = sp.vstack([sp.kron(iy, _face_pair(nx, -1.0 / hx, 1.0 / hx)),
+                           sp.kron(_face_pair(ny, -1.0 / hy, 1.0 / hy), ix)],
                           format="csr")
     face_avg = sp.vstack([sp.kron(iy, _face_pair(nx, 0.5, 0.5)),
                           sp.kron(_face_pair(ny, 0.5, 0.5), ix)], format="csr")
     face_grad.eliminate_zeros()   # kron stores small blocks densely
     face_avg.eliminate_zeros()
     tx, ty = _trapezoid(nx), _trapezoid(ny)
-    face_vol = (grid.hx * grid.hy) * np.concatenate(
+    face_vol = (hx * hy) * np.concatenate(
         [np.repeat(ty, nx - 1), np.tile(tx, ny - 1)])
     return {"dx": dx, "dy": dy, "dxt": dx.T.tocsr(), "dyt": dy.T.tocsr(),
             "strain": strain, "face_grad": face_grad, "face_grad_t": face_grad.T.tocsr(),

@@ -21,6 +21,11 @@ where mu and p are the derived chemical potential and pressure at the
 current iterate, A0 is the corresponding frozen evolution operator, and
 sigma_rest is the stress minus its viscous part.  Evaluating F through
 the derived fields keeps every sign tied to the governing equations.
+
+The displacement solves at the current iterate (udot here, and the
+quasi-static reconstruction when the stepper passes a reference to
+displacement_problem) factor nothing: they run CG preconditioned by
+the factor of the same problem frozen at phi0.
 """
 
 from dataclasses import dataclass
@@ -150,9 +155,15 @@ def stress(grid, material, phi, theta, u, strain_rate=None):
 # --- displacement reconstruction (elastic regime) -------------------------
 
 
-def displacement_problem(grid, material, phi):
-    """Augmented quasi-static displacement problem at phase phi."""
-    return EllipticProblem(grid, material, phi, variant=AUGMENTED, scale=STIFFNESS_SCALE)
+def displacement_problem(grid, material, phi, reference=None):
+    """Augmented quasi-static displacement problem at phase phi.
+
+    reference is passed to EllipticProblem: with the window's augmented
+    problem at phi0, the solve is preconditioned CG instead of a new
+    factorization.
+    """
+    return EllipticProblem(grid, material, phi, variant=AUGMENTED, scale=STIFFNESS_SCALE,
+                           reference=reference)
 
 
 def reconstruct_displacement(problem, material, theta, sources, t):
@@ -240,12 +251,14 @@ def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
 
     # displacement velocity: Knu(phi) E(udot) balances f, g and the rest
     # stress sigma_rest (sigma without its viscous part); at phi = phi0
-    # Knu is the window's visco0, factored once
+    # Knu is the window's visco0, solved with its factor, and at any
+    # other phi by CG preconditioned with that factor
     sigma_rest = stress(grid, material, phi, theta, u)
     if np.array_equal(phi, ctx_ops.phi0):
         visco_phi = ctx_ops.visco0
     else:
-        visco_phi = EllipticProblem(grid, material, phi, variant=VISCO, scale=STIFFNESS_SCALE)
+        visco_phi = EllipticProblem(grid, material, phi, variant=VISCO, scale=STIFFNESS_SCALE,
+                                    reference=ctx_ops.visco0)
     rhs_ext = visco_phi.assemble_rhs(
         body=sources.body_at(grid, t) if sources is not None else None,
         traction=sources.traction if sources is not None else None)

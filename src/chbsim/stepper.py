@@ -24,7 +24,12 @@ window is factored once per (window, dt) by a sparse direct solver and
 reused by every Picard iterate: the phase operator, the quasi-static
 content system (as the quasi-definite saddle-point form of its pressure
 unfolding), and the window-start elasticity problems.  Displacement
-problems at the current iterate are factored once per iterate.  Only the
+problems at the current iterate phi_k (the quasi-static reconstruction,
+the pressure form's displacement and the visco u-dot problem) differ
+from their phi0 counterparts by O(|phi_k - phi0|); they are solved by
+CG preconditioned with the phi0 factor, to the fixed relative tolerance
+elliptic.REFERENCE_CG_TOL, and never factored.  A window therefore
+factors three matrices, and each retry at a smaller dt two more.  The
 visco content substep runs Jacobi-preconditioned CG, to the relative
 tolerance tol_lin.  The iteration residual is the weighted-L2 norm of
 the state update; the contraction estimate rho is the median of
@@ -37,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .biot import BiotContext, apply_B_tilde
+from .biot import STIFFNESS_SCALE, BiotContext, apply_B_tilde
 from .elliptic import (PLAIN, VISCO, DirectSolver, EllipticProblem, SolverFailure,
                        conjugate_gradient, solve_elasticity)
 from .grid import VectorField2, divergence, flux_stiffness_matrix, neumann_laplacian
@@ -50,8 +55,26 @@ THETA_FORM = "theta"
 PRESSURE_FORM = "pressure"
 
 
+@dataclass
+class PicardAttempt:
+    """One try at a window: its dt, the Picard residuals it computed, and
+    the SolverFailure message that ended it (None when Picard did not
+    converge in max_picard iterations, or when it succeeded)."""
+
+    dt: float
+    residuals: list
+    error: str = None
+
+
 class StepFailure(RuntimeError):
-    """A window failed to converge even after all allowed dt shrinks."""
+    """A window failed to converge even after all allowed dt shrinks.
+
+    attempts lists every PicardAttempt made, in order.
+    """
+
+    def __init__(self, message, attempts):
+        super().__init__(message)
+        self.attempts = attempts
 
 
 @dataclass
@@ -59,9 +82,10 @@ class StepperConfig:
     """Window length, Picard and dt-shrink controls, formulation.
 
     tol_lin and max_lin are the relative tolerance and iteration cap of
-    the iterative linear solves: the visco content substep's CG, the
-    only one left.  Every other substep is solved by a sparse direct
-    factorization and does not read them.
+    the visco content substep's CG and of nothing else.  The other
+    substeps are solved by sparse direct factorizations, and the
+    displacement solves at the current iterate by CG preconditioned with
+    the window's factor, to a fixed internal tolerance.
     """
 
     dt: float = 1e-3
@@ -188,7 +212,7 @@ class FrozenVisco(_FrozenPhase):
         if prob is None:
             prob = EllipticProblem(
                 self.grid, self.material, self.phi0, variant=VISCO,
-                scale=2.0, shift=dt)
+                scale=STIFFNESS_SCALE, shift=dt)
             self._shifted[dt] = prob
         return prob
 
@@ -246,8 +270,12 @@ def linear_substep_theta_visco(frozen, dt, r, tol, maxiter, x0=None):
     def apply_a(v):
         return w * v + dt * (b_km @ v)
 
-    diag = w + dt * b_km.diagonal()
-    x, rep = conjugate_gradient(apply_a, w * r, diag=diag, tol=tol,
+    inv_diag = 1.0 / (w + dt * b_km.diagonal())
+
+    def jacobi(v):
+        return inv_diag * v
+
+    x, rep = conjugate_gradient(apply_a, w * r, precondition=jacobi, tol=tol,
                                 maxiter=maxiter, x0=x0)
     x += np.dot(w, r - x) / w.sum()
     return x, rep
@@ -282,26 +310,35 @@ def picard_window(grid, material, state, sources, cfg, frozen=None):
 
 
 def _shrink_loop(cfg, t, attempt_fn):
-    """Run attempt_fn(dt) from window start t, shrinking dt on failure."""
+    """Run attempt_fn(dt, residuals) from window start t, shrinking dt on
+    failure.
+
+    attempt_fn appends each Picard residual to residuals and returns the
+    new state, or None when Picard does not converge; a SolverFailure
+    also fails the attempt.  Every attempt is recorded, and StepFailure
+    carries them all.
+    """
     dt = cfg.dt
-    tried = []
+    attempts = []
     while True:
-        tried.append(dt)
+        attempt = PicardAttempt(dt, [])
+        attempts.append(attempt)
         try:
-            result = attempt_fn(dt)
-        except SolverFailure:
-            result = None
-        if result is not None:
-            new_state, residuals = result
+            new_state = attempt_fn(dt, attempt.residuals)
+        except SolverFailure as exc:
+            attempt.error = str(exc)
+            new_state = None
+        if new_state is not None:
+            residuals = attempt.residuals
             rep = PicardReport(
                 iterations=len(residuals), residual=residuals[-1] if residuals else 0.0,
                 residuals=residuals, rho=_median_ratio(residuals),
-                converged=True, dt_used=dt, shrinks=len(tried) - 1)
+                converged=True, dt_used=dt, shrinks=len(attempts) - 1)
             return new_state, rep
-        if len(tried) > cfg.max_shrinks:
+        if len(attempts) > cfg.max_shrinks:
             raise StepFailure(
                 f"window at t = {t:.6g} failed after {cfg.max_shrinks} dt shrinks "
-                f"(dt tried: {', '.join(f'{d:.6g}' for d in tried)})")
+                f"(dt tried: {', '.join(f'{a.dt:.6g}' for a in attempts)})", attempts)
         dt *= cfg.shrink_factor
 
 
@@ -311,24 +348,24 @@ def _picard_window_elastic(grid, material, state, sources, cfg, frozen):
     w = frozen.w
     scale = _converged_scale(w, state)
 
-    def attempt(dt):
+    def attempt(dt, residuals):
         t_new = state.t + dt
         phi_k, theta_k, u_k = state.phi, state.theta, state.u
-        residuals = []
         for _ in range(cfg.max_picard):
             f_phi, f_theta = rhs_elastic(
                 grid, material, frozen.ctx0, phi_k, theta_k, u_k, sources, t_new)
             phi_new, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
             theta_new, _, _ = linear_substep_theta_elastic(
                 frozen, dt, state.theta + dt * f_theta)
-            problem = displacement_problem(grid, material, phi_new)
+            problem = displacement_problem(grid, material, phi_new,
+                                           reference=frozen.ctx0.augmented)
             u_new, _ = reconstruct_displacement(problem, material, theta_new,
                                                 sources, t_new)
             delta = np.sqrt(_wnorm2(w, phi_new - phi_k) + _wnorm2(w, theta_new - theta_k))
             residuals.append(delta)
             phi_k, theta_k, u_k = phi_new, theta_new, u_new
             if delta <= cfg.tol_picard * scale:
-                return SimState(grid, phi_k, theta_k, u_k, t_new), residuals
+                return SimState(grid, phi_k, theta_k, u_k, t_new)
         return None
 
     new_state, rep = _shrink_loop(cfg, state.t, attempt)
@@ -350,7 +387,8 @@ def _picard_window_pressure(grid, material, state, sources, cfg, frozen):
     p_start = pressure(material, state.phi, state.theta, divergence(state.u))
 
     def solve_u(phi, p, t):
-        prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=2.0)
+        prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=STIFFNESS_SCALE,
+                               reference=frozen.ctx0.plain)
         scalar = eigenstrain_tensor_source(material, phi) + material.biot_alpha(phi) * p
         rhs = prob.assemble_rhs(
             body=sources.body_at(grid, t) if sources is not None else None,
@@ -361,11 +399,10 @@ def _picard_window_pressure(grid, material, state, sources, cfg, frozen):
     def content_of(phi, p, u):
         return p / material.biot_modulus(phi) + material.biot_alpha(phi) * divergence(u)
 
-    def attempt(dt):
+    def attempt(dt, residuals):
         t_new = state.t + dt
         phi_k, p_k = state.phi, p_start
         u_k = solve_u(phi_k, p_k, t_new)
-        residuals = []
         b_k0 = frozen.b_kappa
         for _ in range(cfg.max_picard):
             # phase update through the pressure form of the potential
@@ -391,7 +428,7 @@ def _picard_window_pressure(grid, material, state, sources, cfg, frozen):
             phi_k, p_k, u_k = phi_new, p_new, u_new
             if delta <= cfg.tol_picard * scale:
                 theta = content_of(phi_k, p_k, u_k)
-                return SimState(grid, phi_k, theta, u_k, t_new), residuals
+                return SimState(grid, phi_k, theta, u_k, t_new)
         return None
 
     new_state, rep = _shrink_loop(cfg, state.t, attempt)
@@ -405,10 +442,9 @@ def _picard_window_visco(grid, material, state, sources, cfg, frozen):
     scale = _converged_scale(w, state) + np.sqrt(
         _wnorm2(w, state.u.ux) + _wnorm2(w, state.u.uy))
 
-    def attempt(dt):
+    def attempt(dt, residuals):
         t_new = state.t + dt
         phi_k, theta_k, u_k = state.phi, state.theta, state.u
-        residuals = []
         theta_warm = None
         for _ in range(cfg.max_picard):
             f_phi, f_u, f_theta = rhs_visco(
@@ -425,7 +461,7 @@ def _picard_window_visco(grid, material, state, sources, cfg, frozen):
             phi_k, theta_k, u_k = phi_new, theta_new, u_new
             theta_warm = theta_new
             if delta <= cfg.tol_picard * scale:
-                return SimState(grid, phi_k, theta_k, u_k, t_new), residuals
+                return SimState(grid, phi_k, theta_k, u_k, t_new)
         return None
 
     new_state, rep = _shrink_loop(cfg, state.t, attempt)

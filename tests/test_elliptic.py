@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver,
                              EllipticProblem, SolverFailure, conjugate_gradient,
@@ -37,7 +38,9 @@ def test_cg_matches_dense_solve():
     a = rng.standard_normal((25, 25))
     a = a @ a.T + 25 * np.eye(25)
     b = rng.standard_normal(25)
-    x, rep = conjugate_gradient(lambda v: a @ v, b, diag=np.diag(a), tol=1e-12)
+    inv_diag = 1.0 / np.diag(a)
+    x, rep = conjugate_gradient(lambda v: a @ v, b, precondition=lambda r: inv_diag * r,
+                                tol=1e-12)
     assert np.allclose(x, np.linalg.solve(a, b), atol=1e-9)
     assert rep.iterations <= 25 + 5
 
@@ -62,7 +65,8 @@ def test_scalar_helmholtz_keeps_constants():
         return w * v + dt * (b @ v)
 
     c = 3.7 * np.ones(g.n_nodes)
-    x, _ = conjugate_gradient(apply_a, w * c, diag=w + dt * b.diagonal(), tol=1e-12)
+    inv_diag = 1.0 / (w + dt * b.diagonal())
+    x, _ = conjugate_gradient(apply_a, w * c, precondition=lambda r: inv_diag * r, tol=1e-12)
     assert np.allclose(x, c, atol=1e-10)
 
 
@@ -110,6 +114,42 @@ def test_assembled_stiffness_matches_matrix_free_apply(variant, shift, tags):
     got = prob.stiffness_matrix().toarray()
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(deadline=None, max_examples=40)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12),
+       variant=st.sampled_from([PLAIN, AUGMENTED, VISCO]),
+       mixed=st.booleans(), delta=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1))
+def test_reference_preconditioned_solve_matches_direct_solve(nx, ny, variant, mixed,
+                                                             delta, seed):
+    """CG preconditioned by the factor at phi0 solves the problem at phi,
+    |phi - phi0| <= 0.1, as accurately as a fresh factorization, and never
+    factors the problem at phi."""
+    g = make_grid(nx, ny, tags=MIXED if mixed else FULL_DIRICHLET)
+    m = make_material(rho=1)
+    rng = np.random.default_rng(seed)
+    phi0 = smooth_phi(g, rng)
+    phi = phi0 + smooth_phi(g, rng, amp=delta)
+    reference = EllipticProblem(g, m, phi0, variant=variant, scale=2.0)
+    prob = EllipticProblem(g, m, phi, variant=variant, scale=2.0, reference=reference)
+    b = np.zeros(2 * g.n_nodes)
+    b[prob.free_dofs] = rng.standard_normal(prob.free_dofs.size)
+    x, report = prob.solve(b)
+    want, _ = EllipticProblem(g, m, phi, variant=variant, scale=2.0).solve(b)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    assert report.iterations <= 30
+    assert prob._solver is None
+
+
+def test_reference_needs_same_grid_and_variant():
+    g = make_grid(6, tags=MIXED)
+    m = make_material()
+    phi = np.zeros(g.n_nodes)
+    with pytest.raises(ValueError):
+        EllipticProblem(g, m, phi, variant=AUGMENTED,
+                        reference=EllipticProblem(g, m, phi, variant=PLAIN))
+    with pytest.raises(ValueError):
+        EllipticProblem(g, m, phi, reference=EllipticProblem(make_grid(6), m, phi))
 
 
 def test_direct_solves_fail_fast_on_non_finite_values():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from chbsim import grid as grid_module
 from chbsim.grid import (Grid, NEUMANN, VectorField2, divergence,
                          flux_stiffness_matrix, laplacian_stiffness_form,
                          neumann_laplacian, symmetric_gradient)
@@ -31,6 +32,18 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(8, 8, 1.0, 1.0, {e: NEUMANN for e in
                               ("left", "right", "bottom", "top")})
+
+
+def test_operator_cache_is_bounded_and_shared():
+    """Many grid shapes keep at most OP_CACHE_SIZE operator sets alive; a
+    repeated shape, whatever its edge tags, gets the cached operators."""
+    for k in range(50):
+        Grid(4 + k, 5, 1.0, 1.0, dict(FULL_DIRICHLET)).dx_op
+    assert grid_module._grid_ops.cache_info().currsize <= grid_module.OP_CACHE_SIZE
+    a = make_grid(6, 7, lx=2.0)
+    b = make_grid(6, 7, lx=2.0, tags=MIXED)
+    assert a.strain_op is b.strain_op
+    assert a.dx_op is make_grid(6, 7, lx=2.0).dx_op
 
 
 def test_corner_nodes_resolve_to_dirichlet():

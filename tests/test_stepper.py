@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from chbsim.biot import apply_fluid_operator
+from chbsim.elliptic import DirectSolver, EllipticProblem
 from chbsim.grid import VectorField2
 from chbsim.rhs import SourceSpec
 from chbsim.stepper import (FrozenElastic, FrozenVisco, PRESSURE_FORM,
@@ -197,8 +198,12 @@ def test_window_shrinks_then_fails_cleanly():
                        0.1 * smooth_phi(g, rng), SourceSpec())
     cfg = StepperConfig(dt=0.5, t_end=0.5, tol_picard=1e-12,
                         max_picard=2, max_shrinks=2)
-    with pytest.raises(StepFailure):
+    with pytest.raises(StepFailure) as exc:
         picard_window(g, m, st, SourceSpec(), cfg)
+    attempts = exc.value.attempts
+    assert [a.dt for a in attempts] == [0.5, 0.25, 0.125]
+    for a in attempts:
+        assert a.error is None and len(a.residuals) == cfg.max_picard
 
 
 @pytest.mark.parametrize("rho", [0, 1])
@@ -217,6 +222,71 @@ def test_non_finite_state_shrinks_then_fails_cleanly(rho):
     with pytest.raises(StepFailure, match=r"window at t = 0\.5 failed") as exc:
         picard_window(g, m, st, SourceSpec(), cfg)
     assert "dt tried: 0.001, 0.0005, 0.00025" in str(exc.value)
+    attempts = exc.value.attempts
+    assert [a.dt for a in attempts] == [0.001, 0.0005, 0.00025]
+    for a in attempts:
+        assert "non-finite" in a.error
+        assert a.residuals == []
+
+
+@pytest.mark.parametrize("rho", [0, 1])
+def test_window_factors_three_matrices_whatever_its_iterations(rho, monkeypatch):
+    """The solves at the current iterate are preconditioned by the phi0
+    factors, so a window factors the phase operator, the content saddle
+    (rho = 0) or visco0 (rho = 1), and one displacement problem at phi0:
+    three matrices, however many Picard iterates it runs."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(13)
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    created = []
+    original_init = DirectSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(args)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirectSolver, "__init__", counting_init)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11)
+    _, rep, _ = picard_window(g, m, st, SourceSpec(), cfg)
+    assert rep.shrinks == 0 and rep.iterations >= 4
+    assert len(created) == 3
+
+
+@pytest.mark.parametrize("rho", [0, 1])
+def test_indefinite_iterate_solve_shrinks_dt(rho, monkeypatch):
+    """A preconditioned CG solve at the current iterate that meets
+    non-positive curvature fails its attempt like a failed factorization:
+    dt shrinks, and the attempt records the CG message."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(14)
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
+    original = EllipticProblem.stiffness_matrix
+    flipped = []
+
+    def indefinite(limit):
+        def stiffness_matrix(self):
+            k = original(self)
+            if self.reference is not None and len(flipped) < limit:
+                flipped.append(self)
+                return -k
+            return k
+        return stiffness_matrix
+
+    monkeypatch.setattr(EllipticProblem, "stiffness_matrix", indefinite(1))
+    new_state, rep, _ = picard_window(g, m, st, SourceSpec(), cfg)
+    assert rep.shrinks == 1 and rep.dt_used == 5e-4
+    assert new_state.t == pytest.approx(st.t + 5e-4)
+
+    monkeypatch.setattr(EllipticProblem, "stiffness_matrix", indefinite(10**6))
+    with pytest.raises(StepFailure) as exc:
+        picard_window(g, m, st, SourceSpec(), cfg)
+    assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
+    assert all("not positive definite" in a.error for a in exc.value.attempts)
 
 
 def test_linearization_point_does_not_change_fixed_point():
