@@ -20,7 +20,7 @@ import numpy as np
 
 from .elliptic import VISCO, EllipticProblem
 from .grid import Grid, VectorField2, laplacian_stiffness_form, neumann_laplacian, symmetric_gradient
-from .rhs import chemical_potential, pressure, stress
+from .rhs import SourceSpec, chemical_potential, pressure, stress
 from .stepper import StepperConfig, initial_state, run_simulation
 
 
@@ -87,6 +87,7 @@ def pde_residual(grid, material, state_prev, state_new, sources=None):
     dt = state_new.t - state_prev.t
     if dt <= 0:
         raise ValueError("states must be one window apart")
+    sources = SourceSpec() if sources is None else sources
     w = grid.quad_weights()
     phi, theta, u = state_new.phi, state_new.theta, state_new.u
     t = state_new.t
@@ -98,13 +99,12 @@ def pde_residual(grid, material, state_prev, state_new, sources=None):
     p = pressure(material, phi, theta, strain.trace())
     r_fluid = ((theta - state_prev.theta) / dt
                - neumann_laplacian(grid, p, material.permeability(phi)))
-    if sources is not None:
-        s = sources.phase_at(grid, t)
-        if s is not None:
-            r_phase = r_phase - s
-        s = sources.fluid_at(grid, t)
-        if s is not None:
-            r_fluid = r_fluid - s
+    s = sources.phase_at(grid, t)
+    if s is not None:
+        r_phase = r_phase - s
+    s = sources.fluid_at(grid, t)
+    if s is not None:
+        r_fluid = r_fluid - s
 
     strain_rate = None
     if material.rho == 1:
@@ -115,9 +115,7 @@ def pde_residual(grid, material, state_prev, state_new, sources=None):
     prob = EllipticProblem(grid, material, phi)  # geometry/bookkeeping only
     # weak residual of -div sigma = f: E'W sigma - W f - traction, free nodes
     sig_rhs = prob.assemble_rhs(tensor_source=sigma)
-    ext_rhs = prob.assemble_rhs(
-        body=sources.body_at(grid, t) if sources is not None else None,
-        traction=sources.traction if sources is not None else None)
+    ext_rhs = prob.assemble_rhs(body=sources.body_at(grid, t), traction=sources.traction)
     resx = (sig_rhs[0] - ext_rhs[0]) / w
     resy = (sig_rhs[1] - ext_rhs[1]) / w
 

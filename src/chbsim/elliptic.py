@@ -17,13 +17,13 @@ All variants are symmetric positive definite on the subspace of
 displacements vanishing on the Dirichlet nodes; at least one Dirichlet
 edge is required by the grid, which rules out rigid-body kernels.
 
-Each problem has two representations of the same form.  apply() is
-matrix-free (strain -> pointwise stiffness -> adjoint strain) and is
-what the dense oracles and tests build their reference matrices from.
-stiffness_matrix() assembles K = E' diag(w C) E on the free dofs.  A
-problem without a reference computes the sparse LU of K on its first
-solve and caches it, so every later solve with the same frozen
-coefficients is a pair of triangular solves.  A problem given a
+Each problem has one representation of its form: the sparse stiffness
+K = E' diag(w C) E on the free dofs, assembled once by
+stiffness_matrix().  apply() is its product, scattered back to nodal
+arrays, and solve() factors or preconditions with it.  A problem
+without a reference computes the sparse LU of K on its first solve and
+caches it, so every later solve with the same frozen coefficients is a
+pair of triangular solves.  A problem given a
 reference problem (same grid and variant, typically frozen at the
 window-start phase) factors nothing: it solves K x = b by CG
 preconditioned with the reference's cached LU.  The two stiffnesses
@@ -42,7 +42,7 @@ above, or the Jacobi step of the visco content substep).  Both report
 failure the same way: SolverFailure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,9 +187,9 @@ class EllipticProblem:
     shift * elastic stiffness on top of the visco stiffness.  scale
     multiplies the Lame parameters of the (elastic) stiffness; the
     coupled model uses scale = 2 because its strain energy density
-    C(E-T):(E-T) has strain derivative 2 C (E-T).  The coefficients are
-    frozen at construction, so the stiffness is assembled and factored
-    at most once per problem.
+    C(E-T):(E-T) has strain derivative 2 C (E-T).  phi is copied at
+    construction, so the stiffness is assembled and factored at most
+    once per problem.
 
     reference, when given, is a problem on the same grid with the same
     variant whose LU preconditions CG on this problem's stiffness (see
@@ -205,9 +205,6 @@ class EllipticProblem:
     shift: float = 0.0
     reference: "EllipticProblem" = None
 
-    lam: np.ndarray = field(init=False)
-    mu: np.ndarray = field(init=False)
-
     def __post_init__(self):
         if self.variant not in (PLAIN, AUGMENTED, VISCO):
             raise ValueError(f"unknown elliptic variant '{self.variant}'")
@@ -216,65 +213,16 @@ class EllipticProblem:
         if self.reference is not None and (self.reference.grid != self.grid
                                            or self.reference.variant != self.variant):
             raise ValueError("reference problem needs the same grid and variant")
-        self.phi = np.asarray(self.phi, dtype=float).ravel()
+        self.phi = np.array(self.phi, dtype=float).ravel()
         if self.phi.size != self.grid.n_nodes:
             raise ValueError("phase field length does not match grid")
-        lam, mu = self.material.lame(self.phi)
-        self.lam = self.scale * lam
-        self.mu = self.scale * mu
-        w = self.grid.quad_weights()
-        self._w = w
+        self._w = self.grid.quad_weights()
         self._free = ~self.grid.dirichlet_mask()
-        if self.variant == AUGMENTED:
-            alpha = self.material.biot_alpha(self.phi)
-            bm = self.material.biot_modulus(self.phi)
-            self._aug = alpha**2 * bm
-        else:
-            self._aug = None
-        if self.variant == VISCO:
-            lam_nu, mu_nu = self.material.lame_visco(self.phi)
-            self._lam_nu, self._mu_nu = lam_nu, mu_nu
         self.free_dofs = np.flatnonzero(np.concatenate([self._free, self._free]))
         self._stiffness = None
         self._solver = None
 
-    # --- operator application --------------------------------------------
-
-    def _stiffness_terms(self):
-        """(lam_like, mu_like, aug_like) coefficient arrays for the form."""
-        if self.variant == VISCO:
-            lam = self._lam_nu + self.shift * self.lam
-            mu = self._mu_nu + self.shift * self.mu
-            return lam, mu, None
-        return self.lam, self.mu, self._aug
-
-    def apply(self, ux, uy):
-        """Apply the stiffness operator to a displacement (free-dof form).
-
-        Dirichlet entries of the input are ignored (treated as zero) and
-        the Dirichlet entries of the output are zeroed.
-        """
-        g = self.grid
-        free = self._free
-        ux = np.where(free, ux, 0.0)
-        uy = np.where(free, uy, 0.0)
-        lam, mu, aug = self._stiffness_terms()
-        exx = g.dx_op @ ux
-        eyy = g.dy_op @ uy
-        exy = 0.5 * (g.dy_op @ ux + g.dx_op @ uy)
-        tr = exx + eyy
-        sxx = 2.0 * mu * exx + lam * tr
-        syy = 2.0 * mu * eyy + lam * tr
-        sxy = 2.0 * mu * exy
-        if aug is not None:
-            sxx = sxx + aug * tr
-            syy = syy + aug * tr
-        w = self._w
-        outx = g.dx_op_t @ (w * sxx) + g.dy_op_t @ (w * sxy)
-        outy = g.dx_op_t @ (w * sxy) + g.dy_op_t @ (w * syy)
-        outx[~free] = 0.0
-        outy[~free] = 0.0
-        return outx, outy
+    # --- operator ---------------------------------------------------------
 
     def stiffness_matrix(self):
         """K = E' diag(w C) E restricted to the free dofs (sparse, cached).
@@ -282,18 +230,33 @@ class EllipticProblem:
         E is Grid.strain_op, with rows exx, eyy, the engineering shear
         gxy = 2 exy and div = exx + eyy.  The isotropic energy density
         C E:E = 2 mu (exx^2 + eyy^2) + mu gxy^2 + (lam + aug) div^2 is
-        diagonal in these rows, so K is one weighted Gram product and
-        reproduces the form apply() evaluates.
+        diagonal in these rows, so K is one weighted Gram product.
         """
         if self._stiffness is None:
-            lam, mu, aug = self._stiffness_terms()
-            if aug is not None:
-                lam = lam + aug
+            phi, material = self.phi, self.material
+            lam, mu = material.lame(phi)
+            lam, mu = self.scale * lam, self.scale * mu
+            if self.variant == VISCO:
+                lam_nu, mu_nu = material.lame_visco(phi)
+                lam, mu = lam_nu + self.shift * lam, mu_nu + self.shift * mu
+            elif self.variant == AUGMENTED:
+                lam = lam + material.biot_alpha(phi)**2 * material.biot_modulus(phi)
             w = self._w
             strain = self.grid.strain_op[:, self.free_dofs]
             weight = sp.diags(np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w]))
             self._stiffness = (strain.T @ weight @ strain).tocsc()
         return self._stiffness
+
+    def apply(self, ux, uy):
+        """K times a displacement, as a (kx, ky) pair of nodal arrays.
+
+        Dirichlet entries of the input are ignored (treated as zero) and
+        the Dirichlet entries of the output are zeroed.
+        """
+        n = self.grid.n_nodes
+        out = np.zeros(2 * n)
+        out[self.free_dofs] = self.stiffness_matrix() @ np.concatenate([ux, uy])[self.free_dofs]
+        return out[:n], out[n:]
 
     def factor(self):
         """The DirectSolver of the stiffness, factored on the first call."""

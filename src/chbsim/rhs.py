@@ -175,9 +175,8 @@ def reconstruct_displacement(problem, material, theta, sources, t):
     scalar = (eigenstrain_tensor_source(material, phi)
               + material.biot_alpha(phi) * material.biot_modulus(phi) * theta)
     rhs = problem.assemble_rhs(
-        body=sources.body_at(problem.grid, t) if sources is not None else None,
-        scalar_source=scalar,
-        traction=sources.traction if sources is not None else None)
+        body=sources.body_at(problem.grid, t), scalar_source=scalar,
+        traction=sources.traction)
     return solve_elasticity(problem, rhs)
 
 
@@ -203,15 +202,13 @@ def rhs_elastic(grid, material, ctx0, phi, theta, u, sources, t):
     the frozen-phase operator context of the window start.
     """
     mu_chem = chemical_potential(grid, material, phi, theta, u)
-    f_phi = phase_rhs(grid, material, ctx0.phi, phi, mu_chem,
-                      sources.phase_at(grid, t) if sources is not None else None)
+    f_phi = phase_rhs(grid, material, ctx0.phi, phi, mu_chem, sources.phase_at(grid, t))
     p = pressure(material, phi, theta, divergence(u))
     f_theta = (apply_fluid_operator(ctx0, theta)
                + neumann_laplacian(grid, p, material.permeability(phi)))
-    if sources is not None:
-        s_fluid = sources.fluid_at(grid, t)
-        if s_fluid is not None:
-            f_theta = f_theta + s_fluid
+    s_fluid = sources.fluid_at(grid, t)
+    if s_fluid is not None:
+        f_theta = f_theta + s_fluid
     return f_phi, f_theta
 
 
@@ -246,8 +243,7 @@ def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
     ctx_ops is a ViscoOperators bundle frozen at the window start.
     """
     mu_chem = chemical_potential(grid, material, phi, theta, u)
-    f_phi = phase_rhs(grid, material, ctx_ops.phi0, phi, mu_chem,
-                      sources.phase_at(grid, t) if sources is not None else None)
+    f_phi = phase_rhs(grid, material, ctx_ops.phi0, phi, mu_chem, sources.phase_at(grid, t))
 
     # displacement velocity: Knu(phi) E(udot) balances f, g and the rest
     # stress sigma_rest (sigma without its viscous part); at phi = phi0
@@ -259,9 +255,7 @@ def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
     else:
         visco_phi = EllipticProblem(grid, material, phi, variant=VISCO, scale=STIFFNESS_SCALE,
                                     reference=ctx_ops.visco0)
-    rhs_ext = visco_phi.assemble_rhs(
-        body=sources.body_at(grid, t) if sources is not None else None,
-        traction=sources.traction if sources is not None else None)
+    rhs_ext = visco_phi.assemble_rhs(body=sources.body_at(grid, t), traction=sources.traction)
     rhs_sig = visco_phi.assemble_rhs(tensor_source=sigma_rest)
     udot, _ = solve_elasticity(
         visco_phi, (rhs_ext[0] - rhs_sig[0], rhs_ext[1] - rhs_sig[1]))
@@ -271,8 +265,7 @@ def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
     p = pressure(material, phi, theta, divergence(u))
     f_theta = (-neumann_laplacian(grid, theta, ctx_ops.kappa_m0)
                + neumann_laplacian(grid, p, material.permeability(phi)))
-    if sources is not None:
-        s_fluid = sources.fluid_at(grid, t)
-        if s_fluid is not None:
-            f_theta = f_theta + s_fluid
+    s_fluid = sources.fluid_at(grid, t)
+    if s_fluid is not None:
+        f_theta = f_theta + s_fluid
     return f_phi, f_u, f_theta

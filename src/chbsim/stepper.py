@@ -31,8 +31,14 @@ CG preconditioned with the phi0 factor, to the fixed relative tolerance
 elliptic.REFERENCE_CG_TOL, and never factored.  A window therefore
 factors three matrices, and each retry at a smaller dt two more.  The
 visco content substep runs Jacobi-preconditioned CG, to the relative
-tolerance tol_lin.  The iteration residual is the weighted-L2 norm of
-the state update; the contraction estimate rho is the median of
+tolerance tol_lin.
+
+The regimes differ only in their iterate map: the quasi-static regime
+iterates in theta (or, with formulation = 'pressure', in the pressure
+p) and the visco regime in (phi, theta, u).  Each map is a generator of
+successive iterates; picard_window runs the one attempt loop over it.
+The iteration residual is the weighted-L2 norm of the update of the
+map's unknowns; the contraction estimate rho is the median of
 successive residual ratios.  A window that fails to contract, or whose
 linear solve fails, is retried with dt scaled down by shrink_factor.
 """
@@ -46,7 +52,7 @@ from .biot import STIFFNESS_SCALE, BiotContext, apply_B_tilde
 from .elliptic import (PLAIN, VISCO, DirectSolver, EllipticProblem, SolverFailure,
                        conjugate_gradient, solve_elasticity)
 from .grid import VectorField2, divergence, flux_stiffness_matrix, neumann_laplacian
-from .rhs import (SimState, chemical_potential, displacement_problem,
+from .rhs import (SimState, SourceSpec, chemical_potential, displacement_problem,
                   eigenstrain_tensor_source, phase_rhs, pressure,
                   reconstruct_displacement, rhs_elastic, rhs_visco,
                   ViscoOperators)
@@ -236,30 +242,27 @@ def linear_substep_phi(frozen, dt, r):
 def _solve_conjugate_pressure(frozen, dt, rhs_w):
     """Solve (W B(phi0) + dt B_kappa) q = rhs_w for the pressure-like q.
 
-    Returns (q, v, report) where v is the stacked displacement v[q] of
-    the pressure unfolding (see FrozenElastic.content_solver).
+    Returns (q, report).  The displacement block of the pressure
+    unfolding (see FrozenElastic.content_solver) is discarded.
     """
     n = frozen.grid.n_nodes
     free_dofs = frozen.ctx0.plain.free_dofs
     sol, rep = frozen.content_solver(dt).solve(
         np.concatenate([rhs_w, np.zeros(free_dofs.size)]))
-    v = np.zeros(2 * n)
-    v[free_dofs] = sol[n:]
-    return sol[:n], v, rep
+    return sol[:n], rep
 
 
 def linear_substep_theta_elastic(frozen, dt, r):
     """Solve (I + dt A(phi0)) theta = r via the conjugate pressure q.
 
-    Returns (theta, v, report) with v the displacement of the pressure
-    unfolding.  theta is recovered from the flux form
+    Returns (theta, report).  theta is recovered from the flux form
     theta = r + dt NL(q, kappa0), which conserves the weighted mean of r
     exactly.  The solve is direct.
     """
     w = frozen.w
-    q, v, rep = _solve_conjugate_pressure(frozen, dt, w * r)
+    q, rep = _solve_conjugate_pressure(frozen, dt, w * r)
     theta = r - dt * (frozen.b_kappa @ q) / w
-    return theta, v, rep
+    return theta, rep
 
 
 def linear_substep_theta_visco(frozen, dt, r, tol, maxiter, x0=None):
@@ -290,23 +293,137 @@ def linear_substep_u_visco(frozen, dt, u_n, f_u):
 # --- Picard windows -------------------------------------------------------
 
 
-def _converged_scale(w, state):
-    s = 1.0 + np.sqrt(_wnorm2(w, state.phi)) + np.sqrt(_wnorm2(w, state.theta))
-    return s
+def _theta_iterates(frozen, state, sources, dt, cfg):
+    """Quasi-static iterate map in the fluid content theta.
+
+    The displacement is reconstructed at each new (phi, theta) and does
+    not enter the residual.
+    """
+    grid, material = frozen.grid, frozen.material
+    t_new = state.t + dt
+    phi_k, theta_k, u_k = state.phi, state.theta, state.u
+    yield (phi_k, theta_k), state
+    while True:
+        f_phi, f_theta = rhs_elastic(
+            grid, material, frozen.ctx0, phi_k, theta_k, u_k, sources, t_new)
+        phi_k, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
+        theta_k, _ = linear_substep_theta_elastic(frozen, dt, state.theta + dt * f_theta)
+        problem = displacement_problem(grid, material, phi_k,
+                                       reference=frozen.ctx0.augmented)
+        u_k, _ = reconstruct_displacement(problem, material, theta_k, sources, t_new)
+        yield (phi_k, theta_k), SimState(grid, phi_k, theta_k, u_k, t_new)
+
+
+def _pressure_iterates(frozen, state, sources, dt, cfg):
+    """Quasi-static iterate map in the pressure p.
+
+    Independent route for cross-checking: displacement solves use the
+    plain (unaugmented) stiffness with -grad(alpha p) loading, and the
+    fluid content is carried implicitly through
+    theta = p / M + alpha div u.
+    """
+    grid, material, w = frozen.grid, frozen.material, frozen.w
+    t_new = state.t + dt
+
+    def solve_u(phi, p):
+        prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=STIFFNESS_SCALE,
+                               reference=frozen.ctx0.plain)
+        scalar = eigenstrain_tensor_source(material, phi) + material.biot_alpha(phi) * p
+        rhs = prob.assemble_rhs(body=sources.body_at(grid, t_new), scalar_source=scalar,
+                                traction=sources.traction)
+        return solve_elasticity(prob, rhs)[0]
+
+    def content_of(phi, p, u):
+        return p / material.biot_modulus(phi) + material.biot_alpha(phi) * divergence(u)
+
+    phi_k = state.phi
+    p_k = pressure(material, state.phi, state.theta, divergence(state.u))
+    u_k = solve_u(phi_k, p_k)
+    theta_k = content_of(phi_k, p_k, u_k)
+    yield (phi_k, p_k), state
+    while True:
+        # phase right-hand side through the pressure form of the potential
+        mu_chem = chemical_potential(grid, material, phi_k, theta_k, u_k)
+        f_phi = phase_rhs(grid, material, frozen.phi0, phi_k, mu_chem,
+                          sources.phase_at(grid, t_new))
+        # pressure right-hand side: theta(p) = B0 p + c_k, frozen permeability
+        c_k = theta_k - apply_B_tilde(frozen.ctx0, p_k)
+        extra = (neumann_laplacian(grid, p_k, material.permeability(phi_k))
+                 + (frozen.b_kappa @ p_k) / w)   # NL(p, kappa(phi)) - NL(p, kappa0)
+        r = state.theta - c_k + dt * extra
+        s_fluid = sources.fluid_at(grid, t_new)
+        if s_fluid is not None:
+            r = r + dt * s_fluid
+        phi_k, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
+        p_k, _ = _solve_conjugate_pressure(frozen, dt, w * r)
+        u_k = solve_u(phi_k, p_k)
+        theta_k = content_of(phi_k, p_k, u_k)
+        yield (phi_k, p_k), SimState(grid, phi_k, theta_k, u_k, t_new)
+
+
+def _visco_iterates(frozen, state, sources, dt, cfg):
+    """Kelvin-Voigt iterate map: phase, content and displacement all
+    enter the residual; from the second iterate on, the content CG
+    starts from the last iterate's theta."""
+    grid, material = frozen.grid, frozen.material
+    t_new = state.t + dt
+    phi_k, theta_k, u_k = state.phi, state.theta, state.u
+    theta_warm = None
+    yield (phi_k, theta_k, u_k.ux, u_k.uy), state
+    while True:
+        f_phi, f_u, f_theta = rhs_visco(
+            grid, material, frozen.ops, phi_k, theta_k, u_k, sources, t_new)
+        phi_k, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
+        theta_k, _ = linear_substep_theta_visco(
+            frozen, dt, state.theta + dt * f_theta, cfg.tol_lin, cfg.max_lin, x0=theta_warm)
+        u_k, _ = linear_substep_u_visco(frozen, dt, state.u, f_u)
+        theta_warm = theta_k
+        yield (phi_k, theta_k, u_k.ux, u_k.uy), SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
 def picard_window(grid, material, state, sources, cfg, frozen=None):
     """Advance one window; returns (new_state, PicardReport, frozen).
+
+    One attempt loop serves both regimes.  An iterate map (theta form,
+    pressure form or Kelvin-Voigt) is a generator over (frozen, state,
+    sources, dt, cfg): it first yields the window-start iterate, then
+    each Picard iterate, as (arrays, SimState) where the arrays are the
+    unknowns that enter the residual.  An attempt stops when the
+    weighted-L2 norm of their update is at most tol_picard times
+    1 + |phi| + |theta| of the start state (+ |u| in the visco regime),
+    or after max_picard iterates; _shrink_loop retries it at smaller dt.
 
     frozen carries the window linearization; pass the previous bundle
     with cfg.refresh_linearization = False to keep the global frozen
     operators of a paper-faithful fixed linearization.
     """
     if material.rho == 1:
-        return _picard_window_visco(grid, material, state, sources, cfg, frozen)
-    if cfg.formulation == PRESSURE_FORM:
-        return _picard_window_pressure(grid, material, state, sources, cfg, frozen)
-    return _picard_window_elastic(grid, material, state, sources, cfg, frozen)
+        frozen_type, iterates = FrozenVisco, _visco_iterates
+    elif cfg.formulation == PRESSURE_FORM:
+        frozen_type, iterates = FrozenElastic, _pressure_iterates
+    else:
+        frozen_type, iterates = FrozenElastic, _theta_iterates
+    if frozen is None:
+        frozen = frozen_type(grid, material, state.phi)
+    w = frozen.w
+    scale = 1.0 + np.sqrt(_wnorm2(w, state.phi)) + np.sqrt(_wnorm2(w, state.theta))
+    if material.rho == 1:
+        scale += np.sqrt(_wnorm2(w, state.u.ux) + _wnorm2(w, state.u.uy))
+
+    def attempt(dt, residuals):
+        stream = iterates(frozen, state, sources, dt, cfg)
+        old, _ = next(stream)
+        for _ in range(cfg.max_picard):
+            new, new_state = next(stream)
+            delta = np.sqrt(sum(_wnorm2(w, a - b) for a, b in zip(new, old)))
+            residuals.append(delta)
+            if delta <= cfg.tol_picard * scale:
+                return new_state
+            old = new
+        return None
+
+    new_state, rep = _shrink_loop(cfg, state.t, attempt)
+    return new_state, rep, frozen
 
 
 def _shrink_loop(cfg, t, attempt_fn):
@@ -342,132 +459,6 @@ def _shrink_loop(cfg, t, attempt_fn):
         dt *= cfg.shrink_factor
 
 
-def _picard_window_elastic(grid, material, state, sources, cfg, frozen):
-    if frozen is None:
-        frozen = FrozenElastic(grid, material, state.phi)
-    w = frozen.w
-    scale = _converged_scale(w, state)
-
-    def attempt(dt, residuals):
-        t_new = state.t + dt
-        phi_k, theta_k, u_k = state.phi, state.theta, state.u
-        for _ in range(cfg.max_picard):
-            f_phi, f_theta = rhs_elastic(
-                grid, material, frozen.ctx0, phi_k, theta_k, u_k, sources, t_new)
-            phi_new, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
-            theta_new, _, _ = linear_substep_theta_elastic(
-                frozen, dt, state.theta + dt * f_theta)
-            problem = displacement_problem(grid, material, phi_new,
-                                           reference=frozen.ctx0.augmented)
-            u_new, _ = reconstruct_displacement(problem, material, theta_new,
-                                                sources, t_new)
-            delta = np.sqrt(_wnorm2(w, phi_new - phi_k) + _wnorm2(w, theta_new - theta_k))
-            residuals.append(delta)
-            phi_k, theta_k, u_k = phi_new, theta_new, u_new
-            if delta <= cfg.tol_picard * scale:
-                return SimState(grid, phi_k, theta_k, u_k, t_new)
-        return None
-
-    new_state, rep = _shrink_loop(cfg, state.t, attempt)
-    return new_state, rep, frozen
-
-
-def _picard_window_pressure(grid, material, state, sources, cfg, frozen):
-    """Quasi-static window iterated in the pressure variable.
-
-    Independent route for cross-checking: displacement solves use the
-    plain (unaugmented) stiffness with -grad(alpha p) loading, and the
-    fluid content is carried implicitly through
-    theta = p / M + alpha div u.
-    """
-    if frozen is None:
-        frozen = FrozenElastic(grid, material, state.phi)
-    w = frozen.w
-    scale = _converged_scale(w, state)
-    p_start = pressure(material, state.phi, state.theta, divergence(state.u))
-
-    def solve_u(phi, p, t):
-        prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=STIFFNESS_SCALE,
-                               reference=frozen.ctx0.plain)
-        scalar = eigenstrain_tensor_source(material, phi) + material.biot_alpha(phi) * p
-        rhs = prob.assemble_rhs(
-            body=sources.body_at(grid, t) if sources is not None else None,
-            scalar_source=scalar,
-            traction=sources.traction if sources is not None else None)
-        return solve_elasticity(prob, rhs)[0]
-
-    def content_of(phi, p, u):
-        return p / material.biot_modulus(phi) + material.biot_alpha(phi) * divergence(u)
-
-    def attempt(dt, residuals):
-        t_new = state.t + dt
-        phi_k, p_k = state.phi, p_start
-        u_k = solve_u(phi_k, p_k, t_new)
-        b_k0 = frozen.b_kappa
-        for _ in range(cfg.max_picard):
-            # phase update through the pressure form of the potential
-            zeta = p_k / material.biot_modulus(phi_k)
-            theta_like = zeta + material.biot_alpha(phi_k) * divergence(u_k)
-            mu_chem = chemical_potential(grid, material, phi_k, theta_like, u_k)
-            f_phi = phase_rhs(grid, material, frozen.phi0, phi_k, mu_chem,
-                              sources.phase_at(grid, t_new) if sources is not None else None)
-            phi_new, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
-            # pressure update: theta(p) = B0 p + c_k, frozen permeability
-            c_k = content_of(phi_k, p_k, u_k) - apply_B_tilde(frozen.ctx0, p_k)
-            extra = (neumann_laplacian(grid, p_k, material.permeability(phi_k))
-                     + (b_k0 @ p_k) / w)   # NL(p, kappa(phi)) - NL(p, kappa0)
-            r = state.theta - c_k + dt * extra
-            s_fluid = sources.fluid_at(grid, t_new) if sources is not None else None
-            if s_fluid is not None:
-                r = r + dt * s_fluid
-
-            p_new, _, _ = _solve_conjugate_pressure(frozen, dt, w * r)
-            u_new = solve_u(phi_new, p_new, t_new)
-            delta = np.sqrt(_wnorm2(w, phi_new - phi_k) + _wnorm2(w, p_new - p_k))
-            residuals.append(delta)
-            phi_k, p_k, u_k = phi_new, p_new, u_new
-            if delta <= cfg.tol_picard * scale:
-                theta = content_of(phi_k, p_k, u_k)
-                return SimState(grid, phi_k, theta, u_k, t_new)
-        return None
-
-    new_state, rep = _shrink_loop(cfg, state.t, attempt)
-    return new_state, rep, frozen
-
-
-def _picard_window_visco(grid, material, state, sources, cfg, frozen):
-    if frozen is None:
-        frozen = FrozenVisco(grid, material, state.phi)
-    w = frozen.w
-    scale = _converged_scale(w, state) + np.sqrt(
-        _wnorm2(w, state.u.ux) + _wnorm2(w, state.u.uy))
-
-    def attempt(dt, residuals):
-        t_new = state.t + dt
-        phi_k, theta_k, u_k = state.phi, state.theta, state.u
-        theta_warm = None
-        for _ in range(cfg.max_picard):
-            f_phi, f_u, f_theta = rhs_visco(
-                grid, material, frozen.ops, phi_k, theta_k, u_k, sources, t_new)
-            phi_new, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
-            theta_new, _ = linear_substep_theta_visco(
-                frozen, dt, state.theta + dt * f_theta, cfg.tol_lin, cfg.max_lin,
-                x0=theta_warm)
-            u_new, _ = linear_substep_u_visco(frozen, dt, state.u, f_u)
-            delta = np.sqrt(
-                _wnorm2(w, phi_new - phi_k) + _wnorm2(w, theta_new - theta_k)
-                + _wnorm2(w, u_new.ux - u_k.ux) + _wnorm2(w, u_new.uy - u_k.uy))
-            residuals.append(delta)
-            phi_k, theta_k, u_k = phi_new, theta_new, u_new
-            theta_warm = theta_new
-            if delta <= cfg.tol_picard * scale:
-                return SimState(grid, phi_k, theta_k, u_k, t_new)
-        return None
-
-    new_state, rep = _shrink_loop(cfg, state.t, attempt)
-    return new_state, rep, frozen
-
-
 # --- driver ---------------------------------------------------------------
 
 
@@ -479,6 +470,7 @@ def initial_state(grid, material, phi, theta, sources=None, u_init="quasistatic"
     """
     phi = np.asarray(phi, dtype=float).ravel()
     theta = np.asarray(theta, dtype=float).ravel()
+    sources = SourceSpec() if sources is None else sources
     if u_init == "zero":
         u = VectorField2.zero(grid)
     elif u_init == "quasistatic":
@@ -496,6 +488,7 @@ def run_simulation(grid, material, cfg, state, sources=None, observer=None):
     window.  observer(state, report), when given, is called after each
     window (the CLI uses it for output).
     """
+    sources = SourceSpec() if sources is None else sources
     states = [state]
     reports = []
     frozen = None

@@ -1,5 +1,6 @@
 import numpy as np
 
+from chbsim.elliptic import AUGMENTED, VISCO
 from chbsim.grid import Grid, DIRICHLET, NEUMANN
 from chbsim.materials import MaterialModel
 
@@ -75,3 +76,54 @@ def reference_neumann_laplacian(grid, f, coeff):
     outy[0, :] *= 2.0
     outy[-1, :] *= 2.0
     return (out + outy).ravel()
+
+
+def reference_stiffness_apply(problem, ux, uy):
+    """Independent matrix-free product of a displacement problem's stiffness.
+
+    Strain -> pointwise stress -> adjoint strain with the grid's
+    derivative operators, the coefficients taken from the material laws
+    at problem.phi: C(phi) times problem.scale, plus alpha^2 M (div)(div)
+    for the augmented variant, or C_nu(phi) + shift * C(phi) for the
+    visco variant.  Dirichlet entries of the input are ignored and those
+    of the output zeroed.
+    """
+    g, m, phi = problem.grid, problem.material, problem.phi
+    lam, mu = m.lame(phi)
+    lam, mu = problem.scale * lam, problem.scale * mu
+    aug = 0.0
+    if problem.variant == AUGMENTED:
+        aug = m.biot_alpha(phi) ** 2 * m.biot_modulus(phi)
+    elif problem.variant == VISCO:
+        lam_nu, mu_nu = m.lame_visco(phi)
+        lam, mu = lam_nu + problem.shift * lam, mu_nu + problem.shift * mu
+    free = ~g.dirichlet_mask()
+    ux = np.where(free, ux, 0.0)
+    uy = np.where(free, uy, 0.0)
+    exx = g.dx_op @ ux
+    eyy = g.dy_op @ uy
+    exy = 0.5 * (g.dy_op @ ux + g.dx_op @ uy)
+    tr = exx + eyy
+    sxx = 2.0 * mu * exx + (lam + aug) * tr
+    syy = 2.0 * mu * eyy + (lam + aug) * tr
+    sxy = 2.0 * mu * exy
+    w = g.quad_weights()
+    outx = g.dx_op.T @ (w * sxx) + g.dy_op.T @ (w * sxy)
+    outy = g.dx_op.T @ (w * sxy) + g.dy_op.T @ (w * syy)
+    outx[~free] = 0.0
+    outy[~free] = 0.0
+    return outx, outy
+
+
+def dense_reference_stiffness(problem):
+    """The (2n x 2n) matrix of reference_stiffness_apply, by columns;
+    rows and columns of Dirichlet dofs are zero."""
+    n = problem.grid.n_nodes
+    mat = np.zeros((2 * n, 2 * n))
+    for j in range(2 * n):
+        e = np.zeros(2 * n)
+        e[j] = 1.0
+        kx, ky = reference_stiffness_apply(problem, e[:n], e[n:])
+        mat[:n, j] = kx
+        mat[n:, j] = ky
+    return mat

@@ -19,8 +19,8 @@ from chbsim.oracle import fluid_operator_spectrum, verify_operator_identities
 from chbsim.rhs import SourceSpec
 from chbsim.stepper import (PRESSURE_FORM, StepperConfig, initial_state,
                             picard_window, run_simulation)
-from conftest import (FULL_DIRICHLET, MIXED, decoupled_material, make_grid,
-                      make_material, smooth_phi)
+from conftest import (FULL_DIRICHLET, MIXED, decoupled_material,
+                      dense_reference_stiffness, make_grid, make_material, smooth_phi)
 
 
 def _report(num, name, ok, detail):
@@ -220,13 +220,7 @@ def test_criterion_09_elliptic_solver_contract():
     phi = smooth_phi(g, rng)
     prob = EllipticProblem(g, m, phi)
     n = g.n_nodes
-    mat = np.zeros((2 * n, 2 * n))
-    for j in range(2 * n):
-        e = np.zeros(2 * n)
-        e[j] = 1.0
-        kx, ky = prob.apply(e[:n], e[n:])
-        mat[:n, j] = kx
-        mat[n:, j] = ky
+    mat = dense_reference_stiffness(prob)
     free = np.concatenate([prob._free, prob._free])
     rhs = rng.standard_normal(2 * n)
     rhs[~free] = 0.0
@@ -241,14 +235,7 @@ def test_criterion_09_elliptic_solver_contract():
     stiff = EllipticProblem(g, m, np.full(n, 50.0))
 
     def eig_range(problem):
-        d = np.zeros((2 * n, 2 * n))
-        for j in range(2 * n):
-            e = np.zeros(2 * n)
-            e[j] = 1.0
-            kx, ky = problem.apply(e[:n], e[n:])
-            d[:n, j] = kx
-            d[n:, j] = ky
-        s = d[np.ix_(free, free)]
+        s = dense_reference_stiffness(problem)[np.ix_(free, free)]
         evals = scipy.linalg.eigvalsh(0.5 * (s + s.T))
         return evals[0], evals[-1]
 

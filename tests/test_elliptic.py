@@ -8,20 +8,8 @@ from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver,
                              solve_elasticity)
 from chbsim.grid import VectorField2, flux_stiffness_matrix
 from chbsim.oracle import densify
-from conftest import FULL_DIRICHLET, MIXED, make_grid, make_material, smooth_phi
-
-
-def _dense_stiffness(problem):
-    """Assemble the (2n x 2n) operator by columns, free-dof restricted."""
-    n = problem.grid.n_nodes
-    mat = np.zeros((2 * n, 2 * n))
-    for j in range(2 * n):
-        e = np.zeros(2 * n)
-        e[j] = 1.0
-        kx, ky = problem.apply(e[:n], e[n:])
-        mat[:n, j] = kx
-        mat[n:, j] = ky
-    return mat
+from conftest import (FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
+                      make_material, reference_stiffness_apply, smooth_phi)
 
 
 def test_cg_identity_and_zero_rhs():
@@ -89,13 +77,13 @@ def test_stiffness_symmetry_and_coercivity(variant):
     for _ in range(5):
         v = rng.standard_normal(2 * n)
         w = rng.standard_normal(2 * n)
-        kvx, kvy = prob.apply(v[:n], v[n:])
-        kwx, kwy = prob.apply(w[:n], w[n:])
+        kvx, kvy = reference_stiffness_apply(prob, v[:n], v[n:])
+        kwx, kwy = reference_stiffness_apply(prob, w[:n], w[n:])
         a = np.dot(np.concatenate([kvx, kvy]), w)
         b = np.dot(v, np.concatenate([kwx, kwy]))
         scale = max(1.0, abs(a))
         assert abs(a - b) <= 1e-10 * scale
-    mat = _dense_stiffness(prob)
+    mat = dense_reference_stiffness(prob)
     free = np.concatenate([prob._free, prob._free])
     sub = mat[np.ix_(free, free)]
     eigs = scipy.linalg.eigvalsh(0.5 * (sub + sub.T))
@@ -110,10 +98,16 @@ def test_assembled_stiffness_matches_matrix_free_apply(variant, shift, tags):
     phi = smooth_phi(g, np.random.default_rng(12))
     prob = EllipticProblem(g, m, phi, variant=variant, scale=2.0, shift=shift)
     free = np.concatenate([prob._free, prob._free])
-    want = _dense_stiffness(prob)[np.ix_(free, free)]
+    want = dense_reference_stiffness(prob)[np.ix_(free, free)]
     got = prob.stiffness_matrix().toarray()
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # apply() is that matrix's product; Dirichlet input entries are ignored
+    n = g.n_nodes
+    v = np.random.default_rng(13).standard_normal(2 * n)
+    got_kv = np.concatenate(prob.apply(v[:n], v[n:]))
+    want_kv = np.concatenate(reference_stiffness_apply(prob, v[:n], v[n:]))
+    assert np.max(np.abs(got_kv - want_kv)) <= 1e-12 * np.max(np.abs(want_kv))
 
 
 @settings(deadline=None, max_examples=40)
@@ -179,7 +173,7 @@ def test_elasticity_matches_dense_direct_solve():
     free = np.concatenate([prob._free, prob._free])
     rhs[~free] = 0.0
     u, _ = solve_elasticity(prob, (rhs[:n], rhs[n:]))
-    mat = _dense_stiffness(prob)
+    mat = dense_reference_stiffness(prob)
     sub = mat[np.ix_(free, free)]
     x = np.zeros(2 * n)
     x[free] = scipy.linalg.solve(sub, rhs[free], assume_a="sym")
@@ -203,7 +197,7 @@ def test_inverse_norm_bracket_over_random_phases():
     free = np.concatenate([lo._free, lo._free])
 
     def min_max_eig(problem):
-        mat = _dense_stiffness(problem)
+        mat = dense_reference_stiffness(problem)
         sub = mat[np.ix_(free, free)]
         e = scipy.linalg.eigvalsh(0.5 * (sub + sub.T))
         return e[0], e[-1]

@@ -6,13 +6,20 @@ from chbsim.biot import apply_fluid_operator
 from chbsim.elliptic import DirectSolver, EllipticProblem
 from chbsim.grid import VectorField2
 from chbsim.rhs import SourceSpec
-from chbsim.stepper import (FrozenElastic, FrozenVisco, PRESSURE_FORM,
+from chbsim.stepper import (FrozenElastic, FrozenVisco, PRESSURE_FORM, THETA_FORM,
                             StepFailure, StepperConfig, initial_state,
                             linear_substep_phi, linear_substep_theta_elastic,
                             linear_substep_theta_visco, linear_substep_u_visco,
                             picard_window, run_simulation)
 from conftest import (FULL_DIRICHLET, MIXED, decoupled_material, make_grid,
                       make_material, smooth_phi)
+
+
+# The three iterate maps of picard_window as (rho, formulation): the
+# theta and visco maps keep the rho ids the other tests use.
+ITERATE_MAPS = pytest.mark.parametrize(
+    "rho, formulation", [(0, THETA_FORM), (1, THETA_FORM), (0, PRESSURE_FORM)],
+    ids=["0", "1", "pressure"])
 
 
 def test_phase_substep_keeps_constants_and_mean():
@@ -61,7 +68,7 @@ def test_theta_elastic_substep_matches_dense_implicit_euler():
         a[:, j] = apply_fluid_operator(fr.ctx0, e)
     r = rng.standard_normal(n)
     want = np.linalg.solve(np.eye(n) + dt * a, r)
-    got, _, _ = linear_substep_theta_elastic(fr, dt, r)
+    got, _ = linear_substep_theta_elastic(fr, dt, r)
     assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
 
 
@@ -71,7 +78,7 @@ def test_theta_elastic_substep_conserves_mean():
     rng = np.random.default_rng(3)
     fr = FrozenElastic(g, m, smooth_phi(g, rng))
     r = rng.standard_normal(g.n_nodes)
-    got, _, _ = linear_substep_theta_elastic(fr, 1e-3, r)
+    got, _ = linear_substep_theta_elastic(fr, 1e-3, r)
     w = g.quad_weights()
     assert np.dot(w, got) == pytest.approx(np.dot(w, r), abs=1e-12)
 
@@ -190,14 +197,15 @@ def test_theta_and_pressure_formulations_agree():
     assert np.max(np.abs(a.theta - b.theta)) <= 1e-7
 
 
-def test_window_shrinks_then_fails_cleanly():
+@ITERATE_MAPS
+def test_window_shrinks_then_fails_cleanly(rho, formulation):
     g = make_grid(10, tags=MIXED)
-    m = make_material(eps=0.15)
+    m = make_material(rho=rho, eps=0.15)
     rng = np.random.default_rng(9)
     st = initial_state(g, m, 0.5 * smooth_phi(g, rng),
                        0.1 * smooth_phi(g, rng), SourceSpec())
     cfg = StepperConfig(dt=0.5, t_end=0.5, tol_picard=1e-12,
-                        max_picard=2, max_shrinks=2)
+                        max_picard=2, max_shrinks=2, formulation=formulation)
     with pytest.raises(StepFailure) as exc:
         picard_window(g, m, st, SourceSpec(), cfg)
     attempts = exc.value.attempts
@@ -206,8 +214,8 @@ def test_window_shrinks_then_fails_cleanly():
         assert a.error is None and len(a.residuals) == cfg.max_picard
 
 
-@pytest.mark.parametrize("rho", [0, 1])
-def test_non_finite_state_shrinks_then_fails_cleanly(rho):
+@ITERATE_MAPS
+def test_non_finite_state_shrinks_then_fails_cleanly(rho, formulation):
     """A non-finite value makes the direct solves raise SolverFailure,
     which the window treats like a failed contraction: dt shrinks until
     max_shrinks, then StepFailure naming the window's start time and the
@@ -218,7 +226,7 @@ def test_non_finite_state_shrinks_then_fails_cleanly(rho):
                        SourceSpec(), u_init=("quasistatic" if rho == 0 else "zero"))
     st.t = 0.5
     st.theta[5 * g.nx + 5] = np.nan
-    cfg = StepperConfig(dt=1e-3, t_end=0.501, max_shrinks=2)
+    cfg = StepperConfig(dt=1e-3, t_end=0.501, max_shrinks=2, formulation=formulation)
     with pytest.raises(StepFailure, match=r"window at t = 0\.5 failed") as exc:
         picard_window(g, m, st, SourceSpec(), cfg)
     assert "dt tried: 0.001, 0.0005, 0.00025" in str(exc.value)
@@ -229,12 +237,14 @@ def test_non_finite_state_shrinks_then_fails_cleanly(rho):
         assert a.residuals == []
 
 
-@pytest.mark.parametrize("rho", [0, 1])
-def test_window_factors_three_matrices_whatever_its_iterations(rho, monkeypatch):
+@ITERATE_MAPS
+def test_window_factors_three_matrices_whatever_its_iterations(rho, formulation,
+                                                               monkeypatch):
     """The solves at the current iterate are preconditioned by the phi0
     factors, so a window factors the phase operator, the content saddle
-    (rho = 0) or visco0 (rho = 1), and one displacement problem at phi0:
-    three matrices, however many Picard iterates it runs."""
+    (rho = 0) or visco0 (rho = 1), and one displacement problem at phi0
+    (augmented, plain in the pressure form, or shifted visco): three
+    matrices, however many Picard iterates it runs."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(13)
@@ -248,7 +258,7 @@ def test_window_factors_three_matrices_whatever_its_iterations(rho, monkeypatch)
         original_init(self, *args, **kwargs)
 
     monkeypatch.setattr(DirectSolver, "__init__", counting_init)
-    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11, formulation=formulation)
     _, rep, _ = picard_window(g, m, st, SourceSpec(), cfg)
     assert rep.shrinks == 0 and rep.iterations >= 4
     assert len(created) == 3
