@@ -112,39 +112,31 @@ class DirectSolver:
         return x, SolveReport(0, res, [res])
 
 
-def conjugate_gradient(apply_a, b, precondition=None, tol=1e-10, maxiter=5000, x0=None):
+def conjugate_gradient(apply_a, b, precondition=None, tol=1e-10, maxiter=5000):
     """Preconditioned CG for SPD operators.
 
-    Stops when ||r|| <= tol * ||b|| + 1e-300 (relative with an absolute
-    floor so b = 0 returns x = 0 immediately).  precondition maps a
-    residual r to M^{-1} r for an SPD preconditioner M; None means no
-    preconditioning.  Raises SolverFailure when maxiter is exhausted,
-    and at once on a non-finite right-hand side or a curvature p'Ap
-    that is not positive.
+    Stops when ||r|| <= tol * ||b||, so b = 0 returns x = 0 at once.
+    precondition maps a residual r to M^{-1} r for an SPD preconditioner
+    M; None means no preconditioning.  Raises SolverFailure when maxiter
+    is exhausted, and at once on a non-finite right-hand side or a
+    curvature p'Ap that is not positive.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm):
         raise SolverFailure("non-finite right-hand side", [bnorm])
-    if bnorm == 0.0:
-        return np.zeros_like(b), SolveReport(0, 0.0, [0.0])
+    target = tol * bnorm
+    if bnorm <= target:
+        return np.zeros_like(b), SolveReport(0, bnorm, [bnorm])
     if precondition is None:
         def precondition(r):
             return r
-    target = tol * bnorm
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - apply_a(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     z = precondition(r)
     p = z.copy()
     rz = float(np.dot(r, z))
-    res = float(np.linalg.norm(r))
-    history = [res]
-    if res <= target:
-        return x, SolveReport(0, res, history)
+    history = [bnorm]
     for it in range(1, maxiter + 1):
         ap = apply_a(p)
         pap = float(np.dot(p, ap))
@@ -315,9 +307,11 @@ class EllipticProblem:
             pxx = q if pxx is None else pxx + q
             pyy = q if pyy is None else pyy + q
         if pxx is not None:
-            zeros = np.zeros(n) if pxy is None else pxy
-            rx += g.dx_op_t @ pxx + g.dy_op_t @ zeros
-            ry += g.dy_op_t @ pyy + g.dx_op_t @ zeros
+            sx, sy = g.dx_op_t @ pxx, g.dy_op_t @ pyy
+            if pxy is not None:   # shear only from a tensor source
+                sx, sy = sx + g.dy_op_t @ pxy, sy + g.dx_op_t @ pxy
+            rx += sx
+            ry += sy
         if traction is not None:
             for edge, (gx, gy) in traction.items():
                 if edge not in EDGES:

@@ -1,26 +1,20 @@
-"""Derived fields and the nonlinear right-hand sides of the fixed map.
+"""Derived fields and the physical tendencies of the fixed-point map.
 
 The time integrator freezes the coefficient operators at the phase
-field of the window start (phi0) and moves every remaining nonlinearity
-to the right-hand side.  Writing the implicit window as
+field of the window start (phi0).  The implicit-Euler window is the
+fixed point x = x_n + dt N(x); the frozen operator L(phi0) only makes
+the Picard map contract, and appears only in the stepper's solves (see
+chbsim.stepper).  The N components are assembled here directly from the
+strong equations:
 
-    x + dt * L(phi0) x = x_n + dt * F(x_k)
-
-the F components are assembled here directly from the strong equations,
-so a Picard fixed point solves the implicit-Euler discretization of the
-full coupled system exactly:
-
-  F_phi   = eps * Lap(m(phi0) Lap phi) + div(m(phi) grad mu) + S_phase
-  F_theta = A0 theta + div(kappa(phi) grad p) + S_fluid     (elastic)
-  F_theta = -div(kappa0 M0 grad theta) + div(kappa grad p) + S_fluid
-                                                            (visco)
-  F_u     = A0 u + udot,   Knu(phi) udot = weak(f, g) - E'W sigma_rest
-                                                            (visco)
+  N_phi   = div(m(phi) grad mu) + S_phase
+  N_theta = div(kappa(phi) grad p) + S_fluid
+  N_u     = udot,   Knu(phi) udot = weak(f, g) - E'W sigma_rest   (visco)
 
 where mu and p are the derived chemical potential and pressure at the
-current iterate, A0 is the corresponding frozen evolution operator, and
-sigma_rest is the stress minus its viscous part.  Evaluating F through
-the derived fields keeps every sign tied to the governing equations.
+current iterate, and sigma_rest is the stress minus its viscous part.
+Evaluating N through the derived fields keeps every sign tied to the
+governing equations.
 
 The displacement solves at the current iterate (udot here, and the
 quasi-static reconstruction when the stepper passes a reference to
@@ -32,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biot import STIFFNESS_SCALE, apply_fluid_operator
+from .biot import STIFFNESS_SCALE
 from .elliptic import AUGMENTED, VISCO, EllipticProblem, solve_elasticity
 from .grid import SymTensorField, VectorField2, divergence, neumann_laplacian, symmetric_gradient
 
@@ -183,38 +177,42 @@ def reconstruct_displacement(problem, material, theta, sources, t):
 # --- right-hand sides -----------------------------------------------------
 
 
-def phase_rhs(grid, material, phi0, phi, mu_chem, s_phase):
-    """F_phi = eps Lap(m(phi0) Lap phi) + div(m(phi) grad mu) + S_phase."""
-    lap_phi = neumann_laplacian(grid, phi, 1.0)
-    m0 = material.mobility(phi0)
-    stiff = material.eps * neumann_laplacian(grid, m0 * lap_phi, 1.0)
-    transport = neumann_laplacian(grid, mu_chem, material.mobility(phi))
-    out = stiff + transport
+def phase_rhs(grid, material, phi, mu_chem, s_phase):
+    """N_phi = div(m(phi) grad mu) + S_phase."""
+    out = neumann_laplacian(grid, mu_chem, material.mobility(phi))
     if s_phase is not None:
         out = out + s_phase
     return out
 
 
-def rhs_elastic(grid, material, ctx0, phi, theta, u, sources, t):
-    """(F_phi, F_theta) for the quasi-static regime at one Picard iterate.
-
-    u must be the displacement reconstructed at (phi, theta); ctx0 is
-    the frozen-phase operator context of the window start.
-    """
-    mu_chem = chemical_potential(grid, material, phi, theta, u)
-    f_phi = phase_rhs(grid, material, ctx0.phi, phi, mu_chem, sources.phase_at(grid, t))
+def _content_rhs(grid, material, phi, theta, u, sources, t):
+    """N_theta = div(kappa(phi) grad p) + S_fluid."""
     p = pressure(material, phi, theta, divergence(u))
-    f_theta = (apply_fluid_operator(ctx0, theta)
-               + neumann_laplacian(grid, p, material.permeability(phi)))
+    out = neumann_laplacian(grid, p, material.permeability(phi))
     s_fluid = sources.fluid_at(grid, t)
     if s_fluid is not None:
-        f_theta = f_theta + s_fluid
-    return f_phi, f_theta
+        out = out + s_fluid
+    return out
+
+
+def rhs_elastic(grid, material, phi, theta, u, sources, t):
+    """(N_phi, N_theta) for the quasi-static regime at one Picard iterate.
+
+    u must be the displacement reconstructed at (phi, theta).
+    """
+    mu_chem = chemical_potential(grid, material, phi, theta, u)
+    f_phi = phase_rhs(grid, material, phi, mu_chem, sources.phase_at(grid, t))
+    return f_phi, _content_rhs(grid, material, phi, theta, u, sources, t)
 
 
 @dataclass
 class ViscoOperators:
-    """Frozen-phase operators for the Kelvin-Voigt regime."""
+    """Frozen-phase operators for the Kelvin-Voigt regime.
+
+    The stepper uses visco0 (the u-dot problem and its preconditioner)
+    and kappa_m0; apply_a0 applies the u-substep's frozen operator A0,
+    which the update-form map never applies to an iterate.
+    """
 
     grid: object
     material: object
@@ -222,7 +220,7 @@ class ViscoOperators:
 
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=float).ravel()
-        # visco stiffness at phi0 (for A0 and the implicit u-substep)
+        # visco stiffness at phi0 (for udot, A0 and the implicit u-substep)
         self.visco0 = EllipticProblem(
             self.grid, self.material, self.phi0, variant=VISCO,
             scale=STIFFNESS_SCALE)
@@ -238,12 +236,13 @@ class ViscoOperators:
 
 
 def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
-    """(F_phi, F_u, F_theta) for the visco-elastic regime at one iterate.
+    """(N_phi, N_u, N_theta) for the visco-elastic regime at one iterate.
 
-    ctx_ops is a ViscoOperators bundle frozen at the window start.
+    ctx_ops is a ViscoOperators bundle frozen at the window start; N_u is
+    the displacement velocity udot.
     """
     mu_chem = chemical_potential(grid, material, phi, theta, u)
-    f_phi = phase_rhs(grid, material, ctx_ops.phi0, phi, mu_chem, sources.phase_at(grid, t))
+    f_phi = phase_rhs(grid, material, phi, mu_chem, sources.phase_at(grid, t))
 
     # displacement velocity: Knu(phi) E(udot) balances f, g and the rest
     # stress sigma_rest (sigma without its viscous part); at phi = phi0
@@ -259,13 +258,4 @@ def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
     rhs_sig = visco_phi.assemble_rhs(tensor_source=sigma_rest)
     udot, _ = solve_elasticity(
         visco_phi, (rhs_ext[0] - rhs_sig[0], rhs_ext[1] - rhs_sig[1]))
-    a0u = ctx_ops.apply_a0(u)
-    f_u = VectorField2(grid, a0u.ux + udot.ux, a0u.uy + udot.uy)
-
-    p = pressure(material, phi, theta, divergence(u))
-    f_theta = (-neumann_laplacian(grid, theta, ctx_ops.kappa_m0)
-               + neumann_laplacian(grid, p, material.permeability(phi)))
-    s_fluid = sources.fluid_at(grid, t)
-    if s_fluid is not None:
-        f_theta = f_theta + s_fluid
-    return f_phi, f_u, f_theta
+    return f_phi, udot, _content_rhs(grid, material, phi, theta, u, sources, t)

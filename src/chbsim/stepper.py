@@ -1,23 +1,25 @@
 """Linearize-and-contract time integration.
 
-Each implicit-Euler window of length dt freezes the coefficient
-operators at the window-start phase field phi0 and iterates the Picard
-fixed-point map
+Each implicit-Euler window of length dt solves the fixed-point equation
+x = x_n + dt N(x), where N collects the physical tendencies from
+chbsim.rhs.  The operators L(phi0), frozen at the window-start phase
+field phi0, only make the Picard map contract.  The map is written in
+update form: each iterate solves for its update d and adds it,
 
-    x_{k+1} = (I + dt L(phi0))^{-1} ( x_n + dt F(x_k) ),
+    d = (I + dt L(phi0))^{-1} ( x_n - x_k + dt N(x_k) ),   x_{k+1} = x_k + d,
 
-where L collects the frozen linear evolution operators and F the
-right-hand sides from chbsim.rhs.  The linear substeps are:
+which is x_{k+1} = (I + dt L)^{-1}(x_n + dt (L x_k + N(x_k))), without
+applying L to any iterate.  The linear substeps are:
 
-  phase:      (I + dt eps Lap(m(phi0) Lap .)) phi = r,
+  phase:      (I + dt eps Lap(m(phi0) Lap .)) d = r,
               solved as the SPD system (W + dt eps B1 D_m W^{-1} B1)
-  content:    (I + dt A(phi0)) theta = r in the quasi-static regime,
+  content:    (I + dt A(phi0)) d = r in the quasi-static regime,
               solved in the conjugate pressure variable q:
-              (W B(phi0) + dt B_kappa) q = W r, theta = r + dt NL(q)
-  content:    (W + dt B_{kappa M}) theta = W r in the visco regime
-  displacement: (K_nu + dt K) u = K_nu (u_n + dt F_u) in the visco
-              regime (displacement is reconstructed, not evolved, in
-              the quasi-static regime)
+              (W B(phi0) + dt B_kappa) q = W r, d = r + dt NL(q)
+  content:    (W + dt B_{kappa M}) d = W r in the visco regime
+  displacement: (K_nu + dt K) d = K_nu (u_n - u_k + dt udot) in the
+              visco regime (displacement is reconstructed, not evolved,
+              in the quasi-static regime)
 
 Because the operators are frozen, every system that is constant over a
 window is factored once per (window, dt) by a sparse direct solver and
@@ -36,7 +38,7 @@ tolerance tol_lin.
 The regimes differ only in their iterate map: the quasi-static regime
 iterates in theta (or, with formulation = 'pressure', in the pressure
 p) and the visco regime in (phi, theta, u).  Each map is a generator of
-successive iterates; picard_window runs the one attempt loop over it.
+successive updates; picard_window runs the one attempt loop over it.
 The iteration residual is the weighted-L2 norm of the update of the
 map's unknowns; the contraction estimate rho is the median of
 successive residual ratios.  A window that fails to contract, or whose
@@ -48,14 +50,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .biot import STIFFNESS_SCALE, BiotContext, apply_B_tilde
+from .biot import STIFFNESS_SCALE, BiotContext
 from .elliptic import (PLAIN, VISCO, DirectSolver, EllipticProblem, SolverFailure,
                        conjugate_gradient, solve_elasticity)
-from .grid import VectorField2, divergence, flux_stiffness_matrix, neumann_laplacian
-from .rhs import (SimState, SourceSpec, chemical_potential, displacement_problem,
-                  eigenstrain_tensor_source, phase_rhs, pressure,
-                  reconstruct_displacement, rhs_elastic, rhs_visco,
-                  ViscoOperators)
+from .grid import VectorField2, divergence, flux_stiffness_matrix
+from .rhs import (SimState, SourceSpec, ViscoOperators, displacement_problem,
+                  eigenstrain_tensor_source, pressure, reconstruct_displacement,
+                  rhs_elastic, rhs_visco)
 
 THETA_FORM = "theta"
 PRESSURE_FORM = "pressure"
@@ -87,9 +88,10 @@ class StepFailure(RuntimeError):
 class StepperConfig:
     """Window length, Picard and dt-shrink controls, formulation.
 
-    tol_lin and max_lin are the relative tolerance and iteration cap of
-    the visco content substep's CG and of nothing else.  The other
-    substeps are solved by sparse direct factorizations, and the
+    tol_lin and max_lin are the tolerance and iteration cap of the visco
+    content substep's CG and of nothing else; tol_lin is relative to the
+    right-hand side of that substep, which is the content update's.  The
+    other substeps are solved by sparse direct factorizations, and the
     displacement solves at the current iterate by CG preconditioned with
     the window's factor, to a fixed internal tolerance.
     """
@@ -112,6 +114,12 @@ class StepperConfig:
             raise ValueError("shrink_factor must lie in (0, 1)")
         if self.formulation not in (THETA_FORM, PRESSURE_FORM):
             raise ValueError(f"unknown formulation '{self.formulation}'")
+        for name, low in (("max_picard", 1), ("max_shrinks", 0), ("max_lin", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name in ("tol_picard", "tol_lin"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -265,7 +273,7 @@ def linear_substep_theta_elastic(frozen, dt, r):
     return theta, rep
 
 
-def linear_substep_theta_visco(frozen, dt, r, tol, maxiter, x0=None):
+def linear_substep_theta_visco(frozen, dt, r, tol, maxiter):
     """Solve (I + dt L_{kappa M}) theta = r (SPD symmetrized)."""
     w = frozen.w
     b_km = frozen.b_km
@@ -279,13 +287,13 @@ def linear_substep_theta_visco(frozen, dt, r, tol, maxiter, x0=None):
         return inv_diag * v
 
     x, rep = conjugate_gradient(apply_a, w * r, precondition=jacobi, tol=tol,
-                                maxiter=maxiter, x0=x0)
+                                maxiter=maxiter)
     x += np.dot(w, r - x) / w.sum()
     return x, rep
 
 
 def linear_substep_u_visco(frozen, dt, u_n, f_u):
-    """Solve (K_nu + dt K)(phi0) u = K_nu(phi0) (u_n + dt F_u)."""
+    """Solve (K_nu + dt K)(phi0) d = K_nu(phi0) (u_n + dt f_u) for d."""
     rhs = frozen.ops.visco0.apply(u_n.ux + dt * f_u.ux, u_n.uy + dt * f_u.uy)
     return solve_elasticity(frozen.shifted_problem(dt), rhs)
 
@@ -302,16 +310,16 @@ def _theta_iterates(frozen, state, sources, dt, cfg):
     grid, material = frozen.grid, frozen.material
     t_new = state.t + dt
     phi_k, theta_k, u_k = state.phi, state.theta, state.u
-    yield (phi_k, theta_k), state
     while True:
-        f_phi, f_theta = rhs_elastic(
-            grid, material, frozen.ctx0, phi_k, theta_k, u_k, sources, t_new)
-        phi_k, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
-        theta_k, _ = linear_substep_theta_elastic(frozen, dt, state.theta + dt * f_theta)
+        n_phi, n_theta = rhs_elastic(grid, material, phi_k, theta_k, u_k, sources, t_new)
+        d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
+        d_theta, _ = linear_substep_theta_elastic(
+            frozen, dt, state.theta - theta_k + dt * n_theta)
+        phi_k, theta_k = phi_k + d_phi, theta_k + d_theta
         problem = displacement_problem(grid, material, phi_k,
                                        reference=frozen.ctx0.augmented)
         u_k, _ = reconstruct_displacement(problem, material, theta_k, sources, t_new)
-        yield (phi_k, theta_k), SimState(grid, phi_k, theta_k, u_k, t_new)
+        yield (d_phi, d_theta), SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
 def _pressure_iterates(frozen, state, sources, dt, cfg):
@@ -320,7 +328,8 @@ def _pressure_iterates(frozen, state, sources, dt, cfg):
     Independent route for cross-checking: displacement solves use the
     plain (unaugmented) stiffness with -grad(alpha p) loading, and the
     fluid content is carried implicitly through
-    theta = p / M + alpha div u.
+    theta = p / M + alpha div u.  The pressure update solves
+    (W B(phi0) + dt B_kappa) d_p = W (theta_n - theta_k + dt N_theta).
     """
     grid, material, w = frozen.grid, frozen.material, frozen.w
     t_new = state.t + dt
@@ -340,45 +349,34 @@ def _pressure_iterates(frozen, state, sources, dt, cfg):
     p_k = pressure(material, state.phi, state.theta, divergence(state.u))
     u_k = solve_u(phi_k, p_k)
     theta_k = content_of(phi_k, p_k, u_k)
-    yield (phi_k, p_k), state
     while True:
-        # phase right-hand side through the pressure form of the potential
-        mu_chem = chemical_potential(grid, material, phi_k, theta_k, u_k)
-        f_phi = phase_rhs(grid, material, frozen.phi0, phi_k, mu_chem,
-                          sources.phase_at(grid, t_new))
-        # pressure right-hand side: theta(p) = B0 p + c_k, frozen permeability
-        c_k = theta_k - apply_B_tilde(frozen.ctx0, p_k)
-        extra = (neumann_laplacian(grid, p_k, material.permeability(phi_k))
-                 + (frozen.b_kappa @ p_k) / w)   # NL(p, kappa(phi)) - NL(p, kappa0)
-        r = state.theta - c_k + dt * extra
-        s_fluid = sources.fluid_at(grid, t_new)
-        if s_fluid is not None:
-            r = r + dt * s_fluid
-        phi_k, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
-        p_k, _ = _solve_conjugate_pressure(frozen, dt, w * r)
+        n_phi, n_theta = rhs_elastic(grid, material, phi_k, theta_k, u_k, sources, t_new)
+        d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
+        d_p, _ = _solve_conjugate_pressure(
+            frozen, dt, w * (state.theta - theta_k + dt * n_theta))
+        phi_k, p_k = phi_k + d_phi, p_k + d_p
         u_k = solve_u(phi_k, p_k)
         theta_k = content_of(phi_k, p_k, u_k)
-        yield (phi_k, p_k), SimState(grid, phi_k, theta_k, u_k, t_new)
+        yield (d_phi, d_p), SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
 def _visco_iterates(frozen, state, sources, dt, cfg):
     """Kelvin-Voigt iterate map: phase, content and displacement all
-    enter the residual; from the second iterate on, the content CG
-    starts from the last iterate's theta."""
+    enter the residual."""
     grid, material = frozen.grid, frozen.material
     t_new = state.t + dt
     phi_k, theta_k, u_k = state.phi, state.theta, state.u
-    theta_warm = None
-    yield (phi_k, theta_k, u_k.ux, u_k.uy), state
     while True:
-        f_phi, f_u, f_theta = rhs_visco(
+        n_phi, udot, n_theta = rhs_visco(
             grid, material, frozen.ops, phi_k, theta_k, u_k, sources, t_new)
-        phi_k, _ = linear_substep_phi(frozen, dt, state.phi + dt * f_phi)
-        theta_k, _ = linear_substep_theta_visco(
-            frozen, dt, state.theta + dt * f_theta, cfg.tol_lin, cfg.max_lin, x0=theta_warm)
-        u_k, _ = linear_substep_u_visco(frozen, dt, state.u, f_u)
-        theta_warm = theta_k
-        yield (phi_k, theta_k, u_k.ux, u_k.uy), SimState(grid, phi_k, theta_k, u_k, t_new)
+        d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
+        d_theta, _ = linear_substep_theta_visco(
+            frozen, dt, state.theta - theta_k + dt * n_theta, cfg.tol_lin, cfg.max_lin)
+        d_u, _ = linear_substep_u_visco(
+            frozen, dt, VectorField2(grid, state.u.ux - u_k.ux, state.u.uy - u_k.uy), udot)
+        phi_k, theta_k = phi_k + d_phi, theta_k + d_theta
+        u_k = VectorField2(grid, u_k.ux + d_u.ux, u_k.uy + d_u.uy)
+        yield (d_phi, d_theta, d_u.ux, d_u.uy), SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
 def picard_window(grid, material, state, sources, cfg, frozen=None):
@@ -386,12 +384,13 @@ def picard_window(grid, material, state, sources, cfg, frozen=None):
 
     One attempt loop serves both regimes.  An iterate map (theta form,
     pressure form or Kelvin-Voigt) is a generator over (frozen, state,
-    sources, dt, cfg): it first yields the window-start iterate, then
-    each Picard iterate, as (arrays, SimState) where the arrays are the
-    unknowns that enter the residual.  An attempt stops when the
-    weighted-L2 norm of their update is at most tol_picard times
-    1 + |phi| + |theta| of the start state (+ |u| in the visco regime),
-    or after max_picard iterates; _shrink_loop retries it at smaller dt.
+    sources, dt, cfg) that yields each Picard iterate as (update,
+    SimState): the update is the arrays d added to the unknowns that
+    enter the residual, and the SimState is the new iterate.  An attempt
+    stops when the weighted-L2 norm of the update is at most tol_picard
+    times 1 + |phi| + |theta| of the start state (+ |u| in the visco
+    regime), or after max_picard iterates; _shrink_loop retries it at
+    smaller dt.
 
     frozen carries the window linearization; pass the previous bundle
     with cfg.refresh_linearization = False to keep the global frozen
@@ -412,14 +411,12 @@ def picard_window(grid, material, state, sources, cfg, frozen=None):
 
     def attempt(dt, residuals):
         stream = iterates(frozen, state, sources, dt, cfg)
-        old, _ = next(stream)
         for _ in range(cfg.max_picard):
-            new, new_state = next(stream)
-            delta = np.sqrt(sum(_wnorm2(w, a - b) for a, b in zip(new, old)))
+            update, new_state = next(stream)
+            delta = np.sqrt(sum(_wnorm2(w, d) for d in update))
             residuals.append(delta)
             if delta <= cfg.tol_picard * scale:
                 return new_state
-            old = new
         return None
 
     new_state, rep = _shrink_loop(cfg, state.t, attempt)

@@ -37,6 +37,14 @@ def test_rejection_names_positivity_assumption():
         parse_config("m0 = -1")
 
 
+@pytest.mark.parametrize("setting", [
+    "max_picard = 0", "max_shrinks = -1", "tol_picard = -1", "tol_picard = 0",
+    "tol_lin = 0", "max_lin = 0"])
+def test_out_of_range_stepper_setting_names_its_field(setting):
+    with pytest.raises(ConfigError, match=setting.split()[0]):
+        parse_config(f"stepper.{setting}")
+
+
 def test_unknown_key_and_type_mismatch():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("grd.nx = 4")

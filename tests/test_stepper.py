@@ -1,13 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from chbsim.biot import apply_fluid_operator
-from chbsim.elliptic import DirectSolver, EllipticProblem
-from chbsim.grid import VectorField2
-from chbsim.rhs import SourceSpec
+import chbsim.biot as biot
+from chbsim.biot import STIFFNESS_SCALE, apply_B_tilde, apply_fluid_operator
+from chbsim.elliptic import VISCO, DirectSolver, EllipticProblem, solve_elasticity
+from chbsim.grid import VectorField2, divergence, neumann_laplacian
+from chbsim.rhs import SourceSpec, ViscoOperators, chemical_potential, pressure, stress
 from chbsim.stepper import (FrozenElastic, FrozenVisco, PRESSURE_FORM, THETA_FORM,
-                            StepFailure, StepperConfig, initial_state,
+                            StepFailure, StepperConfig, _pressure_iterates, _theta_iterates,
+                            _visco_iterates, initial_state,
                             linear_substep_phi, linear_substep_theta_elastic,
                             linear_substep_theta_visco, linear_substep_u_visco,
                             picard_window, run_simulation)
@@ -116,6 +120,97 @@ def test_u_visco_substep_trivial_and_continuity():
     out, _ = linear_substep_u_visco(fr, 1e-8, u_prev, zero)
     assert np.max(np.abs(out.ux - u_prev.ux)) <= 1e-6
     assert np.max(np.abs(out.uy - u_prev.uy)) <= 1e-6
+
+
+def _dense(apply, n):
+    """Matrix of a linear map on R^n, by columns."""
+    return np.column_stack([apply(e) for e in np.eye(n)])
+
+
+@pytest.mark.parametrize("form", ["theta", "pressure", "visco"])
+def test_update_form_map_matches_the_frozen_operator_formula(form):
+    """From a non-trivial iterate x_k, the update-form map gives
+    x_{k+1} = (I + dt L0)^{-1}(x_n + dt (L0 x_k + N(x_k))), with the
+    frozen operators L0 built densely and N evaluated here from the
+    derived fields, independently of chbsim.rhs.  The pressure form's
+    formula is the pressure map with theta(p) = B0 p + (theta_k - B0 p_k)."""
+    g = make_grid(8, tags=MIXED)
+    m = make_material(rho=int(form == "visco"), eps=0.3)
+    rng = np.random.default_rng(15)
+    n, dt = g.n_nodes, 1e-3
+    sources = SourceSpec(s_phase=lambda x, y, t: 0.5 * np.cos(np.pi * x),
+                         s_fluid=lambda x, y, t: np.exp(-10.0 * ((x - 0.4)**2 + y**2)))
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng), sources)
+    frozen = (FrozenVisco if form == "visco" else FrozenElastic)(g, m, st.phi)
+    iterates = {"theta": _theta_iterates, "pressure": _pressure_iterates,
+                "visco": _visco_iterates}[form]
+    stream = iterates(frozen, st, sources, dt, StepperConfig(dt=dt))
+    _, s1 = next(stream)
+    _, s2 = next(stream)
+
+    t, w = st.t + dt, g.quad_weights()
+    x, y = g.coords()
+    mu = chemical_potential(g, m, s1.phi, s1.theta, s1.u)
+    n_phi = neumann_laplacian(g, mu, m.mobility(s1.phi)) + sources.s_phase(x, y, t)
+    p1 = pressure(m, s1.phi, s1.theta, divergence(s1.u))
+    n_theta = neumann_laplacian(g, p1, m.permeability(s1.phi)) + sources.s_fluid(x, y, t)
+
+    def step(l0, x_n, x_k, n_k):
+        return np.linalg.solve(np.eye(len(x_n)) + dt * l0, x_n + dt * (l0 @ x_k + n_k))
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    b1 = frozen.b_one.toarray()
+    l_phi = (m.eps * b1 @ np.diag(frozen.m0 / w) @ b1) / w[:, None]
+    assert_close(s2.phi, step(l_phi, st.phi, s1.phi, n_phi))
+    if form == "theta":
+        l_theta = _dense(lambda e: apply_fluid_operator(frozen.ctx0, e), n)
+        assert_close(s2.theta, step(l_theta, st.theta, s1.theta, n_theta))
+    elif form == "pressure":
+        b0 = _dense(lambda e: apply_B_tilde(frozen.ctx0, e), n)
+        nl0 = -frozen.b_kappa.toarray() / w[:, None]
+        want = np.linalg.solve(b0 - dt * nl0,
+                               st.theta - s1.theta + b0 @ p1 + dt * (n_theta - nl0 @ p1))
+        assert_close(pressure(m, s2.phi, s2.theta, divergence(s2.u)), want)
+    else:
+        l_theta = frozen.b_km.toarray() / w[:, None]
+        assert_close(s2.theta, step(l_theta, st.theta, s1.theta, n_theta))
+
+        def a0(e):
+            out = frozen.ops.apply_a0(VectorField2(g, e[:n], e[n:]))
+            return np.concatenate([out.ux, out.uy])
+        visco = EllipticProblem(g, m, s1.phi, variant=VISCO, scale=STIFFNESS_SCALE)
+        rx, ry = visco.assemble_rhs(tensor_source=stress(g, m, s1.phi, s1.theta, s1.u))
+        udot, _ = solve_elasticity(visco, (-rx, -ry))
+        want = step(_dense(a0, 2 * n), np.concatenate([st.u.ux, st.u.uy]),
+                    np.concatenate([s1.u.ux, s1.u.uy]), np.concatenate([udot.ux, udot.uy]))
+        assert_close(np.concatenate([s2.u.ux, s2.u.uy]), want)
+
+
+@ITERATE_MAPS
+def test_window_converges_without_applying_a_frozen_operator(rho, formulation, monkeypatch):
+    """The frozen operators appear only in the solves: a window converges
+    with the fluid operators and the visco A0 replaced by a raising stub,
+    wherever a chbsim module refers to them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("frozen operator applied to an iterate")
+
+    for original in (biot.apply_fluid_operator, biot.apply_A_tilde, biot.apply_B_tilde):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "chbsim":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, forbidden)
+    monkeypatch.setattr(ViscoOperators, "apply_a0", forbidden)
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(16)
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, formulation=formulation)
+    _, rep, _ = picard_window(g, m, st, SourceSpec(), cfg)
+    assert rep.converged and rep.shrinks == 0 and rep.iterations >= 2
 
 
 def _uniform_equilibrium(g, m):
