@@ -70,36 +70,42 @@ def run_from_config(cfg, out_dir):
     u_init = "quasistatic" if material.rho == 0 else "zero"
     state = initial_state(grid, material, phi0, theta0, sources, u_init=u_init)
 
+    # rows and snapshots are written as windows are accepted, so a killed
+    # run keeps every window it completed
     csv_path = os.path.join(out_dir, "diagnostics.csv")
-    csv_rows = [DiagnosticsRow.HEADER, diagnostics_row(grid, material, state).as_csv()]
-    snapshots = [(0, state)]
-    window = [0]
+    window = 0
 
-    def observer(st, rep):
-        window[0] += 1
-        csv_rows.append(diagnostics_row(grid, material, st, rep).as_csv())
-        if window[0] % stride == 0:
-            snapshots.append((window[0], st))
-
-    code = 0
-    try:
-        states, _ = run_simulation(grid, material, stepper_cfg, state,
-                                   sources, observer=observer)
-        if window[0] % stride != 0:
-            snapshots.append((window[0], states[-1]))
-    except (StepFailure, SolverFailure) as exc:
-        print(f"run failed at window {window[0] + 1}: {exc}", file=sys.stderr)
-        code = 1
-
-    try:
-        with open(csv_path, "w") as fh:
-            fh.write("\n".join(csv_rows) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"failed to write '{csv_path}': {exc}")
-    for idx, st in snapshots:
+    def snapshot(idx, st):
         write_vtk_snapshot(os.path.join(out_dir, f"snapshot_{idx:05d}.vtk"),
                            grid, material, st)
-    return code
+
+    try:
+        with open(csv_path, "w") as csv:
+            def append(row):
+                csv.write(row + "\n")
+                csv.flush()
+
+            def observer(st, rep):
+                nonlocal window
+                window += 1
+                append(diagnostics_row(grid, material, st, rep).as_csv())
+                if window % stride == 0:
+                    snapshot(window, st)
+
+            append(DiagnosticsRow.HEADER)
+            append(diagnostics_row(grid, material, state).as_csv())
+            snapshot(0, state)
+            try:
+                states, _ = run_simulation(grid, material, stepper_cfg, state,
+                                           sources, observer=observer)
+            except (StepFailure, SolverFailure) as exc:
+                print(f"run failed at window {window + 1}: {exc}", file=sys.stderr)
+                return 1
+    except OSError as exc:
+        raise RuntimeError(f"failed to write '{csv_path}': {exc}")
+    if window % stride != 0:
+        snapshot(window, states[-1])
+    return 0
 
 
 def run_oracle(cfg):

@@ -56,7 +56,9 @@ _SCHEMA = {
     "stepper.max_picard": ("int", 40),
     "stepper.shrink_factor": ("float", 0.5),
     "stepper.max_shrinks": ("int", 10),
-    # tol_lin / max_lin govern only the iterative solves (see StepperConfig)
+    # No solve reads tol_lin / max_lin.  They are kept only because
+    # bench/run_bench.py writes stepper.tol_lin into every config, and
+    # parse_config rejects unknown keys.
     "stepper.tol_lin": ("float", 1e-10),
     "stepper.max_lin": ("int", 20000),
     "stepper.refresh_linearization": ("bool", True),
@@ -111,17 +113,20 @@ def _convert(key, kind, raw):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
         if kind == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return raw
+        if kind != "float":
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"type mismatch for '{key}': expected {kind}, got '{raw}'")
+    if not np.isfinite(value):
+        raise ConfigError(f"'{key}' must be finite, got '{raw}'")
+    return value
 
 
 @dataclass(frozen=True)

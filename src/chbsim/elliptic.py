@@ -1,4 +1,4 @@
-"""Elliptic solves: sparse direct factorizations, Jacobi-preconditioned CG.
+"""Elliptic solves: sparse direct factorizations, LU-preconditioned CG.
 
 Displacement problems are posed in weak form with the trapezoidal
 quadrature: for the plain variant the bilinear form is
@@ -36,10 +36,9 @@ entering as + sum w_k q_k (div w)_k (the weak form of -grad q), and edge
 tractions on the Neumann edges with boundary trapezoid quadrature.
 
 DirectSolver wraps a sparse LU for the time stepper's window-frozen
-systems; conjugate_gradient solves the SPD systems that are iterative,
-with a preconditioner step supplied by the caller (the reference LU
-above, or the Jacobi step of the visco content substep).  Both report
-failure the same way: SolverFailure.
+systems; conjugate_gradient solves the one kind of system that is
+iterative, a problem with a reference, preconditioned by the
+reference's LU.  Both report failure the same way: SolverFailure.
 """
 
 from dataclasses import dataclass

@@ -23,17 +23,16 @@ applying L to any iterate.  The linear substeps are:
 
 Because the operators are frozen, every system that is constant over a
 window is factored once per (window, dt) by a sparse direct solver and
-reused by every Picard iterate: the phase operator, the quasi-static
-content system (as the quasi-definite saddle-point form of its pressure
-unfolding), and the window-start elasticity problems.  Displacement
+reused by every Picard iterate: the phase operator, the content system
+(quasi-static: the quasi-definite saddle-point form of its pressure
+unfolding) and the window-start elasticity problems.  Displacement
 problems at the current iterate phi_k (the quasi-static reconstruction,
 the pressure form's displacement and the visco u-dot problem) differ
 from their phi0 counterparts by O(|phi_k - phi0|); they are solved by
 CG preconditioned with the phi0 factor, to the fixed relative tolerance
 elliptic.REFERENCE_CG_TOL, and never factored.  A window therefore
-factors three matrices, and each retry at a smaller dt two more.  The
-visco content substep runs Jacobi-preconditioned CG, to the relative
-tolerance tol_lin.
+factors three matrices, four in the visco regime (which adds visco0),
+and each retry at a smaller dt refactors those that depend on dt.
 
 The regimes differ only in their iterate map: the quasi-static regime
 iterates in theta (or, with formulation = 'pressure', in the pressure
@@ -52,7 +51,7 @@ import scipy.sparse as sp
 
 from .biot import STIFFNESS_SCALE, BiotContext
 from .elliptic import (PLAIN, VISCO, DirectSolver, EllipticProblem, SolverFailure,
-                       conjugate_gradient, solve_elasticity)
+                       solve_elasticity)
 from .grid import VectorField2, divergence, flux_stiffness_matrix
 from .rhs import (SimState, SourceSpec, ViscoOperators, displacement_problem,
                   eigenstrain_tensor_source, pressure, reconstruct_displacement,
@@ -88,12 +87,13 @@ class StepFailure(RuntimeError):
 class StepperConfig:
     """Window length, Picard and dt-shrink controls, formulation.
 
-    tol_lin and max_lin are the tolerance and iteration cap of the visco
-    content substep's CG and of nothing else; tol_lin is relative to the
-    right-hand side of that substep, which is the content update's.  The
-    other substeps are solved by sparse direct factorizations, and the
-    displacement solves at the current iterate by CG preconditioned with
-    the window's factor, to a fixed internal tolerance.
+    No solve reads tol_lin or max_lin: the window-frozen substeps are
+    sparse direct solves, and the displacement solves at the current
+    iterate run CG preconditioned with the window's factor to a fixed
+    internal tolerance.  The two fields, their config keys and their
+    validation are kept only because bench/run_bench.py writes
+    stepper.tol_lin into every config, and parse_config rejects unknown
+    keys.
     """
 
     dt: float = 1e-3
@@ -150,7 +150,8 @@ def _wnorm2(w, v):
 
 @dataclass
 class _FrozenPhase:
-    """Window-frozen data shared by both regimes, with the phase solver."""
+    """Window-frozen data shared by both regimes, with the phase solver
+    and the window's one solver cache, keyed by (role, dt)."""
 
     grid: object
     material: object
@@ -161,16 +162,19 @@ class _FrozenPhase:
         self.b_one = flux_stiffness_matrix(self.grid, 1.0)
         self.m0 = self.material.mobility(self.phi0)
         self.w = self.grid.quad_weights()
-        self._phase_solvers = {}
+        self._solvers = {}
+
+    def _cached(self, role, dt, build):
+        """The window's solver for (role, dt); build() makes it on first use."""
+        if (role, dt) not in self._solvers:
+            self._solvers[role, dt] = build()
+        return self._solvers[role, dt]
 
     def phase_solver(self, dt):
         """DirectSolver of W + dt eps B1 diag(m0/w) B1, cached per dt."""
-        solver = self._phase_solvers.get(dt)
-        if solver is None:
-            a = sp.diags(self.w) + (dt * self.material.eps) * (
-                self.b_one @ sp.diags(self.m0 / self.w) @ self.b_one)
-            solver = self._phase_solvers[dt] = DirectSolver(a)
-        return solver
+        return self._cached("phase", dt, lambda: DirectSolver(
+            sp.diags(self.w) + (dt * self.material.eps) * (
+                self.b_one @ sp.diags(self.m0 / self.w) @ self.b_one)))
 
 
 @dataclass
@@ -181,7 +185,6 @@ class FrozenElastic(_FrozenPhase):
         super().__post_init__()
         self.ctx0 = BiotContext(self.grid, self.material, self.phi0)
         self.b_kappa = flux_stiffness_matrix(self.grid, self.ctx0.kappa)
-        self._content_solvers = {}
 
     def content_solver(self, dt):
         """DirectSolver of the content system, cached per dt.
@@ -198,16 +201,15 @@ class FrozenElastic(_FrozenPhase):
         back W B(phi0) + dt B_kappa, so one factorization yields q and
         the displacement v[q] together.
         """
-        solver = self._content_solvers.get(dt)
-        if solver is None:
+        def build():
             n = self.grid.n_nodes
             plain = self.ctx0.plain
             div_f = self.grid.strain_op[3 * n:, plain.free_dofs]
             g_f = sp.diags(self.w * self.ctx0.alpha) @ div_f
             z = sp.diags(self.w / self.ctx0.modulus) + dt * self.b_kappa
             saddle = sp.bmat([[z, g_f], [g_f.T, -plain.stiffness_matrix()]])
-            solver = self._content_solvers[dt] = DirectSolver(saddle, quasi_definite=True)
-        return solver
+            return DirectSolver(saddle, quasi_definite=True)
+        return self._cached("content", dt, build)
 
 
 @dataclass
@@ -218,33 +220,33 @@ class FrozenVisco(_FrozenPhase):
         super().__post_init__()
         self.ops = ViscoOperators(self.grid, self.material, self.phi0)
         self.b_km = flux_stiffness_matrix(self.grid, self.ops.kappa_m0)
-        self._shifted = {}
+
+    def content_solver(self, dt):
+        """DirectSolver of W + dt B_{kappa M}(phi0), cached per dt."""
+        return self._cached("content", dt, lambda: DirectSolver(
+            sp.diags(self.w) + dt * self.b_km))
 
     def shifted_problem(self, dt):
         """Shifted visco problem K_nu + dt K at phi0, cached per dt."""
-        prob = self._shifted.get(dt)
-        if prob is None:
-            prob = EllipticProblem(
-                self.grid, self.material, self.phi0, variant=VISCO,
-                scale=STIFFNESS_SCALE, shift=dt)
-            self._shifted[dt] = prob
-        return prob
+        return self._cached("shifted", dt, lambda: EllipticProblem(
+            self.grid, self.material, self.phi0, variant=VISCO,
+            scale=STIFFNESS_SCALE, shift=dt))
 
 
 # --- linear substeps ------------------------------------------------------
 
 
-def linear_substep_phi(frozen, dt, r):
-    """Solve (I + dt eps Lap(m(phi0) Lap .)) phi = r (SPD symmetrized).
-
-    Direct solve with the window's cached factorization.
-    """
-    w = frozen.w
-    x, rep = frozen.phase_solver(dt).solve(w * r)
-    # the exact solution has the same weighted mean as r (the flux term
-    # is mean-free); restore the invariant against round-off
+def _mean_restoring_solve(solver, w, r):
+    """Solve (W + dt B) x = W r, then restore the weighted mean of r,
+    which the exact solution keeps (B is a mean-free flux matrix)."""
+    x, rep = solver.solve(w * r)
     x += np.dot(w, r - x) / w.sum()
     return x, rep
+
+
+def linear_substep_phi(frozen, dt, r):
+    """Solve (I + dt eps Lap(m(phi0) Lap .)) phi = r (SPD symmetrized)."""
+    return _mean_restoring_solve(frozen.phase_solver(dt), frozen.w, r)
 
 
 def _solve_conjugate_pressure(frozen, dt, rhs_w):
@@ -273,23 +275,9 @@ def linear_substep_theta_elastic(frozen, dt, r):
     return theta, rep
 
 
-def linear_substep_theta_visco(frozen, dt, r, tol, maxiter):
+def linear_substep_theta_visco(frozen, dt, r):
     """Solve (I + dt L_{kappa M}) theta = r (SPD symmetrized)."""
-    w = frozen.w
-    b_km = frozen.b_km
-
-    def apply_a(v):
-        return w * v + dt * (b_km @ v)
-
-    inv_diag = 1.0 / (w + dt * b_km.diagonal())
-
-    def jacobi(v):
-        return inv_diag * v
-
-    x, rep = conjugate_gradient(apply_a, w * r, precondition=jacobi, tol=tol,
-                                maxiter=maxiter)
-    x += np.dot(w, r - x) / w.sum()
-    return x, rep
+    return _mean_restoring_solve(frozen.content_solver(dt), frozen.w, r)
 
 
 def linear_substep_u_visco(frozen, dt, u_n, f_u):
@@ -371,7 +359,7 @@ def _visco_iterates(frozen, state, sources, dt, cfg):
             grid, material, frozen.ops, phi_k, theta_k, u_k, sources, t_new)
         d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
         d_theta, _ = linear_substep_theta_visco(
-            frozen, dt, state.theta - theta_k + dt * n_theta, cfg.tol_lin, cfg.max_lin)
+            frozen, dt, state.theta - theta_k + dt * n_theta)
         d_u, _ = linear_substep_u_visco(
             frozen, dt, VectorField2(grid, state.u.ux - u_k.ux, state.u.uy - u_k.uy), udot)
         phi_k, theta_k = phi_k + d_phi, theta_k + d_theta

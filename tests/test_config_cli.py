@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import chbsim.stepper as stepper
 from chbsim.cli import main
 from chbsim.config import ConfigError, parse_config, serialize
 
@@ -43,6 +44,15 @@ def test_rejection_names_positivity_assumption():
 def test_out_of_range_stepper_setting_names_its_field(setting):
     with pytest.raises(ConfigError, match=setting.split()[0]):
         parse_config(f"stepper.{setting}")
+
+
+@pytest.mark.parametrize("setting", [
+    "stepper.t_end = nan", "stepper.dt = nan", "stepper.t_end = inf",
+    "grid.lx = nan", "eps = nan", "m0 = nan"])
+def test_non_finite_value_is_rejected_naming_its_key(setting):
+    key = setting.split()[0]
+    with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
+        parse_config(setting)
 
 
 def test_unknown_key_and_type_mismatch():
@@ -138,6 +148,35 @@ def test_cli_determinism_byte_identical(tmp_path):
         fa = (tmp_path / "a" / name).read_bytes()
         fb = (tmp_path / "b" / name).read_bytes()
         assert fa == fb
+
+
+def test_killed_run_keeps_the_windows_it_completed(tmp_path, monkeypatch):
+    """Rows and snapshots are written as windows are accepted: a run
+    interrupted in its third window leaves a prefix of the full run's
+    diagnostics.csv and the snapshots of the windows before."""
+    cfg_path = _write(tmp_path, BASE)
+    full = str(tmp_path / "full")
+    assert main(["--config", cfg_path, "--out", full]) == 0
+    picard_window = stepper.picard_window
+    calls = []
+
+    def interrupted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return picard_window(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "picard_window", interrupted)
+    cut = str(tmp_path / "cut")
+    with pytest.raises(KeyboardInterrupt):
+        main(["--config", cfg_path, "--out", cut])
+    got = (tmp_path / "cut" / "diagnostics.csv").read_bytes()
+    assert (tmp_path / "full" / "diagnostics.csv").read_bytes().startswith(got)
+    assert len(got.decode().splitlines()) == 1 + 3     # header + initial + 2 windows
+    snaps = sorted(f for f in os.listdir(cut) if f.endswith(".vtk"))
+    assert snaps == [f"snapshot_{i:05d}.vtk" for i in range(3)]
+    for name in snaps:
+        assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_cli_error_exit_codes(tmp_path):

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import chbsim.biot as biot
 from chbsim.biot import STIFFNESS_SCALE, apply_B_tilde, apply_fluid_operator
@@ -40,20 +41,36 @@ def test_phase_substep_keeps_constants_and_mean():
     assert np.dot(w, out) == pytest.approx(np.dot(w, r), abs=1e-12)
 
 
-def test_phase_substep_matches_dense_solve():
-    g = make_grid(8, tags=MIXED)
-    m = make_material()
-    rng = np.random.default_rng(1)
-    fr = FrozenElastic(g, m, smooth_phi(g, rng))
+# The two mean-restoring substeps as (frozen bundle, rho, substep, dense
+# flux matrix B of its SPD form (W + dt B) x = W r).
+MEAN_RESTORING = {
+    "phase": (FrozenElastic, 0, linear_substep_phi,
+              lambda fr, m: m.eps * fr.b_one.toarray() @ np.diag(fr.m0 / fr.w)
+              @ fr.b_one.toarray()),
+    "visco": (FrozenVisco, 1, linear_substep_theta_visco, lambda fr, m: fr.b_km.toarray()),
+}
+
+
+@pytest.mark.parametrize("substep", sorted(MEAN_RESTORING))
+@settings(deadline=None, max_examples=25)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12), mixed=st.booleans(),
+       dt=st.sampled_from([1e-4, 1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
+def test_mean_restoring_substep_matches_dense_solve(substep, nx, ny, mixed, dt, seed):
+    """Both direct substeps (W + dt B) x = W r match a dense solve, keep
+    constants, and keep the weighted mean of r."""
+    frozen_type, rho, solve, flux = MEAN_RESTORING[substep]
+    g = make_grid(nx, ny, tags=MIXED if mixed else FULL_DIRICHLET)
+    m = make_material(rho=rho)
+    rng = np.random.default_rng(seed)
+    fr = frozen_type(g, m, smooth_phi(g, rng))
     w = g.quad_weights()
-    dt = 1e-3
-    n = g.n_nodes
-    b1 = fr.b_one.toarray()
-    dense = np.diag(w) + dt * m.eps * b1 @ np.diag(fr.m0 / w) @ b1
-    r = rng.standard_normal(n)
-    want = np.linalg.solve(dense, w * r)
-    got, _ = linear_substep_phi(fr, dt, r)
-    assert np.max(np.abs(got - want)) <= 1e-8 * max(1.0, np.max(np.abs(want)))
+    r = rng.standard_normal(g.n_nodes)
+    want = np.linalg.solve(np.diag(w) + dt * flux(fr, m), w * r)
+    got, _ = solve(fr, dt, r)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert abs(np.dot(w, got) - np.dot(w, r)) <= 1e-12 * max(1.0, abs(np.dot(w, r)))
+    out, _ = solve(fr, dt, np.full(g.n_nodes, -0.4))
+    assert np.allclose(out, -0.4, rtol=0.0, atol=1e-11)
 
 
 def test_theta_elastic_substep_matches_dense_implicit_euler():
@@ -85,23 +102,6 @@ def test_theta_elastic_substep_conserves_mean():
     got, _ = linear_substep_theta_elastic(fr, 1e-3, r)
     w = g.quad_weights()
     assert np.dot(w, got) == pytest.approx(np.dot(w, r), abs=1e-12)
-
-
-def test_theta_visco_substep_dense_match_and_constants():
-    g = make_grid(8, tags=MIXED)
-    m = make_material(rho=1)
-    rng = np.random.default_rng(4)
-    fr = FrozenVisco(g, m, smooth_phi(g, rng))
-    c = np.full(g.n_nodes, -0.4)
-    out, _ = linear_substep_theta_visco(fr, 1e-3, c, tol=1e-12, maxiter=20000)
-    assert np.allclose(out, -0.4, atol=1e-11)
-    w = g.quad_weights()
-    dt = 1e-3
-    dense = np.diag(w) + dt * fr.b_km.toarray()
-    r = rng.standard_normal(g.n_nodes)
-    want = np.linalg.solve(dense, w * r)
-    got, _ = linear_substep_theta_visco(fr, dt, r, tol=1e-13, maxiter=20000)
-    assert np.max(np.abs(got - want)) <= 1e-8
 
 
 def test_u_visco_substep_trivial_and_continuity():
@@ -333,13 +333,13 @@ def test_non_finite_state_shrinks_then_fails_cleanly(rho, formulation):
 
 
 @ITERATE_MAPS
-def test_window_factors_three_matrices_whatever_its_iterations(rho, formulation,
-                                                               monkeypatch):
+def test_window_factor_count_does_not_grow_with_iterations(rho, formulation, monkeypatch):
     """The solves at the current iterate are preconditioned by the phi0
-    factors, so a window factors the phase operator, the content saddle
-    (rho = 0) or visco0 (rho = 1), and one displacement problem at phi0
-    (augmented, plain in the pressure form, or shifted visco): three
-    matrices, however many Picard iterates it runs."""
+    factors, so a window factors the phase operator, its content system
+    (the saddle for rho = 0, W + dt B_kappaM for rho = 1) and the
+    displacement problems at phi0 (augmented, plain in the pressure form,
+    or visco0 and the shifted visco problem): three matrices for rho = 0
+    and four for rho = 1, however many Picard iterates it runs."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(13)
@@ -356,7 +356,7 @@ def test_window_factors_three_matrices_whatever_its_iterations(rho, formulation,
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11, formulation=formulation)
     _, rep, _ = picard_window(g, m, st, SourceSpec(), cfg)
     assert rep.shrinks == 0 and rep.iterations >= 4
-    assert len(created) == 3
+    assert len(created) == (4 if rho == 1 else 3)
 
 
 @pytest.mark.parametrize("rho", [0, 1])
