@@ -67,8 +67,7 @@ def run_from_config(cfg, out_dir):
     stride = cfg["output.stride"]
     write_outputs_init(out_dir, cfg)
 
-    u_init = "quasistatic" if material.rho == 0 else "zero"
-    state = initial_state(grid, material, phi0, theta0, sources, u_init=u_init)
+    state = initial_state(grid, material, phi0, theta0, sources)
 
     # rows and snapshots are written as windows are accepted, so a killed
     # run keeps every window it completed

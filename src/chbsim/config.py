@@ -19,7 +19,7 @@ from .stepper import StepperConfig, THETA_FORM, PRESSURE_FORM
 INIT_PRESETS = ("constant", "interface", "spinodal-noise")
 SOURCE_PRESETS = ("zero", "fluid_gaussian", "phase_gaussian", "body_constant")
 
-# key -> (type tag, default).  Type tags: int, float, bool, str.
+# key -> (type tag, default).  Type tags: int, float, str.
 _SCHEMA = {
     "grid.nx": ("int", 32),
     "grid.ny": ("int", 32),
@@ -56,12 +56,10 @@ _SCHEMA = {
     "stepper.max_picard": ("int", 40),
     "stepper.shrink_factor": ("float", 0.5),
     "stepper.max_shrinks": ("int", 10),
-    # No solve reads tol_lin / max_lin.  They are kept only because
-    # bench/run_bench.py writes stepper.tol_lin into every config, and
-    # parse_config rejects unknown keys.
+    # No solve reads tol_lin.  It is kept only because bench/run_bench.py
+    # writes stepper.tol_lin into every config, and parse_config rejects
+    # unknown keys.
     "stepper.tol_lin": ("float", 1e-10),
-    "stepper.max_lin": ("int", 20000),
-    "stepper.refresh_linearization": ("bool", True),
     "stepper.formulation": ("str", THETA_FORM),
     "init.preset": ("str", "interface"),
     "init.phi0": ("float", 0.0),
@@ -113,12 +111,6 @@ def _convert(key, kind, raw):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if kind != "float":
             return raw
         value = float(raw)
@@ -160,9 +152,7 @@ class RunConfig:
             dt=d["stepper.dt"], t_end=d["stepper.t_end"],
             tol_picard=d["stepper.tol_picard"], max_picard=d["stepper.max_picard"],
             shrink_factor=d["stepper.shrink_factor"], max_shrinks=d["stepper.max_shrinks"],
-            tol_lin=d["stepper.tol_lin"], max_lin=d["stepper.max_lin"],
-            refresh_linearization=d["stepper.refresh_linearization"],
-            formulation=d["stepper.formulation"])
+            tol_lin=d["stepper.tol_lin"], formulation=d["stepper.formulation"])
 
     def initial_fields(self, grid):
         """Deterministic initial (phi, theta) from the preset."""
@@ -220,15 +210,10 @@ class RunConfig:
                               f"(choose from {SOURCE_PRESETS})")
         if d["output.stride"] < 1:
             raise ConfigError("output.stride must be >= 1")
-        if d["rho"] not in (0, 1):
-            raise ConfigError("rho must be 0 (quasi-static) or "
-                              "1 (visco-elastic)")
         return self
 
 
 def _format_value(kind, value):
-    if kind == "bool":
-        return "true" if value else "false"
     if kind == "float":
         return repr(float(value))
     return str(value)

@@ -42,10 +42,6 @@ def _blend_d(phi):
     return 0.5 / np.cosh(phi) ** 2
 
 
-def _blend_dd(phi):
-    return -np.tanh(phi) / np.cosh(phi) ** 2
-
-
 @dataclass(frozen=True)
 class MaterialModel:
     """Parameter bundle for one simulation; validates on construction."""

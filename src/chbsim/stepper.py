@@ -37,14 +37,17 @@ and each retry at a smaller dt refactors those that depend on dt.
 The regimes differ only in their iterate map: the quasi-static regime
 iterates in theta (or, with formulation = 'pressure', in the pressure
 p) and the visco regime in (phi, theta, u).  Each map is a generator of
-successive updates; picard_window runs the one attempt loop over it.
-The iteration residual is the weighted-L2 norm of the update of the
-map's unknowns; the contraction estimate rho is the median of
-successive residual ratios.  A window that fails to contract, or whose
-linear solve fails, is retried with dt scaled down by shrink_factor.
+successive updates.  picard_window freezes the operators at the phi0 of
+its own window and runs the one loop over the map: attempts at
+shrinking dt, each running the Picard iterates.  The iteration residual
+is the weighted-L2 norm of the update of the map's unknowns; the
+contraction estimate rho is the median of successive residual ratios.
+A window that fails to contract, or whose linear solve fails, is
+retried with dt scaled down by shrink_factor.
 """
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,13 +90,12 @@ class StepFailure(RuntimeError):
 class StepperConfig:
     """Window length, Picard and dt-shrink controls, formulation.
 
-    No solve reads tol_lin or max_lin: the window-frozen substeps are
-    sparse direct solves, and the displacement solves at the current
-    iterate run CG preconditioned with the window's factor to a fixed
-    internal tolerance.  The two fields, their config keys and their
-    validation are kept only because bench/run_bench.py writes
-    stepper.tol_lin into every config, and parse_config rejects unknown
-    keys.
+    No solve reads tol_lin: the window-frozen substeps are sparse direct
+    solves, and the displacement solves at the current iterate run CG
+    preconditioned with the window's factor to a fixed internal
+    tolerance.  The field, its config key and its validation are kept
+    only because bench/run_bench.py writes stepper.tol_lin into every
+    config, and parse_config rejects unknown keys.
     """
 
     dt: float = 1e-3
@@ -103,18 +105,19 @@ class StepperConfig:
     shrink_factor: float = 0.5
     max_shrinks: int = 10
     tol_lin: float = 1e-10
-    max_lin: int = 20000
-    refresh_linearization: bool = True
     formulation: str = THETA_FORM
 
     def __post_init__(self):
+        for name in ("dt", "t_end"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt must be positive and t_end nonnegative")
         if not (0 < self.shrink_factor < 1):
             raise ValueError("shrink_factor must lie in (0, 1)")
         if self.formulation not in (THETA_FORM, PRESSURE_FORM):
             raise ValueError(f"unknown formulation '{self.formulation}'")
-        for name, low in (("max_picard", 1), ("max_shrinks", 0), ("max_lin", 1)):
+        for name, low in (("max_picard", 1), ("max_shrinks", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("tol_picard", "tol_lin"):
@@ -128,7 +131,6 @@ class PicardReport:
     residual: float
     residuals: list
     rho: float
-    converged: bool
     dt_used: float
     shrinks: int
 
@@ -289,7 +291,7 @@ def linear_substep_u_visco(frozen, dt, u_n, f_u):
 # --- Picard windows -------------------------------------------------------
 
 
-def _theta_iterates(frozen, state, sources, dt, cfg):
+def _theta_iterates(frozen, state, sources, dt):
     """Quasi-static iterate map in the fluid content theta.
 
     The displacement is reconstructed at each new (phi, theta) and does
@@ -310,7 +312,7 @@ def _theta_iterates(frozen, state, sources, dt, cfg):
         yield (d_phi, d_theta), SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
-def _pressure_iterates(frozen, state, sources, dt, cfg):
+def _pressure_iterates(frozen, state, sources, dt):
     """Quasi-static iterate map in the pressure p.
 
     Independent route for cross-checking: displacement solves use the
@@ -348,7 +350,7 @@ def _pressure_iterates(frozen, state, sources, dt, cfg):
         yield (d_phi, d_p), SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
-def _visco_iterates(frozen, state, sources, dt, cfg):
+def _visco_iterates(frozen, state, sources, dt):
     """Kelvin-Voigt iterate map: phase, content and displacement all
     enter the residual."""
     grid, material = frozen.grid, frozen.material
@@ -367,22 +369,21 @@ def _visco_iterates(frozen, state, sources, dt, cfg):
         yield (d_phi, d_theta, d_u.ux, d_u.uy), SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
-def picard_window(grid, material, state, sources, cfg, frozen=None):
-    """Advance one window; returns (new_state, PicardReport, frozen).
+def picard_window(grid, material, state, sources, cfg):
+    """Advance one window; returns (new_state, PicardReport).
 
-    One attempt loop serves both regimes.  An iterate map (theta form,
-    pressure form or Kelvin-Voigt) is a generator over (frozen, state,
-    sources, dt, cfg) that yields each Picard iterate as (update,
+    The window freezes its operators at its own start phase field.  One
+    loop serves both regimes: each attempt runs an iterate map (theta
+    form, pressure form or Kelvin-Voigt), a generator over (frozen,
+    state, sources, dt) that yields each Picard iterate as (update,
     SimState): the update is the arrays d added to the unknowns that
     enter the residual, and the SimState is the new iterate.  An attempt
-    stops when the weighted-L2 norm of the update is at most tol_picard
-    times 1 + |phi| + |theta| of the start state (+ |u| in the visco
-    regime), or after max_picard iterates; _shrink_loop retries it at
-    smaller dt.
-
-    frozen carries the window linearization; pass the previous bundle
-    with cfg.refresh_linearization = False to keep the global frozen
-    operators of a paper-faithful fixed linearization.
+    succeeds when the weighted-L2 norm of the update is at most
+    tol_picard times 1 + |phi| + |theta| of the start state (+ |u| in
+    the visco regime).  It fails after max_picard iterates or on a
+    SolverFailure, and the window is then retried with dt scaled by
+    shrink_factor.  After max_shrinks retries, StepFailure carries every
+    PicardAttempt made.
     """
     if material.rho == 1:
         frozen_type, iterates = FrozenVisco, _visco_iterates
@@ -390,56 +391,32 @@ def picard_window(grid, material, state, sources, cfg, frozen=None):
         frozen_type, iterates = FrozenElastic, _pressure_iterates
     else:
         frozen_type, iterates = FrozenElastic, _theta_iterates
-    if frozen is None:
-        frozen = frozen_type(grid, material, state.phi)
+    frozen = frozen_type(grid, material, state.phi)
     w = frozen.w
     scale = 1.0 + np.sqrt(_wnorm2(w, state.phi)) + np.sqrt(_wnorm2(w, state.theta))
     if material.rho == 1:
         scale += np.sqrt(_wnorm2(w, state.u.ux) + _wnorm2(w, state.u.uy))
 
-    def attempt(dt, residuals):
-        stream = iterates(frozen, state, sources, dt, cfg)
-        for _ in range(cfg.max_picard):
-            update, new_state = next(stream)
-            delta = np.sqrt(sum(_wnorm2(w, d) for d in update))
-            residuals.append(delta)
-            if delta <= cfg.tol_picard * scale:
-                return new_state
-        return None
-
-    new_state, rep = _shrink_loop(cfg, state.t, attempt)
-    return new_state, rep, frozen
-
-
-def _shrink_loop(cfg, t, attempt_fn):
-    """Run attempt_fn(dt, residuals) from window start t, shrinking dt on
-    failure.
-
-    attempt_fn appends each Picard residual to residuals and returns the
-    new state, or None when Picard does not converge; a SolverFailure
-    also fails the attempt.  Every attempt is recorded, and StepFailure
-    carries them all.
-    """
     dt = cfg.dt
     attempts = []
     while True:
         attempt = PicardAttempt(dt, [])
         attempts.append(attempt)
+        residuals = attempt.residuals
         try:
-            new_state = attempt_fn(dt, attempt.residuals)
+            for update, new_state in islice(iterates(frozen, state, sources, dt),
+                                            cfg.max_picard):
+                residuals.append(np.sqrt(sum(_wnorm2(w, d) for d in update)))
+                if residuals[-1] <= cfg.tol_picard * scale:
+                    return new_state, PicardReport(
+                        iterations=len(residuals), residual=residuals[-1],
+                        residuals=residuals, rho=_median_ratio(residuals),
+                        dt_used=dt, shrinks=len(attempts) - 1)
         except SolverFailure as exc:
             attempt.error = str(exc)
-            new_state = None
-        if new_state is not None:
-            residuals = attempt.residuals
-            rep = PicardReport(
-                iterations=len(residuals), residual=residuals[-1] if residuals else 0.0,
-                residuals=residuals, rho=_median_ratio(residuals),
-                converged=True, dt_used=dt, shrinks=len(attempts) - 1)
-            return new_state, rep
         if len(attempts) > cfg.max_shrinks:
             raise StepFailure(
-                f"window at t = {t:.6g} failed after {cfg.max_shrinks} dt shrinks "
+                f"window at t = {state.t:.6g} failed after {cfg.max_shrinks} dt shrinks "
                 f"(dt tried: {', '.join(f'{a.dt:.6g}' for a in attempts)})", attempts)
         dt *= cfg.shrink_factor
 
@@ -447,22 +424,21 @@ def _shrink_loop(cfg, t, attempt_fn):
 # --- driver ---------------------------------------------------------------
 
 
-def initial_state(grid, material, phi, theta, sources=None, u_init="quasistatic"):
-    """Assemble a consistent initial state.
+def initial_state(grid, material, phi, theta, sources=None):
+    """Assemble the initial state at t = 0 from (phi, theta).
 
-    u_init = 'quasistatic' reconstructs the displacement from (phi,
-    theta); 'zero' starts from u = 0 (visco regime only).
+    The regime fixes the start displacement: the quasi-static regime
+    (rho = 0) reconstructs it from (phi, theta) and the sources, and the
+    Kelvin-Voigt regime (rho = 1) starts from rest, u = 0.
     """
     phi = np.asarray(phi, dtype=float).ravel()
     theta = np.asarray(theta, dtype=float).ravel()
-    sources = SourceSpec() if sources is None else sources
-    if u_init == "zero":
+    if material.rho == 1:
         u = VectorField2.zero(grid)
-    elif u_init == "quasistatic":
+    else:
+        sources = SourceSpec() if sources is None else sources
         problem = displacement_problem(grid, material, phi)
         u, _ = reconstruct_displacement(problem, material, theta, sources, 0.0)
-    else:
-        raise ValueError(f"unknown u_init '{u_init}'")
     return SimState(grid, phi, theta, u, 0.0)
 
 
@@ -476,14 +452,10 @@ def run_simulation(grid, material, cfg, state, sources=None, observer=None):
     sources = SourceSpec() if sources is None else sources
     states = [state]
     reports = []
-    frozen = None
     t = state.t
     while t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
         dt = min(cfg.dt, cfg.t_end - t)
-        wcfg = replace(cfg, dt=dt)
-        if cfg.refresh_linearization:
-            frozen = None
-        state, rep, frozen = picard_window(grid, material, state, sources, wcfg, frozen)
+        state, rep = picard_window(grid, material, state, sources, replace(cfg, dt=dt))
         t = state.t
         states.append(state)
         reports.append(rep)

@@ -116,8 +116,7 @@ def spinodal_runs():
         phi0 = 0.01 * rng.standard_normal(g.n_nodes)
         theta0 = np.zeros(g.n_nodes)
         cfg = StepperConfig(dt=1e-3, t_end=0.2, tol_picard=1e-6, tol_lin=1e-9)
-        st = initial_state(g, m, phi0, theta0, SourceSpec(),
-                           u_init=("quasistatic" if rho == 0 else "zero"))
+        st = initial_state(g, m, phi0, theta0, SourceSpec())
         t0 = time.time()
         states, reports = run_simulation(g, m, cfg, st, SourceSpec())
         out[rho] = (g, m, cfg, states, reports, time.time() - t0)
@@ -175,7 +174,7 @@ def test_criterion_07_contraction_trend():
             st = initial_state(g, m, phi0, theta0, SourceSpec())
             cfg = StepperConfig(dt=dt, t_end=dt, tol_picard=1e-9,
                                 max_picard=300)
-            _, rep, _ = picard_window(g, m, st, SourceSpec(), cfg)
+            _, rep = picard_window(g, m, st, SourceSpec(), cfg)
             assert rep.shrinks == 0
             rhos.append(rep.rho)
         if rhos[1] < rhos[0]:
@@ -267,8 +266,7 @@ def test_criterion_10_stationary_fixed_points():
                           mu_a=1.0, mu_b=1.0)
         phi = np.ones(g.n_nodes)
         theta = np.full(g.n_nodes, 0.5 if rho == 0 else 0.0)
-        st = initial_state(g, m, phi, theta, SourceSpec(),
-                           u_init=("quasistatic" if rho == 0 else "zero"))
+        st = initial_state(g, m, phi, theta, SourceSpec())
         cfg = StepperConfig(dt=1e-3, t_end=0.1, tol_picard=1e-11)
         rows = [diagnostics_row(g, m, st)]
         states, reports = run_simulation(

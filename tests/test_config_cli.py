@@ -40,7 +40,7 @@ def test_rejection_names_positivity_assumption():
 
 @pytest.mark.parametrize("setting", [
     "max_picard = 0", "max_shrinks = -1", "tol_picard = -1", "tol_picard = 0",
-    "tol_lin = 0", "max_lin = 0"])
+    "tol_lin = 0"])
 def test_out_of_range_stepper_setting_names_its_field(setting):
     with pytest.raises(ConfigError, match=setting.split()[0]):
         parse_config(f"stepper.{setting}")
@@ -62,6 +62,14 @@ def test_unknown_key_and_type_mismatch():
         parse_config("grid.nx = four")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config("grid.nx 4")
+
+
+@pytest.mark.parametrize("key", ["stepper.max_lin", "stepper.refresh_linearization"])
+def test_removed_stepper_key_is_rejected_naming_it(key):
+    """Neither key is a setting: a config that sets one is rejected by
+    name, not silently ignored."""
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1")
 
 
 def test_comments_and_overrides():
