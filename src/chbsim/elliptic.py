@@ -18,8 +18,9 @@ displacements vanishing on the Dirichlet nodes; at least one Dirichlet
 edge is required by the grid, which rules out rigid-body kernels.
 
 Each problem has one representation of its form: the sparse stiffness
-K = E' diag(w C) E on the free dofs, assembled once by
-stiffness_matrix().  apply() is its product, scattered back to nodal
+K = E' diag(weight) E on the free dofs, assembled by stiffness_matrix()
+from a map cached per grid shape and edge tags (see
+_stiffness_gram_map).  apply() is its product, scattered back to nodal
 arrays, and solve() factors or preconditions with it.  A problem
 without a reference computes the sparse LU of K on its first solve and
 caches it, so every later solve with the same frozen coefficients is a
@@ -36,18 +37,21 @@ entering as + sum w_k q_k (div w)_k (the weak form of -grad q), and edge
 tractions on the Neumann edges with boundary trapezoid quadrature.
 
 DirectSolver wraps a sparse LU for the time stepper's window-frozen
-systems; conjugate_gradient solves the one kind of system that is
-iterative, a problem with a reference, preconditioned by the
-reference's LU.  Both report failure the same way: SolverFailure.
+systems; conjugate_gradient solves the systems that are iterative, each
+preconditioned by the LU of a nearby system: a problem with a
+reference, and the time stepper's quasi-static content system, whose
+Schur complement is preconditioned by its fixed-stress approximation.
+Both report failure the same way: SolverFailure.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import NEUMANN, EDGES, VectorField2
+from .grid import NEUMANN, EDGES, OP_CACHE_SIZE, Grid, VectorField2
 
 
 class SolverFailure(RuntimeError):
@@ -78,22 +82,12 @@ class DirectSolver:
     A singular or failed factorization and a non-finite solution (from a
     non-finite matrix or right-hand side) raise SolverFailure, so callers
     handle a direct solve exactly like a failed CG solve.
-
-    quasi_definite=True is for symmetric matrices [[A, B], [B', -C]] with
-    A and C positive definite.  Every symmetric permutation of such a
-    matrix has an LDL' factorization, so the pivots can stay on the
-    diagonal of a minimum-degree ordering of A + A', which fills in far
-    less than the default ordering with partial pivoting.
     """
 
-    def __init__(self, matrix, quasi_definite=False):
+    def __init__(self, matrix):
         self.matrix = sp.csc_matrix(matrix)
-        opts = {}
-        if quasi_definite:
-            opts = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                        options=dict(SymmetricMode=True))
         try:
-            self._lu = spla.splu(self.matrix, **opts)
+            self._lu = spla.splu(self.matrix)
         except RuntimeError as exc:
             raise SolverFailure(f"sparse factorization failed: {exc}", []) from exc
 
@@ -111,14 +105,25 @@ class DirectSolver:
         return x, SolveReport(0, res, [res])
 
 
+def _require_positive(value, name, owner, it, history):
+    """Raise SolverFailure unless the CG inner product `name` is positive,
+    as it is when its owner (the operator for p'Ap, the preconditioner
+    for r'z) is SPD and every value is finite."""
+    if not value > 0.0:
+        reason = "non-finite value" if not np.isfinite(value) else f"{owner} not positive definite"
+        raise SolverFailure(f"{reason} ({name} = {value:.3e} at iter {it})", history)
+
+
 def conjugate_gradient(apply_a, b, precondition=None, tol=1e-10, maxiter=5000):
     """Preconditioned CG for SPD operators.
 
     Stops when ||r|| <= tol * ||b||, so b = 0 returns x = 0 at once.
     precondition maps a residual r to M^{-1} r for an SPD preconditioner
     M; None means no preconditioning.  Raises SolverFailure when maxiter
-    is exhausted, and at once on a non-finite right-hand side or a
-    curvature p'Ap that is not positive.
+    is exhausted, and at once on a non-finite right-hand side, a
+    curvature p'Ap or a preconditioned residual product r'z that is not
+    positive (the operator or the preconditioner is not SPD), or a
+    non-finite value in either.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
@@ -136,12 +141,11 @@ def conjugate_gradient(apply_a, b, precondition=None, tol=1e-10, maxiter=5000):
     p = z.copy()
     rz = float(np.dot(r, z))
     history = [bnorm]
+    _require_positive(rz, "r'z", "preconditioner", 0, history)
     for it in range(1, maxiter + 1):
         ap = apply_a(p)
         pap = float(np.dot(p, ap))
-        if not pap > 0.0:
-            raise SolverFailure(
-                f"operator not positive definite (p'Ap = {pap:.3e} at iter {it})", history)
+        _require_positive(pap, "p'Ap", "operator", it, history)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
@@ -151,6 +155,7 @@ def conjugate_gradient(apply_a, b, precondition=None, tol=1e-10, maxiter=5000):
             return x, SolveReport(it, res, history)
         z = precondition(r)
         rz_new = float(np.dot(r, z))
+        _require_positive(rz_new, "r'z", "preconditioner", it, history)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverFailure(
@@ -216,12 +221,16 @@ class EllipticProblem:
     # --- operator ---------------------------------------------------------
 
     def stiffness_matrix(self):
-        """K = E' diag(w C) E restricted to the free dofs (sparse, cached).
+        """K = E_f' diag(weight) E_f on the free dofs (sparse CSC, cached).
 
-        E is Grid.strain_op, with rows exx, eyy, the engineering shear
-        gxy = 2 exy and div = exx + eyy.  The isotropic energy density
-        C E:E = 2 mu (exx^2 + eyy^2) + mu gxy^2 + (lam + aug) div^2 is
-        diagonal in these rows, so K is one weighted Gram product.
+        E_f is Grid.strain_op restricted to the free dofs, with rows exx,
+        eyy, the engineering shear gxy = 2 exy and div = exx + eyy.  The
+        isotropic energy density C E:E = 2 mu (exx^2 + eyy^2) + mu gxy^2
+        + (lam + aug) div^2 is diagonal in these rows, so K is a weighted
+        Gram product, and its values are linear in the 4n row weights.
+        They are one sparse product T @ weight, stored in a fixed CSC
+        pattern; T and the pattern depend only on the grid and are
+        cached (_stiffness_gram_map).
         """
         if self._stiffness is None:
             phi, material = self.phi, self.material
@@ -233,9 +242,12 @@ class EllipticProblem:
             elif self.variant == AUGMENTED:
                 lam = lam + material.biot_alpha(phi)**2 * material.biot_modulus(phi)
             w = self._w
-            strain = self.grid.strain_op[:, self.free_dofs]
-            weight = sp.diags(np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w]))
-            self._stiffness = (strain.T @ weight @ strain).tocsc()
+            weight = np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w])
+            g = self.grid
+            gram, indices, indptr = _stiffness_gram_map(
+                g.nx, g.ny, g.lx, g.ly, tuple(g.edge_tags[e] for e in EDGES))
+            m = self.free_dofs.size
+            self._stiffness = sp.csc_matrix((gram @ weight, indices, indptr), shape=(m, m))
         return self._stiffness
 
     def apply(self, ux, uy):
@@ -324,6 +336,37 @@ class EllipticProblem:
         rx[~free] = 0.0
         ry[~free] = 0.0
         return rx, ry
+
+
+@functools.lru_cache(maxsize=OP_CACHE_SIZE)
+def _stiffness_gram_map(nx, ny, lx, ly, tags):
+    """(T, indices, indptr) of the stiffness on the free dofs of a grid.
+
+    K_ij = sum_r E_ri E_rj weight_r over the strain rows r of E_f (see
+    EllipticProblem.stiffness_matrix), so K's values in the CSC pattern
+    (indices, indptr) of every pair of entries sharing a strain row are
+    T @ weight, with T_(ij),r = E_ri E_rj.  The pattern keeps entries that
+    cancel for a particular weight, as exact or rounding-level zeros.
+    tags lists the edge tags in EDGES order; they fix the free dofs.
+    Cached per grid shape and tags; callers must not modify the arrays.
+    """
+    grid = Grid(nx, ny, lx, ly, dict(zip(EDGES, tags)))
+    free = ~grid.dirichlet_mask()
+    strain = grid.strain_op[:, np.flatnonzero(np.concatenate([free, free]))].tocsr()
+    m = strain.shape[1]
+    # every ordered pair (left, right) of stored entries within one row
+    per_row = np.diff(strain.indptr)
+    row = np.repeat(np.arange(strain.shape[0]), per_row)   # row of each stored entry
+    size = per_row[row]
+    left = np.repeat(np.arange(strain.nnz), size)
+    start = np.cumsum(size) - size                          # first pair of each entry
+    right = np.repeat(strain.indptr[row] - start, size) + np.arange(left.size)
+    i, j = strain.indices[left], strain.indices[right]
+    keys, position = np.unique(j.astype(np.int64) * m + i, return_inverse=True)
+    gram = sp.csr_matrix((strain.data[left] * strain.data[right], (position, row[left])),
+                         shape=(keys.size, strain.shape[0]))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
+    return gram, (keys % m).astype(np.int32), indptr.astype(np.int32)
 
 
 def solve_elasticity(problem, rhs):

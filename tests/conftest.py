@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.sparse as sp
 
 from chbsim.elliptic import AUGMENTED, VISCO
 from chbsim.grid import Grid, DIRICHLET, NEUMANN
@@ -78,25 +79,32 @@ def reference_neumann_laplacian(grid, f, coeff):
     return (out + outy).ravel()
 
 
+def reference_lame(problem):
+    """Nodal (lam, mu) of a displacement problem's stiffness from the
+    material laws at problem.phi: C(phi) times problem.scale, with
+    lam + alpha^2 M for the augmented variant, or C_nu(phi) + shift *
+    C(phi) for the visco variant."""
+    m, phi = problem.material, problem.phi
+    lam, mu = m.lame(phi)
+    lam, mu = problem.scale * lam, problem.scale * mu
+    if problem.variant == AUGMENTED:
+        lam = lam + m.biot_alpha(phi) ** 2 * m.biot_modulus(phi)
+    elif problem.variant == VISCO:
+        lam_nu, mu_nu = m.lame_visco(phi)
+        lam, mu = lam_nu + problem.shift * lam, mu_nu + problem.shift * mu
+    return lam, mu
+
+
 def reference_stiffness_apply(problem, ux, uy):
     """Independent matrix-free product of a displacement problem's stiffness.
 
     Strain -> pointwise stress -> adjoint strain with the grid's
-    derivative operators, the coefficients taken from the material laws
-    at problem.phi: C(phi) times problem.scale, plus alpha^2 M (div)(div)
-    for the augmented variant, or C_nu(phi) + shift * C(phi) for the
-    visco variant.  Dirichlet entries of the input are ignored and those
-    of the output zeroed.
+    derivative operators, the coefficients from reference_lame.
+    Dirichlet entries of the input are ignored and those of the output
+    zeroed.
     """
-    g, m, phi = problem.grid, problem.material, problem.phi
-    lam, mu = m.lame(phi)
-    lam, mu = problem.scale * lam, problem.scale * mu
-    aug = 0.0
-    if problem.variant == AUGMENTED:
-        aug = m.biot_alpha(phi) ** 2 * m.biot_modulus(phi)
-    elif problem.variant == VISCO:
-        lam_nu, mu_nu = m.lame_visco(phi)
-        lam, mu = lam_nu + problem.shift * lam, mu_nu + problem.shift * mu
+    g = problem.grid
+    lam, mu = reference_lame(problem)
     free = ~g.dirichlet_mask()
     ux = np.where(free, ux, 0.0)
     uy = np.where(free, uy, 0.0)
@@ -104,8 +112,8 @@ def reference_stiffness_apply(problem, ux, uy):
     eyy = g.dy_op @ uy
     exy = 0.5 * (g.dy_op @ ux + g.dx_op @ uy)
     tr = exx + eyy
-    sxx = 2.0 * mu * exx + (lam + aug) * tr
-    syy = 2.0 * mu * eyy + (lam + aug) * tr
+    sxx = 2.0 * mu * exx + lam * tr
+    syy = 2.0 * mu * eyy + lam * tr
     sxy = 2.0 * mu * exy
     w = g.quad_weights()
     outx = g.dx_op.T @ (w * sxx) + g.dy_op.T @ (w * sxy)
@@ -127,3 +135,15 @@ def dense_reference_stiffness(problem):
         mat[:n, j] = kx
         mat[n:, j] = ky
     return mat
+
+
+def reference_gram_stiffness(problem):
+    """The stiffness on the free dofs as the weighted Gram product
+    E_f' diag(weight) E_f of the strain rows, formed directly, with the
+    coefficients from reference_lame."""
+    g = problem.grid
+    lam, mu = reference_lame(problem)
+    w = g.quad_weights()
+    strain_f = g.strain_op[:, problem.free_dofs]
+    weight = sp.diags(np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w]))
+    return (strain_f.T @ weight @ strain_f).tocsc()

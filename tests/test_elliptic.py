@@ -4,12 +4,13 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver,
-                             EllipticProblem, SolverFailure, conjugate_gradient,
-                             solve_elasticity)
-from chbsim.grid import VectorField2, flux_stiffness_matrix
+                             EllipticProblem, SolverFailure, _stiffness_gram_map,
+                             conjugate_gradient, solve_elasticity)
+from chbsim.grid import DIRICHLET, NEUMANN, OP_CACHE_SIZE, VectorField2, flux_stiffness_matrix
 from chbsim.oracle import densify
 from conftest import (FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
-                      make_material, reference_stiffness_apply, smooth_phi)
+                      make_material, reference_gram_stiffness, reference_stiffness_apply,
+                      smooth_phi)
 
 
 def test_cg_identity_and_zero_rhs():
@@ -41,6 +42,24 @@ def test_cg_failure_reports_residuals():
         conjugate_gradient(lambda v: a @ v, rng.standard_normal(40),
                            tol=1e-14, maxiter=3)
     assert len(exc.value.residuals) > 0
+
+
+def test_cg_rejects_what_is_not_spd_or_not_finite():
+    """CG raises at the first inner product that an SPD operator and an
+    SPD preconditioner with finite values keep positive: r'z for a
+    negated preconditioner, p'Ap for a negated operator, and either one
+    once a value is non-finite."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((20, 20))
+    a = a @ a.T + 20 * np.eye(20)
+    b = rng.standard_normal(20)
+    cases = [(lambda v: a @ v, lambda r: -r, "preconditioner not positive definite"),
+             (lambda v: -(a @ v), None, "operator not positive definite"),
+             (lambda v: np.full_like(v, np.nan), None, "non-finite value")]
+    for apply_a, precondition, message in cases:
+        with pytest.raises(SolverFailure, match=message) as exc:
+            conjugate_gradient(apply_a, b, precondition=precondition, maxiter=10**9)
+        assert len(exc.value.residuals) == 1
 
 
 def test_scalar_helmholtz_keeps_constants():
@@ -108,6 +127,50 @@ def test_assembled_stiffness_matches_matrix_free_apply(variant, shift, tags):
     got_kv = np.concatenate(prob.apply(v[:n], v[n:]))
     want_kv = np.concatenate(reference_stiffness_apply(prob, v[:n], v[n:]))
     assert np.max(np.abs(got_kv - want_kv)) <= 1e-12 * np.max(np.abs(want_kv))
+
+
+@settings(deadline=None, max_examples=40)
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12),
+       variant=st.sampled_from([(PLAIN, 0.0), (AUGMENTED, 0.0), (VISCO, 0.3)]),
+       mixed=st.booleans(), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_cached_gram_stiffness_matches_the_gram_product(nx, ny, variant, mixed, uniform,
+                                                        seed):
+    """The stiffness assembled through the cached Gram map matches the
+    weighted Gram product E_f' diag(weight) E_f formed directly, to
+    round-off; its pattern may add to the product's only entries that
+    are exact zeros (a uniform phase makes some entries cancel)."""
+    g = make_grid(nx, ny, tags=MIXED if mixed else FULL_DIRICHLET)
+    m = make_material(rho=1)
+    rng = np.random.default_rng(seed)
+    phi = np.full(g.n_nodes, rng.uniform(-1, 1)) if uniform else smooth_phi(g, rng)
+    prob = EllipticProblem(g, m, phi, variant=variant[0], scale=2.0, shift=variant[1])
+    got = prob.stiffness_matrix()
+    want = reference_gram_stiffness(prob)
+    assert got.shape == want.shape
+    assert abs(got - want).max() <= 1e-14 * abs(want).max()
+    stored = np.zeros(got.shape, dtype=bool)
+    stored[want.nonzero()] = True
+    assert np.all(got.toarray()[~stored] == 0.0)
+
+
+def test_gram_map_cache_is_bounded_and_keyed_by_edge_tags():
+    """Two grids of one shape whose clamped edges differ get their own
+    map, each matching its own Gram product; the cache holds at most
+    OP_CACHE_SIZE grids."""
+    m = make_material()
+    tags = [{e: NEUMANN for e in ("left", "right", "bottom", "top")} for _ in range(2)]
+    tags[0]["left"] = tags[1]["right"] = DIRICHLET
+    _stiffness_gram_map.cache_clear()
+    for t in tags:
+        g = make_grid(6, 7, tags=t)
+        prob = EllipticProblem(g, m, smooth_phi(g, np.random.default_rng(0)))
+        want = reference_gram_stiffness(prob)
+        assert abs(prob.stiffness_matrix() - want).max() <= 1e-14 * abs(want).max()
+    assert _stiffness_gram_map.cache_info().currsize == 2
+    for n in range(4, 6 + OP_CACHE_SIZE):
+        g = make_grid(n, tags=MIXED)
+        EllipticProblem(g, m, np.zeros(g.n_nodes)).stiffness_matrix()
+    assert _stiffness_gram_map.cache_info().currsize == OP_CACHE_SIZE
 
 
 @settings(deadline=None, max_examples=40)

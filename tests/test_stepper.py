@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import chbsim.biot as biot
 from chbsim.biot import STIFFNESS_SCALE, apply_B_tilde, apply_fluid_operator
@@ -110,18 +110,49 @@ def _dense(apply, n):
     return np.column_stack([apply(e) for e in np.eye(n)])
 
 
+# Endpoint values (s = 0, s = 1 of the phase blend) of the material laws
+# the quasi-static content solve depends on: Lame parameters, Biot
+# coupling and modulus, permeability.
+MATERIAL_ENDPOINTS = st.fixed_dictionaries({
+    "lam": st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    "mu": st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    "alpha": st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    "modulus": st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    "kappa": st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+})
+
+
+def _material_from_endpoints(ends):
+    """Quasi-static material with the given endpoint values, and its
+    largest coupling strength alpha^2 M / K_dr, K_dr = 2 (lam + mu)."""
+    (lam_a, lam_b), (mu_a, mu_b) = ends["lam"], ends["mu"]
+    (a_a, a_b), (m_a, m_b), (k_a, k_b) = ends["alpha"], ends["modulus"], ends["kappa"]
+    material = make_material(lam_a=lam_a, lam_b=lam_b, mu_a=mu_a, mu_b=mu_b,
+                             a0=a_a, a1=a_b - a_a, M0=m_a, M1=m_b - m_a,
+                             k0=min(k_a, k_b), k1=abs(k_b - k_a))
+    k_drained = STIFFNESS_SCALE * (min(lam_a, lam_b) + min(mu_a, mu_b))
+    return material, max(a_a, a_b)**2 * max(m_a, m_b) / k_drained
+
+
 @pytest.mark.parametrize("unknown", ["theta", "q"])
 @settings(deadline=None, max_examples=25)
 @given(nx=st.integers(4, 12), ny=st.integers(4, 12), mixed=st.booleans(),
-       dt=st.sampled_from([1e-4, 1e-3, 1e-2]), seed=st.integers(0, 2**32 - 1))
-def test_quasi_static_content_solve_matches_dense_solve(unknown, nx, ny, mixed, dt, seed):
+       dt=st.sampled_from([1e-4, 1e-3, 1e-2]), ends=MATERIAL_ENDPOINTS,
+       seed=st.integers(0, 2**32 - 1))
+def test_quasi_static_content_solve_matches_dense_solve(unknown, nx, ny, mixed, dt, ends,
+                                                        seed):
     """Both quasi-static content solves match a dense solve built from the
     operators' columns, and keep the weighted mean of r:
     linear_substep_theta_elastic solves (I + dt A(phi0)) theta = r, and
     _solve_conjugate_pressure solves (W B(phi0) + dt B_kappa) q = W r,
-    whose content B(phi0) q has the weighted mean of r."""
+    whose content B(phi0) q has the weighted mean of r.  The fixed-stress
+    PCG needs at most 12 iterations over materials whose coupling
+    strength alpha^2 M / K_dr is at most 0.5 (about 0.2 for the
+    spinodal material); the count grows with that strength (measured:
+    up to 12 at 1, 13-15 beyond), not with the grid."""
+    m, coupling = _material_from_endpoints(ends)
+    assume(coupling <= 0.5)
     g = make_grid(nx, ny, tags=MIXED if mixed else FULL_DIRICHLET)
-    m = make_material()
     rng = np.random.default_rng(seed)
     fr = FrozenElastic(g, m, smooth_phi(g, rng))
     n, w = g.n_nodes, g.quad_weights()
@@ -129,15 +160,33 @@ def test_quasi_static_content_solve_matches_dense_solve(unknown, nx, ny, mixed, 
     if unknown == "theta":
         a = _dense(lambda e: apply_fluid_operator(fr.ctx0, e), n)
         want = np.linalg.solve(np.eye(n) + dt * a, r)
-        got, _ = linear_substep_theta_elastic(fr, dt, r)
+        got, report = linear_substep_theta_elastic(fr, dt, r)
         content = got
     else:
         b_tilde = _dense(lambda e: apply_B_tilde(fr.ctx0, e), n)
         want = np.linalg.solve(w[:, None] * b_tilde + dt * fr.b_kappa.toarray(), w * r)
-        got, _ = _solve_conjugate_pressure(fr, dt, w * r)
+        got, report = _solve_conjugate_pressure(fr, dt, w * r)
         content = b_tilde @ got
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert abs(np.dot(w, content) - np.dot(w, r)) <= 1e-12 * max(1.0, abs(np.dot(w, r)))
+    assert report.iterations <= 12
+
+
+@pytest.mark.parametrize("tags", [MIXED, FULL_DIRICHLET], ids=["mixed", "clamped"])
+def test_content_pcg_iterations_do_not_grow_with_the_grid(tags):
+    """The fixed-stress preconditioner is spectrally equivalent to the
+    content Schur complement, so refining 16^2 to 64^2 adds at most two
+    PCG iterations at each dt."""
+    m = make_material()
+    counts = {}
+    for n in (16, 64):
+        g = make_grid(n, tags=tags)
+        rng = np.random.default_rng(17)
+        fr = FrozenElastic(g, m, smooth_phi(g, rng))
+        r = g.quad_weights() * rng.standard_normal(g.n_nodes)
+        counts[n] = [_solve_conjugate_pressure(fr, dt, r)[1].iterations
+                     for dt in (1e-4, 1e-3, 1e-2)]
+    assert all(fine <= coarse + 2 for coarse, fine in zip(counts[16], counts[64])), counts
 
 
 def test_u_visco_substep_trivial_and_continuity():
@@ -363,10 +412,12 @@ def test_non_finite_state_shrinks_then_fails_cleanly(rho, formulation):
 def test_window_factor_count_does_not_grow_with_iterations(rho, formulation, monkeypatch):
     """The solves at the current iterate are preconditioned by the phi0
     factors, so a window factors the phase operator, its content system
-    (the saddle for rho = 0, W + dt B_kappaM for rho = 1) and the
-    displacement problems at phi0 (augmented, plain in the pressure form,
-    or visco0 and the shifted visco problem): three matrices for rho = 0
-    and four for rho = 1, however many Picard iterates it runs."""
+    and the displacement problems at phi0, however many Picard iterates
+    it runs.  For rho = 0 the content solve factors the fixed-stress P
+    and the plain K0 that its CG applies; the theta form adds the
+    augmented problem (four matrices), and the pressure form's
+    displacement solves share the plain K0 (three).  For rho = 1 they are
+    W + dt B_kappaM, visco0 and the shifted visco problem (four)."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(13)
@@ -383,7 +434,7 @@ def test_window_factor_count_does_not_grow_with_iterations(rho, formulation, mon
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11, formulation=formulation)
     _, rep = picard_window(g, m, st, SourceSpec(), cfg)
     assert rep.shrinks == 0 and rep.iterations >= 4
-    assert len(created) == (4 if rho == 1 else 3)
+    assert len(created) == (3 if formulation == PRESSURE_FORM else 4)
 
 
 @pytest.mark.parametrize("rho", [0, 1])
@@ -419,6 +470,67 @@ def test_indefinite_iterate_solve_shrinks_dt(rho, monkeypatch):
         picard_window(g, m, st, SourceSpec(), cfg)
     assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
     assert all("not positive definite" in a.error for a in exc.value.attempts)
+
+
+class _NaNSolver:
+    """Stands in for a factor whose solves return non-finite values."""
+
+    def apply_inverse(self, b):
+        return np.full_like(b, np.nan)
+
+
+def _negate_operator(solver):
+    negated = solver.apply
+    solver.apply = lambda q: -negated(q)
+
+
+# Faults of a content PCG (ContentSchur): each trips one of CG's checks
+# at its first iteration.
+CONTENT_FAULTS = {
+    "negated-P": (lambda s: setattr(s, "precond", DirectSolver(-s.precond.matrix)),
+                  "preconditioner not positive definite"),
+    "negated-S": (_negate_operator, "operator not positive definite"),
+    "non-finite": (lambda s: setattr(s, "k0", _NaNSolver()), "non-finite value"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONTENT_FAULTS))
+def test_failed_content_pcg_shrinks_dt(fault, monkeypatch):
+    """A quasi-static content PCG that meets a preconditioner or an
+    operator that is not positive definite, or a non-finite value, fails
+    its attempt at once like a failed factorization: dt shrinks, and the
+    attempt records the CG message."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(eps=0.3)
+    rng = np.random.default_rng(14)
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
+    inject, message = CONTENT_FAULTS[fault]
+    original = FrozenElastic.content_solver
+
+    def faulty(limit):
+        broken = []
+
+        def content_solver(self, dt):
+            solver = original(self, dt)
+            if len(broken) < limit and not any(s is solver for s in broken):
+                broken.append(solver)
+                inject(solver)
+            return solver
+        return content_solver
+
+    monkeypatch.setattr(FrozenElastic, "content_solver", faulty(1))
+    new_state, rep = picard_window(g, m, st, SourceSpec(), cfg)
+    assert rep.shrinks == 1 and rep.dt_used == 5e-4
+    assert new_state.t == pytest.approx(st.t + 5e-4)
+
+    monkeypatch.setattr(FrozenElastic, "content_solver", faulty(10**6))
+    with pytest.raises(StepFailure) as exc:
+        picard_window(g, m, st, SourceSpec(), cfg)
+    assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
+    for a in exc.value.attempts:
+        assert message in a.error and a.residuals == []
 
 
 def test_run_simulation_window_count_and_observer():
