@@ -26,7 +26,7 @@ without a reference computes the sparse LU of K on its first solve and
 caches it, so every later solve with the same frozen coefficients is a
 pair of triangular solves.  A problem given a
 reference problem (same grid and variant, typically frozen at the
-window-start phase) factors nothing: it solves K x = b by CG
+start phase of a recent window) factors nothing: it solves K x = b by CG
 preconditioned with the reference's cached LU.  The two stiffnesses
 differ by O(|phi - phi_ref|), so a few iterations reach the fixed
 relative tolerance REFERENCE_CG_TOL.
@@ -212,9 +212,7 @@ class EllipticProblem:
         self.phi = np.array(self.phi, dtype=float).ravel()
         if self.phi.size != self.grid.n_nodes:
             raise ValueError("phase field length does not match grid")
-        self._w = self.grid.quad_weights()
-        self._free = ~self.grid.dirichlet_mask()
-        self.free_dofs = np.flatnonzero(np.concatenate([self._free, self._free]))
+        self._w, self._free, self.free_dofs = _free_layout(*_grid_key(self.grid))
         self._stiffness = None
         self._solver = None
 
@@ -243,9 +241,7 @@ class EllipticProblem:
                 lam = lam + material.biot_alpha(phi)**2 * material.biot_modulus(phi)
             w = self._w
             weight = np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w])
-            g = self.grid
-            gram, indices, indptr = _stiffness_gram_map(
-                g.nx, g.ny, g.lx, g.ly, tuple(g.edge_tags[e] for e in EDGES))
+            gram, indices, indptr = _stiffness_gram_map(*_grid_key(self.grid))
             m = self.free_dofs.size
             self._stiffness = sp.csc_matrix((gram @ weight, indices, indptr), shape=(m, m))
         return self._stiffness
@@ -338,6 +334,28 @@ class EllipticProblem:
         return rx, ry
 
 
+def _grid_key(grid):
+    """Cache key of a grid's displacement layout: shape, lengths and the
+    edge tags in EDGES order (which fix the free dofs)."""
+    return grid.nx, grid.ny, grid.lx, grid.ly, tuple(grid.edge_tags[e] for e in EDGES)
+
+
+@functools.lru_cache(maxsize=OP_CACHE_SIZE)
+def _free_layout(nx, ny, lx, ly, tags):
+    """(quadrature weights, free-node mask, free dofs of the stacked
+    (ux, uy)) of a grid's displacement problems.
+
+    Every problem on one grid shares them, so they are computed once per
+    key (see _grid_key) and returned read-only.
+    """
+    grid = Grid(nx, ny, lx, ly, dict(zip(EDGES, tags)))
+    free = ~grid.dirichlet_mask()
+    layout = grid.quad_weights(), free, np.flatnonzero(np.concatenate([free, free]))
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 @functools.lru_cache(maxsize=OP_CACHE_SIZE)
 def _stiffness_gram_map(nx, ny, lx, ly, tags):
     """(T, indices, indptr) of the stiffness on the free dofs of a grid.
@@ -351,8 +369,7 @@ def _stiffness_gram_map(nx, ny, lx, ly, tags):
     Cached per grid shape and tags; callers must not modify the arrays.
     """
     grid = Grid(nx, ny, lx, ly, dict(zip(EDGES, tags)))
-    free = ~grid.dirichlet_mask()
-    strain = grid.strain_op[:, np.flatnonzero(np.concatenate([free, free]))].tocsr()
+    strain = grid.strain_op[:, _free_layout(nx, ny, lx, ly, tags)[2]].tocsr()
     m = strain.shape[1]
     # every ordered pair (left, right) of stored entries within one row
     per_row = np.diff(strain.indptr)

@@ -1,7 +1,7 @@
 """Derived fields and the physical tendencies of the fixed-point map.
 
-The time integrator freezes the coefficient operators at the phase
-field of the window start (phi0).  The implicit-Euler window is the
+The time integrator freezes the coefficient operators at the start
+phase field phi0 of a recent window.  The implicit-Euler window is the
 fixed point x = x_n + dt N(x); the frozen operator L(phi0) only makes
 the Picard map contract, and appears only in the stepper's solves (see
 chbsim.stepper).  The N components are assembled here directly from the
@@ -152,9 +152,9 @@ def stress(grid, material, phi, theta, u, strain_rate=None):
 def displacement_problem(grid, material, phi, reference=None):
     """Augmented quasi-static displacement problem at phase phi.
 
-    reference is passed to EllipticProblem: with the window's augmented
-    problem at phi0, the solve is preconditioned CG instead of a new
-    factorization.
+    reference is passed to EllipticProblem: with the stepper's frozen
+    augmented problem at phi0, the solve is preconditioned CG instead of
+    a new factorization.
     """
     return EllipticProblem(grid, material, phi, variant=AUGMENTED, scale=STIFFNESS_SCALE,
                            reference=reference)
@@ -246,7 +246,7 @@ def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
 
     # displacement velocity: Knu(phi) E(udot) balances f, g and the rest
     # stress sigma_rest (sigma without its viscous part); at phi = phi0
-    # Knu is the window's visco0, solved with its factor, and at any
+    # Knu is the bundle's visco0, solved with its factor, and at any
     # other phi by CG preconditioned with that factor
     sigma_rest = stress(grid, material, phi, theta, u)
     if np.array_equal(phi, ctx_ops.phi0):

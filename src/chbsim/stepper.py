@@ -2,9 +2,10 @@
 
 Each implicit-Euler window of length dt solves the fixed-point equation
 x = x_n + dt N(x), where N collects the physical tendencies from
-chbsim.rhs.  The operators L(phi0), frozen at the window-start phase
-field phi0, only make the Picard map contract.  The map is written in
-update form: each iterate solves for its update d and adds it,
+chbsim.rhs.  The operators L(phi0), frozen at the start phase field
+phi0 of this or an earlier window, only make the Picard map contract.
+The map is written in update form: each iterate solves for its update
+d and adds it,
 
     d = (I + dt L(phi0))^{-1} ( x_n - x_k + dt N(x_k) ),   x_{k+1} = x_k + d,
 
@@ -22,33 +23,46 @@ applying L to any iterate.  The linear substeps are:
               visco regime (displacement is reconstructed, not evolved,
               in the quasi-static regime)
 
-Because the operators are frozen, every matrix that is constant over a
-window is factored once per (window, dt) by a sparse direct solver and
-reused by every Picard iterate: the phase operator, the content system
-(quasi-static: its fixed-stress preconditioner P and the plain
-stiffness K0 that each product with its Schur complement solves with;
-visco: the content matrix itself) and the window-start elasticity
-problems.  Displacement problems at the current iterate phi_k (the
-quasi-static reconstruction, the pressure form's displacement and the
-visco u-dot problem) differ from their phi0 counterparts by
-O(|phi_k - phi0|); they are solved by CG preconditioned with the phi0
-factor, to the fixed relative tolerance elliptic.REFERENCE_CG_TOL, and
-never factored.  A window therefore factors four matrices: phase, P,
-K0 and the augmented problem in the quasi-static theta form (three in
-the pressure form, whose displacement solves share K0), and phase,
-content, visco0 and the shifted visco problem in the visco regime.
-Each retry at a smaller dt refactors those that depend on dt.
+The operators are frozen in a bundle (FrozenElastic, FrozenVisco) at
+the phase field of the window that builds it.  Every matrix that is
+constant over a bundle is factored once per (bundle, dt) by a sparse
+direct solver and reused by every Picard iterate: the phase operator,
+the content system (quasi-static: its fixed-stress preconditioner P and
+the plain stiffness K0 that each product with its Schur complement
+solves with; visco: the content matrix itself) and the frozen
+elasticity problems.  Displacement problems at the current iterate
+phi_k (the quasi-static reconstruction, the pressure form's
+displacement and the visco u-dot problem) differ from their frozen
+counterparts by O(|phi_k - phi0|); they are solved by CG preconditioned
+with the frozen factor, to the fixed relative tolerance
+elliptic.REFERENCE_CG_TOL, and never factored.  A bundle therefore
+factors four matrices per dt: phase, P, K0 and the augmented problem in
+the quasi-static theta form (three in the pressure form, whose
+displacement solves share K0), and phase, content, visco0 and the
+shifted visco problem in the visco regime.
+
+Since N carries every nonlinearity, L(phi0) sets only the rate of
+contraction, not the fixed point, so a bundle frozen at an earlier
+window's phase reaches the same state (the chord method: Kelley,
+Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+ch. 5).  run_simulation therefore lets one bundle serve up to
+BUNDLE_WINDOWS windows, and rebuilds it at the current window's phase
+sooner when a window needs more Picard iterates than the bundle's first
+one did, or when an attempt on it fails (see Linearization), the way
+CVODE refreshes its Newton matrix (Hindmarsh et al., ACM TOMS 31,
+2005).  A bundle keeps the factors of one dt: a retry at a smaller dt
+replaces those that depend on dt.
 
 The regimes differ only in their iterate map: the quasi-static regime
 iterates in theta (or, with formulation = 'pressure', in the pressure
 p) and the visco regime in (phi, theta, u).  Each map is a generator of
-successive updates.  picard_window freezes the operators at the phi0 of
-its own window and runs the one loop over the map: attempts at
-shrinking dt, each running the Picard iterates.  The iteration residual
-is the weighted-L2 norm of the update of the map's unknowns; the
-contraction estimate rho is the median of successive residual ratios.
-A window that fails to contract, or whose linear solve fails, is
-retried with dt scaled down by shrink_factor.
+successive updates.  picard_window runs the one loop over the map:
+attempts at shrinking dt, each running the Picard iterates.  The
+iteration residual is the weighted-L2 norm of the update of the map's
+unknowns; the contraction estimate rho is the median of successive
+residual ratios.  A window that fails to contract, or whose linear
+solve fails, is retried with dt scaled down by shrink_factor, on a
+bundle rebuilt at its own phase if the failed attempt's was stale.
 """
 
 from dataclasses import dataclass, replace
@@ -73,11 +87,14 @@ PRESSURE_FORM = "pressure"
 class PicardAttempt:
     """One try at a window: its dt, the Picard residuals it computed, and
     the SolverFailure message that ended it (None when Picard did not
-    converge in max_picard iterations, or when it succeeded)."""
+    converge in max_picard iterations, or when it succeeded).  fresh says
+    whether the attempt's bundle was built at the window's own phi; a
+    stale one was built at the phi of an earlier window."""
 
     dt: float
     residuals: list
     error: str = None
+    fresh: bool = True
 
 
 class StepFailure(RuntimeError):
@@ -95,9 +112,9 @@ class StepFailure(RuntimeError):
 class StepperConfig:
     """Window length, Picard and dt-shrink controls, formulation.
 
-    No solve reads tol_lin: the window-frozen substeps are sparse direct
+    No solve reads tol_lin: the frozen substeps are sparse direct
     solves, and the displacement solves at the current iterate run CG
-    preconditioned with the window's factor to a fixed internal
+    preconditioned with the bundle's factor to a fixed internal
     tolerance.  The field, its config key and its validation are kept
     only because bench/run_bench.py writes stepper.tol_lin into every
     config, and parse_config rejects unknown keys.
@@ -196,8 +213,8 @@ class ContentSchur:
 
 @dataclass
 class _FrozenPhase:
-    """Window-frozen data shared by both regimes, with the phase solver
-    and the window's one solver cache, keyed by (role, dt)."""
+    """Frozen data shared by both regimes, with the phase solver and the
+    bundle's one solver cache, keyed by (role, dt)."""
 
     grid: object
     material: object
@@ -211,8 +228,14 @@ class _FrozenPhase:
         self._solvers = {}
 
     def _cached(self, role, dt, build):
-        """The window's solver for (role, dt); build() makes it on first use."""
+        """The bundle's solver for (role, dt); build() makes it on first use.
+
+        Building one for a new dt first drops the solvers of every other
+        dt, so a bundle that serves many windows and retries holds the
+        factors of one dt at a time.
+        """
         if (role, dt) not in self._solvers:
+            self._solvers = {key: s for key, s in self._solvers.items() if key[1] == dt}
             self._solvers[role, dt] = build()
         return self._solvers[role, dt]
 
@@ -246,7 +269,7 @@ class FrozenElastic(_FrozenPhase):
         restricted to the free displacement dofs.  Eliminating v gives
         back W B(phi0) + dt B_kappa as the SPD Schur complement
         Z + G_f K0_f^{-1} G_f', which ContentSchur solves by CG with the
-        window's plain K0 factor, preconditioned by the fixed-stress P.
+        bundle's plain K0 factor, preconditioned by the fixed-stress P.
         """
         def build():
             n = self.grid.n_nodes
@@ -334,6 +357,43 @@ def linear_substep_u_visco(frozen, dt, u_n, f_u):
 # --- Picard windows -------------------------------------------------------
 
 
+# Most windows one bundle serves before it is rebuilt.  On the criterion
+# 05 runs (200 windows at 32^2), 5 factors 4.7 times less than a bundle
+# per window, for 0.2-0.4 % more Picard iterates; 20 saves another 8-13 %
+# of the run time there but takes up to 1.3 % more iterates.
+BUNDLE_WINDOWS = 5
+
+
+@dataclass
+class Linearization:
+    """The frozen bundle that successive windows of one run share.
+
+    A window that has no bundle of its regime builds one at its own phi.
+    The bundle is dropped, so that the next window builds a fresh one,
+    after it has served BUNDLE_WINDOWS windows or after a window that
+    needed more Picard iterates than its first one.  A failed attempt on
+    a stale bundle also rebuilds it (see picard_window).
+    """
+
+    frozen: _FrozenPhase = None
+    windows: int = 0            # windows accepted on the bundle
+    first_iterations: int = 0   # Picard iterates of the first of them
+
+    def refresh(self, frozen_type, grid, material, phi):
+        # free a stale bundle's factors before the new bundle makes its own
+        self.frozen = None
+        self.frozen = frozen_type(grid, material, phi)
+        self.windows = 0
+
+    def record(self, iterations):
+        """Count one accepted window that took `iterations` Picard iterates."""
+        if self.windows == 0:
+            self.first_iterations = iterations
+        self.windows += 1
+        if self.windows >= BUNDLE_WINDOWS or iterations > self.first_iterations:
+            self.frozen = None
+
+
 def _theta_iterates(frozen, state, sources, dt):
     """Quasi-static iterate map in the fluid content theta.
 
@@ -412,21 +472,26 @@ def _visco_iterates(frozen, state, sources, dt):
         yield (d_phi, d_theta, d_u.ux, d_u.uy), SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
-def picard_window(grid, material, state, sources, cfg):
+def picard_window(grid, material, state, sources, cfg, linearization=None):
     """Advance one window; returns (new_state, PicardReport).
 
-    The window freezes its operators at its own start phase field.  One
-    loop serves both regimes: each attempt runs an iterate map (theta
-    form, pressure form or Kelvin-Voigt), a generator over (frozen,
-    state, sources, dt) that yields each Picard iterate as (update,
-    SimState): the update is the arrays d added to the unknowns that
-    enter the residual, and the SimState is the new iterate.  An attempt
-    succeeds when the weighted-L2 norm of the update is at most
-    tol_picard times 1 + |phi| + |theta| of the start state (+ |u| in
-    the visco regime).  It fails after max_picard iterates or on a
-    SolverFailure, and the window is then retried with dt scaled by
-    shrink_factor.  After max_shrinks retries, StepFailure carries every
-    PicardAttempt made.
+    linearization is the Linearization that the windows of a run share;
+    None builds a fresh bundle at the window's start phase field, which
+    is then used by this window alone.  Given one, the window reuses its
+    bundle if it has one for the window's regime, and records its
+    iterate count in it (see Linearization).  One loop serves both
+    regimes: each attempt runs an iterate map (theta form, pressure form
+    or Kelvin-Voigt), a generator over (frozen, state, sources, dt) that
+    yields each Picard iterate as (update, SimState): the update is the
+    arrays d added to the unknowns that enter the residual, and the
+    SimState is the new iterate.  An attempt succeeds when the weighted-L2 norm of the
+    update is at most tol_picard times 1 + |phi| + |theta| of the start
+    state (+ |u| in the visco regime).  It fails after max_picard
+    iterates or on a SolverFailure, and the window is then retried with
+    dt scaled by shrink_factor, on a bundle rebuilt at the window's phi
+    if the failed one was stale.  After max_shrinks retries, StepFailure
+    carries every PicardAttempt made, and its message marks the stale
+    ones.
     """
     if material.rho == 1:
         frozen_type, iterates = FrozenVisco, _visco_iterates
@@ -434,8 +499,12 @@ def picard_window(grid, material, state, sources, cfg):
         frozen_type, iterates = FrozenElastic, _pressure_iterates
     else:
         frozen_type, iterates = FrozenElastic, _theta_iterates
-    frozen = frozen_type(grid, material, state.phi)
-    w = frozen.w
+    if linearization is None:
+        linearization = Linearization()
+    fresh = not isinstance(linearization.frozen, frozen_type)
+    if fresh:
+        linearization.refresh(frozen_type, grid, material, state.phi)
+    w = linearization.frozen.w
     scale = 1.0 + np.sqrt(_wnorm2(w, state.phi)) + np.sqrt(_wnorm2(w, state.theta))
     if material.rho == 1:
         scale += np.sqrt(_wnorm2(w, state.u.ux) + _wnorm2(w, state.u.uy))
@@ -443,14 +512,15 @@ def picard_window(grid, material, state, sources, cfg):
     dt = cfg.dt
     attempts = []
     while True:
-        attempt = PicardAttempt(dt, [])
+        attempt = PicardAttempt(dt, [], fresh=fresh)
         attempts.append(attempt)
         residuals = attempt.residuals
         try:
-            for update, new_state in islice(iterates(frozen, state, sources, dt),
+            for update, new_state in islice(iterates(linearization.frozen, state, sources, dt),
                                             cfg.max_picard):
                 residuals.append(np.sqrt(sum(_wnorm2(w, d) for d in update)))
                 if residuals[-1] <= cfg.tol_picard * scale:
+                    linearization.record(len(residuals))
                     return new_state, PicardReport(
                         iterations=len(residuals), residual=residuals[-1],
                         residuals=residuals, rho=_median_ratio(residuals),
@@ -458,9 +528,13 @@ def picard_window(grid, material, state, sources, cfg):
         except SolverFailure as exc:
             attempt.error = str(exc)
         if len(attempts) > cfg.max_shrinks:
-            raise StepFailure(
-                f"window at t = {state.t:.6g} failed after {cfg.max_shrinks} dt shrinks "
-                f"(dt tried: {', '.join(f'{a.dt:.6g}' for a in attempts)})", attempts)
+            tried = ", ".join(f"{a.dt:.6g}" + ("" if a.fresh else " (stale bundle)")
+                              for a in attempts)
+            raise StepFailure(f"window at t = {state.t:.6g} failed after {cfg.max_shrinks} "
+                              f"dt shrinks (dt tried: {tried})", attempts)
+        if not fresh:
+            linearization.refresh(frozen_type, grid, material, state.phi)
+            fresh = True
         dt *= cfg.shrink_factor
 
 
@@ -489,16 +563,24 @@ def run_simulation(grid, material, cfg, state, sources=None, observer=None):
     """March windows until t_end; returns (states, reports).
 
     states[0] is the initial state; one entry is appended per accepted
-    window.  observer(state, report), when given, is called after each
+    window.  The windows share one Linearization, so a frozen bundle
+    serves up to BUNDLE_WINDOWS of them.  Each window runs at cfg.dt,
+    the last one at the remainder t_end - t when that is shorter by more
+    than rounding (1e-9 cfg.dt), so that a run of whole windows keeps
+    one dt.  observer(state, report), when given, is called after each
     window (the CLI uses it for output).
     """
     sources = SourceSpec() if sources is None else sources
     states = [state]
     reports = []
+    linearization = Linearization()
     t = state.t
     while t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
-        dt = min(cfg.dt, cfg.t_end - t)
-        state, rep = picard_window(grid, material, state, sources, replace(cfg, dt=dt))
+        dt = cfg.t_end - t
+        if dt >= cfg.dt * (1.0 - 1e-9):
+            dt = cfg.dt
+        state, rep = picard_window(grid, material, state, sources, replace(cfg, dt=dt),
+                                   linearization)
         t = state.t
         states.append(state)
         reports.append(rep)

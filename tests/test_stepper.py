@@ -10,10 +10,10 @@ from chbsim.biot import STIFFNESS_SCALE, apply_B_tilde, apply_fluid_operator
 from chbsim.elliptic import VISCO, DirectSolver, EllipticProblem, solve_elasticity
 from chbsim.grid import VectorField2, divergence, neumann_laplacian
 from chbsim.rhs import SourceSpec, ViscoOperators, chemical_potential, pressure, stress
-from chbsim.stepper import (FrozenElastic, FrozenVisco, PRESSURE_FORM, THETA_FORM,
-                            StepFailure, StepperConfig, _pressure_iterates,
-                            _solve_conjugate_pressure, _theta_iterates, _visco_iterates,
-                            initial_state,
+from chbsim.stepper import (BUNDLE_WINDOWS, FrozenElastic, FrozenVisco, PRESSURE_FORM,
+                            THETA_FORM, Linearization, StepFailure, StepperConfig,
+                            _pressure_iterates, _solve_conjugate_pressure, _theta_iterates,
+                            _visco_iterates, initial_state,
                             linear_substep_phi, linear_substep_theta_elastic,
                             linear_substep_theta_visco, linear_substep_u_visco,
                             picard_window, run_simulation)
@@ -408,6 +408,34 @@ def test_non_finite_state_shrinks_then_fails_cleanly(rho, formulation):
         assert a.residuals == []
 
 
+def _counting_factors(monkeypatch):
+    created = []
+    original_init = DirectSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(args)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DirectSolver, "__init__", counting_init)
+    return created
+
+
+def _flip_iterate_stiffness(monkeypatch, limit):
+    """Make the first `limit` stiffnesses of problems with a reference
+    indefinite, so the CG solve at the current iterate fails."""
+    original = EllipticProblem.stiffness_matrix
+    flipped = []
+
+    def stiffness_matrix(self):
+        k = original(self)
+        if self.reference is not None and len(flipped) < limit:
+            flipped.append(self)
+            return -k
+        return k
+
+    monkeypatch.setattr(EllipticProblem, "stiffness_matrix", stiffness_matrix)
+
+
 @ITERATE_MAPS
 def test_window_factor_count_does_not_grow_with_iterations(rho, formulation, monkeypatch):
     """The solves at the current iterate are preconditioned by the phi0
@@ -423,14 +451,7 @@ def test_window_factor_count_does_not_grow_with_iterations(rho, formulation, mon
     rng = np.random.default_rng(13)
     st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
                        SourceSpec())
-    created = []
-    original_init = DirectSolver.__init__
-
-    def counting_init(self, *args, **kwargs):
-        created.append(args)
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(DirectSolver, "__init__", counting_init)
+    created = _counting_factors(monkeypatch)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11, formulation=formulation)
     _, rep = picard_window(g, m, st, SourceSpec(), cfg)
     assert rep.shrinks == 0 and rep.iterations >= 4
@@ -448,24 +469,12 @@ def test_indefinite_iterate_solve_shrinks_dt(rho, monkeypatch):
     st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
                        SourceSpec())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
-    original = EllipticProblem.stiffness_matrix
-    flipped = []
-
-    def indefinite(limit):
-        def stiffness_matrix(self):
-            k = original(self)
-            if self.reference is not None and len(flipped) < limit:
-                flipped.append(self)
-                return -k
-            return k
-        return stiffness_matrix
-
-    monkeypatch.setattr(EllipticProblem, "stiffness_matrix", indefinite(1))
+    _flip_iterate_stiffness(monkeypatch, 1)
     new_state, rep = picard_window(g, m, st, SourceSpec(), cfg)
     assert rep.shrinks == 1 and rep.dt_used == 5e-4
     assert new_state.t == pytest.approx(st.t + 5e-4)
 
-    monkeypatch.setattr(EllipticProblem, "stiffness_matrix", indefinite(10**6))
+    _flip_iterate_stiffness(monkeypatch, 10**6)
     with pytest.raises(StepFailure) as exc:
         picard_window(g, m, st, SourceSpec(), cfg)
     assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
@@ -531,6 +540,123 @@ def test_failed_content_pcg_shrinks_dt(fault, monkeypatch):
     assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
     for a in exc.value.attempts:
         assert message in a.error and a.residuals == []
+
+
+def _stale_linearization(g, m, phi):
+    """A Linearization whose bundle is frozen at phi, for a window that
+    starts elsewhere."""
+    lin = Linearization()
+    lin.refresh(FrozenVisco if m.rho == 1 else FrozenElastic, g, m, phi)
+    return lin
+
+
+@ITERATE_MAPS
+def test_linearization_point_does_not_change_fixed_point(rho, formulation):
+    """N carries every nonlinearity, so the frozen L sets only the rate of
+    contraction: one window run with its bundle frozen at its own phi0
+    and one with a bundle frozen at a smoothly perturbed phase reach the
+    same state, to a small multiple of tol_picard."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(18)
+    sources = SourceSpec(s_fluid=lambda x, y, t: np.exp(-10.0 * ((x - 0.4)**2 + y**2)))
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng), sources)
+    other = st.phi + 0.2 * smooth_phi(g, rng)
+    tol = 1e-10
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=tol, max_picard=200,
+                        formulation=formulation)
+    own, own_rep = picard_window(g, m, st, sources, cfg)
+    lagged, lagged_rep = picard_window(g, m, st, sources, cfg,
+                                       _stale_linearization(g, m, other))
+    assert own_rep.shrinks == 0 and lagged_rep.shrinks == 0
+    for a, b in ((own.phi, lagged.phi), (own.theta, lagged.theta),
+                 (own.u.ux, lagged.u.ux), (own.u.uy, lagged.u.uy)):
+        assert np.max(np.abs(a - b)) <= 10 * tol
+
+
+@ITERATE_MAPS
+def test_run_shares_one_bundle_among_several_windows(rho, formulation, monkeypatch):
+    """A 20-window run whose Picard counts do not grow builds a bundle
+    every BUNDLE_WINDOWS windows: at most ceil(20 / 5) bundles of four
+    factors (three in the pressure form), besides the initial state's."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(17)
+    created = _counting_factors(monkeypatch)
+    st = initial_state(g, m, 0.01 * rng.standard_normal(g.n_nodes), np.zeros(g.n_nodes),
+                       SourceSpec())
+    initial = len(created)
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6, formulation=formulation)
+    _, reports = run_simulation(g, m, cfg, st, SourceSpec())
+    assert len(reports) == 20 and all(r.shrinks == 0 for r in reports)
+    per_bundle = 3 if formulation == PRESSURE_FORM else 4
+    assert len(created) - initial <= -(-20 // BUNDLE_WINDOWS) * per_bundle
+
+
+@pytest.mark.parametrize("rho", [0, 1])
+def test_failed_stale_attempt_retries_on_a_fresh_bundle(rho, monkeypatch):
+    """An attempt that fails on a bundle frozen at an earlier phase hands
+    a bundle rebuilt at the window's own phi to the attempt at the
+    shrunk dt; StepFailure marks the stale attempts."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(14)
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    other = st.phi + 0.2 * smooth_phi(g, rng)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
+
+    _flip_iterate_stiffness(monkeypatch, 1)
+    lin = _stale_linearization(g, m, other)
+    stale = lin.frozen
+    new_state, rep = picard_window(g, m, st, SourceSpec(), cfg, lin)
+    assert rep.shrinks == 1 and rep.dt_used == 5e-4
+    assert new_state.t == pytest.approx(st.t + 5e-4)
+    assert lin.frozen is not stale and np.array_equal(lin.frozen.phi0, st.phi)
+    assert lin.windows == 1 and lin.first_iterations == rep.iterations
+
+    _flip_iterate_stiffness(monkeypatch, 10**6)
+    with pytest.raises(StepFailure) as exc:
+        picard_window(g, m, st, SourceSpec(), cfg, _stale_linearization(g, m, other))
+    assert [(a.dt, a.fresh) for a in exc.value.attempts] == [(1e-3, False), (5e-4, True)]
+    assert "dt tried: 0.001 (stale bundle), 0.0005)" in str(exc.value)
+
+
+@pytest.mark.parametrize("rho", [0, 1])
+def test_bundle_keeps_the_factors_of_one_dt(rho, monkeypatch):
+    """A retry on a fresh bundle refactors the dt-dependent matrices at the
+    shrunk dt and drops those of the failed dt; the next window, back at
+    cfg.dt, drops the shrunk dt's."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(14)
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
+    _flip_iterate_stiffness(monkeypatch, 1)
+    lin = Linearization()
+    new_state, rep = picard_window(g, m, st, SourceSpec(), cfg, lin)
+    assert rep.shrinks == 1
+    assert {dt for _, dt in lin.frozen._solvers} == {5e-4}
+    bundle = lin.frozen
+    picard_window(g, m, new_state, SourceSpec(), cfg, lin)
+    assert {dt for _, dt in bundle._solvers} == {1e-3}
+
+
+def test_run_keeps_cfg_dt_in_its_last_window():
+    """Twenty windows of 1e-3 to t_end = 0.02 all run at exactly cfg.dt:
+    the rounding left in t_end - t does not make the last window a new
+    dt, which a shared bundle would have to refactor for."""
+    g = make_grid(8, tags=MIXED)
+    m = make_material(eps=0.3)
+    rng = np.random.default_rng(19)
+    st = initial_state(g, m, 0.01 * rng.standard_normal(g.n_nodes), np.zeros(g.n_nodes),
+                       SourceSpec())
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6)
+    states, reports = run_simulation(g, m, cfg, st, SourceSpec())
+    assert len(reports) == 20
+    assert all(r.dt_used == cfg.dt for r in reports)
+    assert abs(states[-1].t - cfg.t_end) <= 1e-12
 
 
 def test_run_simulation_window_count_and_observer():
