@@ -77,29 +77,9 @@ _SCHEMA = {
     "output.stride": ("int", 1),
 }
 
-_MATERIAL_KEYS = {
-    "eps": "eps",
-    "rho": "rho",
-    "m0": "m0",
-    "m1": "m1",
-    "k0": "k0",
-    "k1": "k1",
-    "modulus0": "M0",
-    "modulus1": "M1",
-    "a0": "a0",
-    "a1": "a1",
-    "psi_scale": "psi_scale",
-    "lam_a": "lam_a",
-    "lam_b": "lam_b",
-    "mu_a": "mu_a",
-    "mu_b": "mu_b",
-    "lam_nu_a": "lam_nu_a",
-    "lam_nu_b": "lam_nu_b",
-    "mu_nu_a": "mu_nu_a",
-    "mu_nu_b": "mu_nu_b",
-    "tau0": "tau0",
-    "tau1": "tau1",
-}
+# undotted key -> MaterialModel field; only the Biot modulus is renamed
+_MATERIAL_KEYS = {key: {"modulus0": "M0", "modulus1": "M1"}.get(key, key)
+                  for key in _SCHEMA if "." not in key}
 
 
 class ConfigError(ValueError):

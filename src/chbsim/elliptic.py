@@ -19,12 +19,12 @@ edge is required by the grid, which rules out rigid-body kernels.
 
 Each problem has one representation of its form: the sparse stiffness
 K = E' diag(weight) E on the free dofs, assembled by stiffness_matrix()
-from a map cached per grid shape and edge tags (see
-_stiffness_gram_map).  apply() is its product, scattered back to nodal
-arrays, and solve() factors or preconditions with it.  A problem
-without a reference computes the sparse LU of K on its first solve and
-caches it, so every later solve with the same frozen coefficients is a
-pair of triangular solves.  A problem given a
+from the Gram map its grid caches (Grid.stiffness_gram): a problem is
+its grid's layout plus its weights.  apply() is its product, scattered
+back to nodal arrays, and solve() factors or preconditions with it.  A
+problem without a reference computes the sparse LU of K on its first
+solve and caches it, so every later solve with the same frozen
+coefficients is a pair of triangular solves.  A problem given a
 reference problem (same grid and variant, typically frozen at the
 start phase of a recent window) factors nothing: it solves K x = b by CG
 preconditioned with the reference's cached LU.  The two stiffnesses
@@ -44,14 +44,13 @@ Schur complement is preconditioned by its fixed-stress approximation.
 Both report failure the same way: SolverFailure.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import NEUMANN, EDGES, OP_CACHE_SIZE, Grid, VectorField2
+from .grid import NEUMANN, EDGES, VectorField2
 
 
 class SolverFailure(RuntimeError):
@@ -212,7 +211,6 @@ class EllipticProblem:
         self.phi = np.array(self.phi, dtype=float).ravel()
         if self.phi.size != self.grid.n_nodes:
             raise ValueError("phase field length does not match grid")
-        self._w, self._free, self.free_dofs = _free_layout(*_grid_key(self.grid))
         self._stiffness = None
         self._solver = None
 
@@ -228,7 +226,7 @@ class EllipticProblem:
         Gram product, and its values are linear in the 4n row weights.
         They are one sparse product T @ weight, stored in a fixed CSC
         pattern; T and the pattern depend only on the grid and are
-        cached (_stiffness_gram_map).
+        cached with it (Grid.stiffness_gram).
         """
         if self._stiffness is None:
             phi, material = self.phi, self.material
@@ -239,10 +237,10 @@ class EllipticProblem:
                 lam, mu = lam_nu + self.shift * lam, mu_nu + self.shift * mu
             elif self.variant == AUGMENTED:
                 lam = lam + material.biot_alpha(phi)**2 * material.biot_modulus(phi)
-            w = self._w
+            w = self.grid.quad_weights()
             weight = np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w])
-            gram, indices, indptr = _stiffness_gram_map(*_grid_key(self.grid))
-            m = self.free_dofs.size
+            gram, indices, indptr = self.grid.stiffness_gram
+            m = self.grid.free_dofs.size
             self._stiffness = sp.csc_matrix((gram @ weight, indices, indptr), shape=(m, m))
         return self._stiffness
 
@@ -252,9 +250,9 @@ class EllipticProblem:
         Dirichlet entries of the input are ignored (treated as zero) and
         the Dirichlet entries of the output are zeroed.
         """
-        n = self.grid.n_nodes
+        n, free = self.grid.n_nodes, self.grid.free_dofs
         out = np.zeros(2 * n)
-        out[self.free_dofs] = self.stiffness_matrix() @ np.concatenate([ux, uy])[self.free_dofs]
+        out[free] = self.stiffness_matrix() @ np.concatenate([ux, uy])[free]
         return out[:n], out[n:]
 
     def factor(self):
@@ -272,12 +270,12 @@ class EllipticProblem:
         SolveReport.
         """
         x = np.zeros(2 * self.grid.n_nodes)
-        b_free = b[self.free_dofs]
+        free = self.grid.free_dofs
         if self.reference is None:
-            x[self.free_dofs], report = self.factor().solve(b_free)
+            x[free], report = self.factor().solve(b[free])
         else:
-            x[self.free_dofs], report = conjugate_gradient(
-                self.stiffness_matrix().dot, b_free,
+            x[free], report = conjugate_gradient(
+                self.stiffness_matrix().dot, b[free],
                 precondition=self.reference.factor().apply_inverse,
                 tol=REFERENCE_CG_TOL, maxiter=REFERENCE_CG_MAXITER)
         return x, report
@@ -298,7 +296,7 @@ class EllipticProblem:
         """
         g = self.grid
         n = g.n_nodes
-        w = self._w
+        w = g.quad_weights()
         rx = np.zeros(n)
         ry = np.zeros(n)
         if body is not None:
@@ -328,62 +326,10 @@ class EllipticProblem:
                 bw = g.boundary_quad_weights(edge)
                 rx += bw * (np.asarray(gx, dtype=float) * np.ones(n)).ravel()
                 ry += bw * (np.asarray(gy, dtype=float) * np.ones(n)).ravel()
-        free = self._free
-        rx[~free] = 0.0
-        ry[~free] = 0.0
+        clamped = g.dirichlet_mask()
+        rx[clamped] = 0.0
+        ry[clamped] = 0.0
         return rx, ry
-
-
-def _grid_key(grid):
-    """Cache key of a grid's displacement layout: shape, lengths and the
-    edge tags in EDGES order (which fix the free dofs)."""
-    return grid.nx, grid.ny, grid.lx, grid.ly, tuple(grid.edge_tags[e] for e in EDGES)
-
-
-@functools.lru_cache(maxsize=OP_CACHE_SIZE)
-def _free_layout(nx, ny, lx, ly, tags):
-    """(quadrature weights, free-node mask, free dofs of the stacked
-    (ux, uy)) of a grid's displacement problems.
-
-    Every problem on one grid shares them, so they are computed once per
-    key (see _grid_key) and returned read-only.
-    """
-    grid = Grid(nx, ny, lx, ly, dict(zip(EDGES, tags)))
-    free = ~grid.dirichlet_mask()
-    layout = grid.quad_weights(), free, np.flatnonzero(np.concatenate([free, free]))
-    for array in layout:
-        array.setflags(write=False)
-    return layout
-
-
-@functools.lru_cache(maxsize=OP_CACHE_SIZE)
-def _stiffness_gram_map(nx, ny, lx, ly, tags):
-    """(T, indices, indptr) of the stiffness on the free dofs of a grid.
-
-    K_ij = sum_r E_ri E_rj weight_r over the strain rows r of E_f (see
-    EllipticProblem.stiffness_matrix), so K's values in the CSC pattern
-    (indices, indptr) of every pair of entries sharing a strain row are
-    T @ weight, with T_(ij),r = E_ri E_rj.  The pattern keeps entries that
-    cancel for a particular weight, as exact or rounding-level zeros.
-    tags lists the edge tags in EDGES order; they fix the free dofs.
-    Cached per grid shape and tags; callers must not modify the arrays.
-    """
-    grid = Grid(nx, ny, lx, ly, dict(zip(EDGES, tags)))
-    strain = grid.strain_op[:, _free_layout(nx, ny, lx, ly, tags)[2]].tocsr()
-    m = strain.shape[1]
-    # every ordered pair (left, right) of stored entries within one row
-    per_row = np.diff(strain.indptr)
-    row = np.repeat(np.arange(strain.shape[0]), per_row)   # row of each stored entry
-    size = per_row[row]
-    left = np.repeat(np.arange(strain.nnz), size)
-    start = np.cumsum(size) - size                          # first pair of each entry
-    right = np.repeat(strain.indptr[row] - start, size) + np.arange(left.size)
-    i, j = strain.indices[left], strain.indices[right]
-    keys, position = np.unique(j.astype(np.int64) * m + i, return_inverse=True)
-    gram = sp.csr_matrix((strain.data[left] * strain.data[right], (position, row[left])),
-                         shape=(keys.size, strain.shape[0]))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
-    return gram, (keys % m).astype(np.int32), indptr.astype(np.int32)
 
 
 def solve_elasticity(problem, rhs):

@@ -31,6 +31,10 @@ its energy sum v c_bar (G f)^2 are the same form.  It is conservative
 (constants map to zero, weighted means are preserved under evolution)
 and second-order accurate including the boundary rows for fields that
 satisfy the zero-flux condition.
+
+Everything a grid derives from its geometry (shape, lengths and edge
+tags), down to the displacement stiffness's Gram map, is built once in
+one bounded cache (_grid_ops).
 """
 
 import functools
@@ -73,8 +77,10 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ValueError("grid needs nx >= 4 and ny >= 4")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError("domain lengths must be positive")
+        for name in ("lx", "ly"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"domain length {name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
         _check_edge_tags(self.edge_tags)
 
     @property
@@ -101,8 +107,8 @@ class Grid:
         return X.ravel(), Y.ravel()
 
     def quad_weights(self):
-        """Trapezoidal quadrature weights (control volumes), flat array."""
-        return (self.hx * self.hy) * np.outer(_trapezoid(self.ny), _trapezoid(self.nx)).ravel()
+        """Trapezoidal quadrature weights (control volumes), flat read-only array."""
+        return self._ops()["weights"]
 
     def integrate(self, values):
         return float(np.dot(self.quad_weights(), np.asarray(values).ravel()))
@@ -111,21 +117,13 @@ class Grid:
         return self.integrate(values) / (self.lx * self.ly)
 
     def dirichlet_mask(self):
-        """Boolean flat mask of nodes clamped for the displacement problem.
+        """Boolean flat read-only mask of nodes clamped for the displacement
+        problem.
 
         A boundary node is Dirichlet when it lies on a Dirichlet edge;
         corners are Dirichlet if either adjacent edge is Dirichlet.
         """
-        m = np.zeros(self.shape, dtype=bool)
-        if self.edge_tags["left"] == DIRICHLET:
-            m[:, 0] = True
-        if self.edge_tags["right"] == DIRICHLET:
-            m[:, -1] = True
-        if self.edge_tags["bottom"] == DIRICHLET:
-            m[0, :] = True
-        if self.edge_tags["top"] == DIRICHLET:
-            m[-1, :] = True
-        return m.ravel()
+        return self._ops()["dirichlet"]
 
     def boundary_quad_weights(self, edge):
         """1D trapezoid weights along one edge (flat array, zero off-edge)."""
@@ -139,7 +137,8 @@ class Grid:
     # --- cached sparse difference operators -------------------------------
 
     def _ops(self):
-        return _grid_ops(self.nx, self.ny, self.lx, self.ly)
+        return _grid_ops(self.nx, self.ny, self.lx, self.ly,
+                         tuple(self.edge_tags[e] for e in EDGES))
 
     @property
     def dx_op(self):
@@ -163,6 +162,17 @@ class Grid:
         """Sparse (4n x 2n) map from stacked (ux, uy) to the stacked rows
         (exx, eyy, gxy, div u), gxy = dy ux + dx uy the engineering shear."""
         return self._ops()["strain"]
+
+    @property
+    def free_dofs(self):
+        """Indices of the unclamped entries of a stacked (ux, uy), read-only."""
+        return self._ops()["free_dofs"]
+
+    @property
+    def stiffness_gram(self):
+        """(T, indices, indptr) of the displacement stiffness on the free
+        dofs (see _stiffness_gram); callers must not modify them."""
+        return self._ops()["gram"]
 
 
 def _sbp_first_derivative(n, h):
@@ -193,17 +203,19 @@ def _face_pair(n, a, b):
                          shape=(n - 1, n))
 
 
-# A run uses one grid shape; the bound only keeps a process that meets
-# many shapes (a test session, a sweep) from holding every operator set.
+# A run uses one grid; the bound only keeps a process that meets many
+# grids (a test session, a sweep) from holding every operator set.
 OP_CACHE_SIZE = 8
 
 
 @functools.lru_cache(maxsize=OP_CACHE_SIZE)
-def _grid_ops(nx, ny, lx, ly):
-    """The sparse operators of an nx x ny grid on [0, lx] x [0, ly].
-
-    They do not depend on the edge tags, so grids that differ only in
-    their tags share one set.  Cached; callers must not modify them.
+def _grid_ops(nx, ny, lx, ly, tags):
+    """What an nx x ny grid on [0, lx] x [0, ly] with edge tags `tags`
+    (in EDGES order) derives from its geometry: the difference and face
+    operators, the quadrature weights, the Dirichlet mask, the free
+    displacement dofs and the stiffness Gram map.  Cached, so every field
+    and problem on one grid shares them; callers must not modify them
+    (the weights, mask and dofs are read-only).
     """
     hx, hy = lx / (nx - 1), ly / (ny - 1)
     d1x = _sbp_first_derivative(nx, hx)
@@ -226,9 +238,46 @@ def _grid_ops(nx, ny, lx, ly):
     tx, ty = _trapezoid(nx), _trapezoid(ny)
     face_vol = (hx * hy) * np.concatenate(
         [np.repeat(ty, nx - 1), np.tile(tx, ny - 1)])
+    clamped = np.zeros((ny, nx), dtype=bool)
+    # the node rows and columns of the edges, in EDGES order
+    for tag, edge in zip(tags, (np.s_[:, 0], np.s_[:, -1], np.s_[0, :], np.s_[-1, :])):
+        clamped[edge] |= tag == DIRICHLET
+    clamped = clamped.ravel()
+    weights = (hx * hy) * np.outer(ty, tx).ravel()
+    free_dofs = np.flatnonzero(np.concatenate([~clamped, ~clamped]))
+    for array in (weights, clamped, free_dofs):
+        array.setflags(write=False)
     return {"dx": dx, "dy": dy, "dxt": dx.T.tocsr(), "dyt": dy.T.tocsr(),
             "strain": strain, "face_grad": face_grad, "face_grad_t": face_grad.T.tocsr(),
-            "face_avg": face_avg, "face_vol": face_vol}
+            "face_avg": face_avg, "face_vol": face_vol, "weights": weights,
+            "dirichlet": clamped, "free_dofs": free_dofs,
+            "gram": _stiffness_gram(strain[:, free_dofs].tocsr())}
+
+
+def _stiffness_gram(strain):
+    """(T, indices, indptr) of the stiffness on the free dofs of a grid.
+
+    strain is Grid.strain_op restricted to the free dofs, E_f.
+    K_ij = sum_r E_ri E_rj weight_r over the strain rows r of E_f (see
+    EllipticProblem.stiffness_matrix), so K's values in the CSC pattern
+    (indices, indptr) of every pair of entries sharing a strain row are
+    T @ weight, with T_(ij),r = E_ri E_rj.  The pattern keeps entries that
+    cancel for a particular weight, as exact or rounding-level zeros.
+    """
+    m = strain.shape[1]
+    # every ordered pair (left, right) of stored entries within one row
+    per_row = np.diff(strain.indptr)
+    row = np.repeat(np.arange(strain.shape[0]), per_row)   # row of each stored entry
+    size = per_row[row]
+    left = np.repeat(np.arange(strain.nnz), size)
+    start = np.cumsum(size) - size                          # first pair of each entry
+    right = np.repeat(strain.indptr[row] - start, size) + np.arange(left.size)
+    i, j = strain.indices[left], strain.indices[right]
+    keys, position = np.unique(j.astype(np.int64) * m + i, return_inverse=True)
+    gram = sp.csr_matrix((strain.data[left] * strain.data[right], (position, row[left])),
+                         shape=(keys.size, strain.shape[0]))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
+    return gram, (keys % m).astype(np.int32), indptr.astype(np.int32)
 
 
 def _trapezoid(n):

@@ -29,7 +29,7 @@ which obeys the quadratic growth bound |W_phi| <= C2 (|E|^2 + phi^2 + 1)
 with the computable constant returned by growth_constant().
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,6 +69,9 @@ class MaterialModel:
     tau1: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.eps <= 0:
             raise ValueError("interface width must be positive (eps > 0)")
         if self.rho not in (0, 1):

@@ -224,15 +224,13 @@ class ViscoOperators:
         self.visco0 = EllipticProblem(
             self.grid, self.material, self.phi0, variant=VISCO,
             scale=STIFFNESS_SCALE)
-        # elastic stiffness at phi0, model scale
-        self.elastic0 = EllipticProblem(
-            self.grid, self.material, self.phi0, scale=STIFFNESS_SCALE)
         self.kappa_m0 = (self.material.permeability(self.phi0)
                          * self.material.biot_modulus(self.phi0))
 
     def apply_a0(self, u):
         """A0 u = Knu(phi0)^{-1} K(phi0) u (Knu(phi0) factored on first use)."""
-        return solve_elasticity(self.visco0, self.elastic0.apply(u.ux, u.uy))[0]
+        elastic0 = EllipticProblem(self.grid, self.material, self.phi0, scale=STIFFNESS_SCALE)
+        return solve_elasticity(self.visco0, elastic0.apply(u.ux, u.uy))[0]
 
 
 def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):

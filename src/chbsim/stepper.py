@@ -274,7 +274,7 @@ class FrozenElastic(_FrozenPhase):
         def build():
             n = self.grid.n_nodes
             plain, alpha = self.ctx0.plain, self.ctx0.alpha
-            div_f = self.grid.strain_op[3 * n:, plain.free_dofs]
+            div_f = self.grid.strain_op[3 * n:, self.grid.free_dofs]
             g_f = sp.diags(self.w * alpha) @ div_f
             z = sp.diags(self.w / self.ctx0.modulus) + dt * self.b_kappa
             lam, mu = self.material.lame(self.phi0)
@@ -321,24 +321,17 @@ def linear_substep_phi(frozen, dt, r):
     return _mean_restoring_solve(frozen.phase_solver(dt), frozen.w, r)
 
 
-def _solve_conjugate_pressure(frozen, dt, rhs_w):
-    """Solve (W B(phi0) + dt B_kappa) q = rhs_w for the pressure-like q.
-
-    Returns (q, report) of the preconditioned CG solve of the content
-    system's Schur complement (see FrozenElastic.content_solver).
-    """
-    return frozen.content_solver(dt).solve(rhs_w)
-
-
 def linear_substep_theta_elastic(frozen, dt, r):
-    """Solve (I + dt A(phi0)) theta = r via the conjugate pressure q.
+    """Solve (I + dt A(phi0)) theta = r via the conjugate pressure q,
+    which solves (W B(phi0) + dt B_kappa) q = W r (see
+    FrozenElastic.content_solver).
 
     Returns (theta, report).  theta is recovered from the flux form
     theta = r + dt NL(q, kappa0), which conserves the weighted mean of r
     exactly, whatever the CG residual of q.
     """
     w = frozen.w
-    q, rep = _solve_conjugate_pressure(frozen, dt, w * r)
+    q, rep = frozen.content_solver(dt).solve(w * r)
     theta = r - dt * (frozen.b_kappa @ q) / w
     return theta, rep
 
@@ -445,8 +438,7 @@ def _pressure_iterates(frozen, state, sources, dt):
     while True:
         n_phi, n_theta = rhs_elastic(grid, material, phi_k, theta_k, u_k, sources, t_new)
         d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
-        d_p, _ = _solve_conjugate_pressure(
-            frozen, dt, w * (state.theta - theta_k + dt * n_theta))
+        d_p, _ = frozen.content_solver(dt).solve(w * (state.theta - theta_k + dt * n_theta))
         phi_k, p_k = phi_k + d_phi, p_k + d_p
         u_k = solve_u(phi_k, p_k)
         theta_k = content_of(phi_k, p_k, u_k)

@@ -144,6 +144,6 @@ def reference_gram_stiffness(problem):
     g = problem.grid
     lam, mu = reference_lame(problem)
     w = g.quad_weights()
-    strain_f = g.strain_op[:, problem.free_dofs]
+    strain_f = g.strain_op[:, g.free_dofs]
     weight = sp.diags(np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w]))
     return (strain_f.T @ weight @ strain_f).tocsc()

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import chbsim.stepper as stepper
 from chbsim.cli import main
 from chbsim.config import ConfigError, parse_config, serialize
+from chbsim.materials import MaterialModel
 
 BASE = """
 grid.nx = 10
@@ -53,6 +55,18 @@ def test_non_finite_value_is_rejected_naming_its_key(setting):
     key = setting.split()[0]
     with pytest.raises(ConfigError, match=f"'{key}' must be finite"):
         parse_config(setting)
+
+
+def test_every_material_key_reaches_its_field():
+    """A distinct value for every material key arrives in the MaterialModel
+    field of that name (the Biot modulus keys are spelled modulus0/1)."""
+    names = [f.name for f in fields(MaterialModel)]
+    want = {name: 1.0 + 0.125 * k for k, name in enumerate(names, start=1)}
+    want["rho"] = 1
+    keys = {"M0": "modulus0", "M1": "modulus1"}
+    text = "\n".join(f"{keys.get(name, name)} = {value!r}" for name, value in want.items())
+    material = parse_config(text).material()
+    assert {name: getattr(material, name) for name in names} == want
 
 
 def test_unknown_key_and_type_mismatch():

@@ -4,9 +4,10 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver,
-                             EllipticProblem, SolverFailure, _stiffness_gram_map,
+                             EllipticProblem, SolverFailure,
                              conjugate_gradient, solve_elasticity)
-from chbsim.grid import DIRICHLET, NEUMANN, OP_CACHE_SIZE, VectorField2, flux_stiffness_matrix
+from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, OP_CACHE_SIZE, VectorField2, _grid_ops,
+                         flux_stiffness_matrix)
 from chbsim.oracle import densify
 from conftest import (FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
                       make_material, reference_gram_stiffness, reference_stiffness_apply,
@@ -103,7 +104,7 @@ def test_stiffness_symmetry_and_coercivity(variant):
         scale = max(1.0, abs(a))
         assert abs(a - b) <= 1e-10 * scale
     mat = dense_reference_stiffness(prob)
-    free = np.concatenate([prob._free, prob._free])
+    free = np.tile(~g.dirichlet_mask(), 2)
     sub = mat[np.ix_(free, free)]
     eigs = scipy.linalg.eigvalsh(0.5 * (sub + sub.T))
     assert eigs.min() > 0.0
@@ -116,7 +117,7 @@ def test_assembled_stiffness_matches_matrix_free_apply(variant, shift, tags):
     m = make_material(rho=1)
     phi = smooth_phi(g, np.random.default_rng(12))
     prob = EllipticProblem(g, m, phi, variant=variant, scale=2.0, shift=shift)
-    free = np.concatenate([prob._free, prob._free])
+    free = np.tile(~g.dirichlet_mask(), 2)
     want = dense_reference_stiffness(prob)[np.ix_(free, free)]
     got = prob.stiffness_matrix().toarray()
     assert got.shape == want.shape
@@ -129,17 +130,35 @@ def test_assembled_stiffness_matches_matrix_free_apply(variant, shift, tags):
     assert np.max(np.abs(got_kv - want_kv)) <= 1e-12 * np.max(np.abs(want_kv))
 
 
+# any edge tags with at least one clamped edge
+EDGE_TAGS = st.fixed_dictionaries(
+    {e: st.sampled_from([DIRICHLET, NEUMANN]) for e in EDGES}).filter(
+    lambda tags: DIRICHLET in tags.values())
+
+
 @settings(deadline=None, max_examples=40)
-@given(nx=st.integers(4, 12), ny=st.integers(4, 12),
+@given(nx=st.integers(4, 12), ny=st.integers(4, 12), lx=st.floats(0.5, 2.0),
+       ly=st.floats(0.5, 2.0), tags=EDGE_TAGS,
        variant=st.sampled_from([(PLAIN, 0.0), (AUGMENTED, 0.0), (VISCO, 0.3)]),
-       mixed=st.booleans(), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_cached_gram_stiffness_matches_the_gram_product(nx, ny, variant, mixed, uniform,
-                                                        seed):
+       uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_cached_gram_stiffness_matches_the_gram_product(nx, ny, lx, ly, tags, variant,
+                                                        uniform, seed):
     """The stiffness assembled through the cached Gram map matches the
     weighted Gram product E_f' diag(weight) E_f formed directly, to
     round-off; its pattern may add to the product's only entries that
-    are exact zeros (a uniform phase makes some entries cancel)."""
-    g = make_grid(nx, ny, tags=MIXED if mixed else FULL_DIRICHLET)
+    are exact zeros (a uniform phase makes some entries cancel).  The
+    grid's cached layout is read-only: weights summing to lx ly, a node
+    clamped iff it lies on a Dirichlet edge, and the free dofs of the
+    stacked free mask."""
+    g = make_grid(nx, ny, tags=tags, lx=lx, ly=ly)
+    w, clamped, free_dofs = g.quad_weights(), g.dirichlet_mask(), g.free_dofs
+    assert not any(a.flags.writeable for a in (w, clamped, free_dofs))
+    assert w.sum() == pytest.approx(lx * ly, rel=1e-13)
+    ix, iy = np.arange(g.n_nodes) % nx, np.arange(g.n_nodes) // nx
+    on_edge = {"left": ix == 0, "right": ix == nx - 1, "bottom": iy == 0, "top": iy == ny - 1}
+    assert np.array_equal(clamped, np.any(
+        [on_edge[e] for e in EDGES if tags[e] == DIRICHLET], axis=0))
+    assert np.array_equal(free_dofs, np.flatnonzero(np.concatenate([~clamped, ~clamped])))
     m = make_material(rho=1)
     rng = np.random.default_rng(seed)
     phi = np.full(g.n_nodes, rng.uniform(-1, 1)) if uniform else smooth_phi(g, rng)
@@ -155,22 +174,25 @@ def test_cached_gram_stiffness_matches_the_gram_product(nx, ny, variant, mixed, 
 
 def test_gram_map_cache_is_bounded_and_keyed_by_edge_tags():
     """Two grids of one shape whose clamped edges differ get their own
-    map, each matching its own Gram product; the cache holds at most
-    OP_CACHE_SIZE grids."""
+    map, each matching its own Gram product; a grid of equal geometry
+    shares the cached map; the cache holds at most OP_CACHE_SIZE grids."""
     m = make_material()
-    tags = [{e: NEUMANN for e in ("left", "right", "bottom", "top")} for _ in range(2)]
+    tags = [{e: NEUMANN for e in EDGES} for _ in range(2)]
     tags[0]["left"] = tags[1]["right"] = DIRICHLET
-    _stiffness_gram_map.cache_clear()
-    for t in tags:
-        g = make_grid(6, 7, tags=t)
+    _grid_ops.cache_clear()
+    grids = [make_grid(6, 7, tags=t) for t in tags]
+    for g in grids:
         prob = EllipticProblem(g, m, smooth_phi(g, np.random.default_rng(0)))
         want = reference_gram_stiffness(prob)
         assert abs(prob.stiffness_matrix() - want).max() <= 1e-14 * abs(want).max()
-    assert _stiffness_gram_map.cache_info().currsize == 2
+    assert not np.array_equal(grids[0].dirichlet_mask(), grids[1].dirichlet_mask())
+    assert grids[0].stiffness_gram is not grids[1].stiffness_gram
+    assert make_grid(6, 7, tags=tags[0]).stiffness_gram is grids[0].stiffness_gram
+    assert _grid_ops.cache_info().currsize == 2
     for n in range(4, 6 + OP_CACHE_SIZE):
         g = make_grid(n, tags=MIXED)
         EllipticProblem(g, m, np.zeros(g.n_nodes)).stiffness_matrix()
-    assert _stiffness_gram_map.cache_info().currsize == OP_CACHE_SIZE
+    assert _grid_ops.cache_info().currsize == OP_CACHE_SIZE
 
 
 @settings(deadline=None, max_examples=40)
@@ -190,7 +212,7 @@ def test_reference_preconditioned_solve_matches_direct_solve(nx, ny, variant, mi
     reference = EllipticProblem(g, m, phi0, variant=variant, scale=2.0)
     prob = EllipticProblem(g, m, phi, variant=variant, scale=2.0, reference=reference)
     b = np.zeros(2 * g.n_nodes)
-    b[prob.free_dofs] = rng.standard_normal(prob.free_dofs.size)
+    b[g.free_dofs] = rng.standard_normal(g.free_dofs.size)
     x, report = prob.solve(b)
     want, _ = EllipticProblem(g, m, phi, variant=variant, scale=2.0).solve(b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
@@ -233,7 +255,7 @@ def test_elasticity_matches_dense_direct_solve():
     prob = EllipticProblem(g, m, phi)
     n = g.n_nodes
     rhs = rng.standard_normal(2 * n)
-    free = np.concatenate([prob._free, prob._free])
+    free = np.tile(~g.dirichlet_mask(), 2)
     rhs[~free] = 0.0
     u, _ = solve_elasticity(prob, (rhs[:n], rhs[n:]))
     mat = dense_reference_stiffness(prob)
@@ -257,7 +279,7 @@ def test_inverse_norm_bracket_over_random_phases():
     m = make_material(lam_a=1.0, lam_b=2.0, mu_a=1.0, mu_b=2.0)
     lo = EllipticProblem(g, m, np.full(g.n_nodes, -50.0))   # soft endpoint
     hi = EllipticProblem(g, m, np.full(g.n_nodes, 50.0))    # stiff endpoint
-    free = np.concatenate([lo._free, lo._free])
+    free = np.tile(~g.dirichlet_mask(), 2)
 
     def min_max_eig(problem):
         mat = dense_reference_stiffness(problem)

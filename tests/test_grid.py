@@ -34,16 +34,26 @@ def test_grid_validation():
                               ("left", "right", "bottom", "top")})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lx", np.nan), ("lx", np.inf), ("ly", np.nan), ("ly", -np.inf)])
+def test_grid_rejects_non_finite_lengths_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"domain length {field} must be positive and finite"):
+        make_grid(8, **{field: value})
+
+
 def test_operator_cache_is_bounded_and_shared():
     """Many grid shapes keep at most OP_CACHE_SIZE operator sets alive; a
-    repeated shape, whatever its edge tags, gets the cached operators."""
+    repeated geometry (shape, lengths and edge tags) gets the cached
+    operators, and a grid whose edge tags differ gets its own."""
     for k in range(50):
         Grid(4 + k, 5, 1.0, 1.0, dict(FULL_DIRICHLET)).dx_op
-    assert grid_module._grid_ops.cache_info().currsize <= grid_module.OP_CACHE_SIZE
+    assert grid_module._grid_ops.cache_info().currsize == grid_module.OP_CACHE_SIZE
     a = make_grid(6, 7, lx=2.0)
     b = make_grid(6, 7, lx=2.0, tags=MIXED)
-    assert a.strain_op is b.strain_op
     assert a.dx_op is make_grid(6, 7, lx=2.0).dx_op
+    assert a.strain_op is make_grid(6, 7, lx=2.0).strain_op
+    assert a.stiffness_gram is not b.stiffness_gram
+    assert b.stiffness_gram is make_grid(6, 7, lx=2.0, tags=MIXED).stiffness_gram
 
 
 def test_corner_nodes_resolve_to_dirichlet():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ def test_validation_names_violated_assumption():
         make_material(eps=-0.1)
     with pytest.raises(ValueError, match="regime"):
         make_material(rho=2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", [f.name for f in fields(MaterialModel)])
+def test_non_finite_parameter_is_rejected_naming_its_field(field, value):
+    """Every parameter is checked for finiteness at construction, so a
+    NaN or inf never reaches a solve."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make_material(**{field: value})
 
 
 def test_elastic_density_simple_values():

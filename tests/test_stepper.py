@@ -12,7 +12,7 @@ from chbsim.grid import VectorField2, divergence, neumann_laplacian
 from chbsim.rhs import SourceSpec, ViscoOperators, chemical_potential, pressure, stress
 from chbsim.stepper import (BUNDLE_WINDOWS, FrozenElastic, FrozenVisco, PRESSURE_FORM,
                             THETA_FORM, Linearization, StepFailure, StepperConfig,
-                            _pressure_iterates, _solve_conjugate_pressure, _theta_iterates,
+                            _pressure_iterates, _theta_iterates,
                             _visco_iterates, initial_state,
                             linear_substep_phi, linear_substep_theta_elastic,
                             linear_substep_theta_visco, linear_substep_u_visco,
@@ -144,7 +144,7 @@ def test_quasi_static_content_solve_matches_dense_solve(unknown, nx, ny, mixed, 
     """Both quasi-static content solves match a dense solve built from the
     operators' columns, and keep the weighted mean of r:
     linear_substep_theta_elastic solves (I + dt A(phi0)) theta = r, and
-    _solve_conjugate_pressure solves (W B(phi0) + dt B_kappa) q = W r,
+    the content solver solves (W B(phi0) + dt B_kappa) q = W r,
     whose content B(phi0) q has the weighted mean of r.  The fixed-stress
     PCG needs at most 12 iterations over materials whose coupling
     strength alpha^2 M / K_dr is at most 0.5 (about 0.2 for the
@@ -165,7 +165,7 @@ def test_quasi_static_content_solve_matches_dense_solve(unknown, nx, ny, mixed, 
     else:
         b_tilde = _dense(lambda e: apply_B_tilde(fr.ctx0, e), n)
         want = np.linalg.solve(w[:, None] * b_tilde + dt * fr.b_kappa.toarray(), w * r)
-        got, report = _solve_conjugate_pressure(fr, dt, w * r)
+        got, report = fr.content_solver(dt).solve(w * r)
         content = b_tilde @ got
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert abs(np.dot(w, content) - np.dot(w, r)) <= 1e-12 * max(1.0, abs(np.dot(w, r)))
@@ -184,7 +184,7 @@ def test_content_pcg_iterations_do_not_grow_with_the_grid(tags):
         rng = np.random.default_rng(17)
         fr = FrozenElastic(g, m, smooth_phi(g, rng))
         r = g.quad_weights() * rng.standard_normal(g.n_nodes)
-        counts[n] = [_solve_conjugate_pressure(fr, dt, r)[1].iterations
+        counts[n] = [fr.content_solver(dt).solve(r)[1].iterations
                      for dt in (1e-4, 1e-3, 1e-2)]
     assert all(fine <= coarse + 2 for coarse, fine in zip(counts[16], counts[64])), counts
 
