@@ -7,14 +7,14 @@ typos.  ``serialize`` emits the resolved configuration in a canonical
 order so that parse -> serialize -> parse is bit-identical.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid, DIRICHLET, NEUMANN
 from .materials import MaterialModel
 from .rhs import SourceSpec
-from .stepper import StepperConfig, THETA_FORM, PRESSURE_FORM
+from .stepper import StepperConfig, THETA_FORM
 
 INIT_PRESETS = ("constant", "interface", "spinodal-noise")
 SOURCE_PRESETS = ("zero", "fluid_gaussian", "phase_gaussian", "body_constant")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import VISCO, EllipticProblem
+from .elliptic import EllipticProblem
 from .grid import Grid, VectorField2, laplacian_stiffness_form, neumann_laplacian, symmetric_gradient
 from .rhs import SourceSpec, chemical_potential, pressure, stress
 from .stepper import StepperConfig, initial_state, run_simulation

@@ -95,6 +95,16 @@ def reference_lame(problem):
     return lam, mu
 
 
+def reference_clamped(grid):
+    """Flat mask of the nodes on the grid's Dirichlet edges, derived from
+    its edge tags by node index, independently of the grid's cache."""
+    ix, iy = np.arange(grid.n_nodes) % grid.nx, np.arange(grid.n_nodes) // grid.nx
+    on_edge = {"left": ix == 0, "right": ix == grid.nx - 1,
+               "bottom": iy == 0, "top": iy == grid.ny - 1}
+    return np.any([on_edge[e] for e, tag in grid.edge_tags.items() if tag == DIRICHLET],
+                  axis=0)
+
+
 def reference_stiffness_apply(problem, ux, uy):
     """Independent matrix-free product of a displacement problem's stiffness.
 
@@ -105,7 +115,7 @@ def reference_stiffness_apply(problem, ux, uy):
     """
     g = problem.grid
     lam, mu = reference_lame(problem)
-    free = ~g.dirichlet_mask()
+    free = ~reference_clamped(g)
     ux = np.where(free, ux, 0.0)
     uy = np.where(free, uy, 0.0)
     exx = g.dx_op @ ux
@@ -140,10 +150,12 @@ def dense_reference_stiffness(problem):
 def reference_gram_stiffness(problem):
     """The stiffness on the free dofs as the weighted Gram product
     E_f' diag(weight) E_f of the strain rows, formed directly, with the
-    coefficients from reference_lame."""
+    coefficients from reference_lame and the free dofs from
+    reference_clamped."""
     g = problem.grid
     lam, mu = reference_lame(problem)
     w = g.quad_weights()
-    strain_f = g.strain_op[:, g.free_dofs]
+    free = ~reference_clamped(g)
+    strain_f = g.strain_op[:, np.flatnonzero(np.concatenate([free, free]))]
     weight = sp.diags(np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w]))
     return (strain_f.T @ weight @ strain_f).tocsc()

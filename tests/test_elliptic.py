@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver,
                              EllipticProblem, SolverFailure,
                              conjugate_gradient, solve_elasticity)
-from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, OP_CACHE_SIZE, VectorField2, _grid_ops,
+from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, OP_CACHE_SIZE, _grid_ops,
                          flux_stiffness_matrix)
-from chbsim.oracle import densify
 from conftest import (FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
-                      make_material, reference_gram_stiffness, reference_stiffness_apply,
-                      smooth_phi)
+                      make_material, reference_clamped, reference_gram_stiffness,
+                      reference_stiffness_apply, smooth_phi)
 
 
 def test_cg_identity_and_zero_rhs():
@@ -154,10 +153,7 @@ def test_cached_gram_stiffness_matches_the_gram_product(nx, ny, lx, ly, tags, va
     w, clamped, free_dofs = g.quad_weights(), g.dirichlet_mask(), g.free_dofs
     assert not any(a.flags.writeable for a in (w, clamped, free_dofs))
     assert w.sum() == pytest.approx(lx * ly, rel=1e-13)
-    ix, iy = np.arange(g.n_nodes) % nx, np.arange(g.n_nodes) // nx
-    on_edge = {"left": ix == 0, "right": ix == nx - 1, "bottom": iy == 0, "top": iy == ny - 1}
-    assert np.array_equal(clamped, np.any(
-        [on_edge[e] for e in EDGES if tags[e] == DIRICHLET], axis=0))
+    assert np.array_equal(clamped, reference_clamped(g))
     assert np.array_equal(free_dofs, np.flatnonzero(np.concatenate([~clamped, ~clamped])))
     m = make_material(rho=1)
     rng = np.random.default_rng(seed)

@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from chbsim.grid import VectorField2, divergence, symmetric_gradient
-from chbsim.rhs import (SimState, SourceSpec, ViscoOperators,
+from chbsim.rhs import (SourceSpec, ViscoOperators,
                         chemical_potential, displacement_problem, pressure,
                         reconstruct_displacement, rhs_elastic, rhs_visco,
                         stress)

@@ -1,24 +1,24 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import chbsim.biot as biot
+import chbsim.stepper as stepper
 from chbsim.biot import STIFFNESS_SCALE, apply_B_tilde, apply_fluid_operator
 from chbsim.elliptic import VISCO, DirectSolver, EllipticProblem, solve_elasticity
 from chbsim.grid import VectorField2, divergence, neumann_laplacian
 from chbsim.rhs import SourceSpec, ViscoOperators, chemical_potential, pressure, stress
-from chbsim.stepper import (BUNDLE_WINDOWS, FrozenElastic, FrozenVisco, PRESSURE_FORM,
-                            THETA_FORM, Linearization, StepFailure, StepperConfig,
+from chbsim.stepper import (BUNDLE_WINDOWS, GIVE_UP_AFTER, FrozenElastic, FrozenVisco,
+                            PRESSURE_FORM, THETA_FORM, Linearization, StepFailure, StepperConfig,
                             _pressure_iterates, _theta_iterates,
                             _visco_iterates, initial_state,
                             linear_substep_phi, linear_substep_theta_elastic,
                             linear_substep_theta_visco, linear_substep_u_visco,
                             picard_window, run_simulation)
-from conftest import (FULL_DIRICHLET, MIXED, decoupled_material, make_grid,
-                      make_material, smooth_phi)
+from conftest import FULL_DIRICHLET, MIXED, make_grid, make_material, smooth_phi
 
 
 # The three iterate maps of picard_window as (rho, formulation): the
@@ -384,6 +384,71 @@ def test_window_shrinks_then_fails_cleanly(rho, formulation):
     assert [a.dt for a in attempts] == [0.5, 0.25, 0.125]
     for a in attempts:
         assert a.error is None and len(a.residuals) == cfg.max_picard
+
+
+def _slowly_contracting_window(rho, eps):
+    """Grid, material and start state of a 10^2 window behind a steep
+    phase, whose Picard iteration contracts slowly at the default
+    tol_picard and max_picard = 40.  With eps = 0.15 it cannot reach
+    tol_picard at dt = 1e-3 (contraction about 0.87) and converges at
+    dt = 5e-4 in 37 iterates; with eps = 0.3 it converges at dt = 4e-3
+    in 37 or 38."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=eps)
+    rng = np.random.default_rng(9)
+    st = initial_state(g, m, 0.5 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    return g, m, st
+
+
+@ITERATE_MAPS
+def test_given_up_attempt_shrinks_dt_to_the_same_state(rho, formulation, monkeypatch):
+    """An attempt whose contraction cannot reach tol_picard within
+    max_picard iterates is given up after fewer of them, and the window
+    goes on as if it had run them all: the retry at the shrunk dt reaches
+    the same bytes, dt and shrink count as with the give-up test off."""
+    g, m, st = _slowly_contracting_window(rho, eps=0.15)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, formulation=formulation)
+
+    def window(max_shrinks):
+        return picard_window(g, m, st, SourceSpec(), replace(cfg, max_shrinks=max_shrinks))
+
+    def failed_attempt():
+        with pytest.raises(StepFailure) as exc:
+            window(0)
+        [attempt] = exc.value.attempts
+        assert attempt.error is None
+        return attempt
+
+    assert GIVE_UP_AFTER <= len(failed_attempt().residuals) < cfg.max_picard
+    given_up, rep = window(1)
+    monkeypatch.setattr(stepper, "_cannot_converge", lambda *args: False)
+    assert len(failed_attempt().residuals) == cfg.max_picard
+    full, full_rep = window(1)
+    assert rep.dt_used == full_rep.dt_used == 5e-4 and rep.shrinks == full_rep.shrinks == 1
+    assert rep.residuals == full_rep.residuals
+    for a, b in ((given_up.phi, full.phi), (given_up.theta, full.theta),
+                 (given_up.u.ux, full.u.ux), (given_up.u.uy, full.u.uy)):
+        assert a.tobytes() == b.tobytes()
+    assert given_up.t == full.t
+
+
+@ITERATE_MAPS
+def test_late_converging_window_is_not_given_up(rho, formulation):
+    """A window that converges in more than 30 of its 40 iterates, like the
+    first retry-qs-32 window of the benchmark, is accepted at its dt."""
+    g, m, st = _slowly_contracting_window(rho, eps=0.3)
+    cfg = StepperConfig(dt=4e-3, t_end=4e-3, max_shrinks=0, formulation=formulation)
+    _, rep = picard_window(g, m, st, SourceSpec(), cfg)
+    assert rep.shrinks == 0 and 30 < rep.iterations <= cfg.max_picard
+
+
+@pytest.mark.parametrize("residual", [np.nan, np.inf])
+def test_non_finite_residual_ends_the_attempt(residual):
+    """A non-finite Picard residual ends its attempt at once, before
+    GIVE_UP_AFTER iterates."""
+    assert stepper._cannot_converge([1.0, residual], 1e-9, 40)
+    assert not stepper._cannot_converge([1.0, 0.5], 1e-9, 40)
 
 
 @ITERATE_MAPS
