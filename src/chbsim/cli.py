@@ -27,23 +27,24 @@ def write_vtk_snapshot(path, grid, material, state):
     u_mag = np.hypot(state.u.ux, state.u.uy)
     fields = [("phi", state.phi), ("theta", state.theta), ("p", p),
               ("u_mag", u_mag), ("u_x", state.u.ux), ("u_y", state.u.uy)]
-    lines = [
-        "# vtk DataFile Version 3.0",
-        f"chbsim snapshot t={state.t:.12e}",
-        "ASCII",
-        "DATASET STRUCTURED_POINTS",
-        f"DIMENSIONS {grid.nx} {grid.ny} 1",
-        "ORIGIN 0 0 0",
-        f"SPACING {grid.hx:.12e} {grid.hy:.12e} 1",
-        f"POINT_DATA {grid.n_nodes}",
+    chunks = [
+        "# vtk DataFile Version 3.0\n",
+        f"chbsim snapshot t={state.t:.12e}\n",
+        "ASCII\n",
+        "DATASET STRUCTURED_POINTS\n",
+        f"DIMENSIONS {grid.nx} {grid.ny} 1\n",
+        "ORIGIN 0 0 0\n",
+        f"SPACING {grid.hx:.12e} {grid.hy:.12e} 1\n",
+        f"POINT_DATA {grid.n_nodes}\n",
     ]
     for name, data in fields:
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.12e}" for v in np.asarray(data).ravel())
+        values = np.asarray(data).ravel().tolist()
+        chunks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        # one %-format of the whole field: the same digits as f"{v:.12e}"
+        chunks.append(("%.12e\n" * len(values)) % tuple(values))
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("".join(chunks))
     except OSError as exc:
         raise RuntimeError(f"failed to write snapshot '{path}': {exc}")
 
@@ -140,11 +141,15 @@ def run_mms():
     """Convergence-order studies; returns 0 iff observed orders pass."""
     heat = convergence_study("heat")
     elast = convergence_study("elasticity")
+    coupled = convergence_study("coupled")
     print(f"heat: time order {heat['time_order']:.2f}, "
           f"space order {heat['space_order']:.2f}")
     print(f"elasticity: space order {elast['space_order']:.2f}")
+    for regime, fields in coupled["orders"].items():
+        print(f"coupled {regime}: time order " + ", ".join(
+            f"{field} {min(orders):.2f}" for field, orders in fields.items()))
     ok = (heat["time_order"] > 0.9 and heat["space_order"] > 1.8
-          and elast["space_order"] > 1.8)
+          and elast["space_order"] > 1.8 and coupled["time_order"] >= 0.9)
     print("mms:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticProblem
-from .grid import Grid, VectorField2, laplacian_stiffness_form, neumann_laplacian, symmetric_gradient
+from .grid import (DIRICHLET, NEUMANN, Grid, VectorField2, laplacian_stiffness_form,
+                   neumann_laplacian, symmetric_gradient)
 from .rhs import SourceSpec, chemical_potential, pressure, stress
-from .stepper import StepperConfig, initial_state, run_simulation
+from .stepper import PRESSURE_FORM, THETA_FORM, StepperConfig, initial_state, run_simulation
 
 
 @dataclass
@@ -138,7 +139,6 @@ def _heat_material():
 
 
 def _heat_error(n, dt, t_end):
-    from .stepper import THETA_FORM
     g = Grid(n, n)
     mat = _heat_material()
     phi = np.zeros(g.n_nodes)
@@ -154,6 +154,30 @@ def _heat_error(n, dt, t_end):
     return float(np.sqrt(np.dot(w, err**2)))
 
 
+def _coupled_finals(rho, formulation):
+    """Final (phi, theta, u_x) of the coupled study's four runs, one per
+    level."""
+    from .materials import MaterialModel
+    g = Grid(16, 16, edge_tags={"left": DIRICHLET, "right": NEUMANN,
+                                "bottom": DIRICHLET, "top": NEUMANN})
+    mat = MaterialModel(eps=0.35, rho=rho, m0=1.0, m1=0.5, k0=1.0, k1=0.5,
+                        M0=1.0, M1=0.5, a0=0.5, a1=0.2, psi_scale=1.0,
+                        lam_a=1.0, lam_b=2.0, mu_a=1.0, mu_b=2.0,
+                        lam_nu_a=1.0, lam_nu_b=1.5, mu_nu_a=1.0, mu_nu_b=1.5,
+                        tau0=0.0, tau1=0.05)
+    x, y = g.coords()
+    phi0 = 0.4 * np.cos(np.pi * x) * np.cos(2.0 * np.pi * y)
+    theta0 = 0.1 * np.cos(2.0 * np.pi * x)
+    finals = []
+    for k in range(4):
+        cfg = StepperConfig(dt=4e-3 / 2**k, t_end=0.016, tol_picard=1e-11,
+                            formulation=formulation)
+        states, _ = run_simulation(g, mat, cfg, initial_state(g, mat, phi0, theta0))
+        final = states[-1]
+        finals.append((final.phi, final.theta, final.u.ux))
+    return g.quad_weights(), finals
+
+
 def convergence_study(preset):
     """Observed convergence orders for a named study.
 
@@ -164,7 +188,32 @@ def convergence_study(preset):
     'elasticity': manufactured displacement solution on the clamped
     square; returns the observed spatial order of the displacement
     solve (expected about two).
+
+    'coupled': the full coupled scheme in time, on 16x16 with the
+    spinodal material of the acceptance runs and mixed edge tags, from
+    phi0 = 0.4 cos(pi x) cos(2 pi y), theta0 = 0.1 cos(2 pi x), to
+    T = 0.016 at dt = 4e-3 / 2^k (k = 0..3) and tol_picard = 1e-11.  With
+    no exact solution, the order of each field comes from the weighted
+    L2 norms e_k of the differences of successive levels,
+    log2(e_k / e_{k+1}), in the theta form, the pressure form and the
+    Kelvin-Voigt regime; returns them per regime and field, and their
+    minimum (expected about one).
     """
+    if preset == "coupled":
+        orders = {}
+        regimes = {"theta": (0, THETA_FORM), "pressure": (0, PRESSURE_FORM),
+                   "visco": (1, THETA_FORM)}
+        for name, (rho, formulation) in regimes.items():
+            w, finals = _coupled_finals(rho, formulation)
+            orders[name] = {}
+            for i, field in enumerate(("phi", "theta", "u_x")):
+                diffs = [np.sqrt(np.dot(w, (a[i] - b[i])**2))
+                         for a, b in zip(finals, finals[1:])]
+                orders[name][field] = [float(np.log2(diffs[j] / diffs[j + 1]))
+                                       for j in range(len(diffs) - 1)]
+        return {"orders": orders,
+                "time_order": min(min(o) for regime in orders.values()
+                                  for o in regime.values())}
     if preset == "heat":
         t_end = 0.02
         errs_t = [_heat_error(48, t_end / m, t_end) for m in (4, 8, 16)]

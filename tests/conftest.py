@@ -1,14 +1,20 @@
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from chbsim.elliptic import AUGMENTED, VISCO
-from chbsim.grid import Grid, DIRICHLET, NEUMANN
+from chbsim.grid import Grid, DIRICHLET, EDGES, NEUMANN
 from chbsim.materials import MaterialModel
 
 FULL_DIRICHLET = {"left": DIRICHLET, "right": DIRICHLET,
                   "bottom": DIRICHLET, "top": DIRICHLET}
 MIXED = {"left": DIRICHLET, "right": NEUMANN,
          "bottom": DIRICHLET, "top": NEUMANN}
+
+# any edge tags with at least one clamped edge
+EDGE_TAGS = st.fixed_dictionaries(
+    {e: st.sampled_from([DIRICHLET, NEUMANN]) for e in EDGES}).filter(
+    lambda tags: DIRICHLET in tags.values())
 
 
 def make_grid(nx=8, ny=None, tags=None, lx=1.0, ly=1.0):

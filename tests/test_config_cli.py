@@ -4,10 +4,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import chbsim.cli as cli
 import chbsim.stepper as stepper
 from chbsim.cli import main
 from chbsim.config import ConfigError, parse_config, serialize
+from chbsim.grid import Grid, VectorField2, divergence
 from chbsim.materials import MaterialModel
+from chbsim.rhs import SimState, pressure
 
 BASE = """
 grid.nx = 10
@@ -221,3 +224,57 @@ def test_cli_oracle_mode(tmp_path, capsys):
     assert main(["--config", cfg_path, "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "oracle: PASS" in out
+
+
+def test_cli_mms_mode_reports_every_study(tmp_path, capsys, monkeypatch):
+    """--mms prints the heat, elasticity and coupled orders, and fails
+    when a coupled order falls below 0.9."""
+    coupled = {"orders": {regime: {"phi": [1.2, 1.1], "theta": [0.95, 0.97],
+                                   "u_x": [1.0, 1.0]}
+                          for regime in ("theta", "pressure", "visco")},
+               "time_order": 0.95}
+    studies = {"heat": {"time_order": 1.0, "space_order": 2.0},
+               "elasticity": {"space_order": 2.0}, "coupled": coupled}
+    monkeypatch.setattr(cli, "convergence_study", lambda preset: studies[preset])
+    cfg_path = _write(tmp_path, "")
+    assert main(["--config", cfg_path, "--mms"]) == 0
+    out = capsys.readouterr().out
+    assert "coupled pressure: time order phi 1.10, theta 0.95, u_x 1.00" in out
+    assert "mms: PASS" in out
+    coupled["time_order"] = 0.85
+    assert main(["--config", cfg_path, "--mms"]) == 1
+    assert "mms: FAIL" in capsys.readouterr().out
+
+
+def _reference_vtk_text(grid, material, state):
+    """The snapshot text formatted value by value."""
+    p = pressure(material, state.phi, state.theta, divergence(state.u))
+    columns = [("phi", state.phi), ("theta", state.theta), ("p", p),
+              ("u_mag", np.hypot(state.u.ux, state.u.uy)), ("u_x", state.u.ux),
+              ("u_y", state.u.uy)]
+    lines = ["# vtk DataFile Version 3.0", f"chbsim snapshot t={state.t:.12e}", "ASCII",
+             "DATASET STRUCTURED_POINTS", f"DIMENSIONS {grid.nx} {grid.ny} 1",
+             "ORIGIN 0 0 0", f"SPACING {grid.hx:.12e} {grid.hy:.12e} 1",
+             f"POINT_DATA {grid.n_nodes}"]
+    for name, data in columns:
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(f"{v:.12e}" for v in np.asarray(data).ravel())
+    return "\n".join(lines) + "\n"
+
+
+def test_vtk_snapshot_bytes_match_the_per_value_formatter(tmp_path):
+    """A snapshot of a random state, with signed zeros, non-finite and
+    extreme values among its fields, has the bytes of the per-value
+    formatter."""
+    g = Grid(7, 5, 1.3, 0.7)
+    m = MaterialModel()
+    rng = np.random.default_rng(21)
+    phi, theta, ux, uy = (rng.standard_normal(g.n_nodes)
+                          * 10.0**rng.integers(-300, 300, g.n_nodes) for _ in range(4))
+    phi[:4] = [-0.0, np.nan, np.inf, -np.inf]
+    theta[:2] = [0.0, 5e-324]
+    state = SimState(g, phi, theta, VectorField2(g, ux, uy), 0.0123)
+    path = tmp_path / "snap.vtk"
+    cli.write_vtk_snapshot(str(path), g, m, state)
+    assert path.read_bytes() == _reference_vtk_text(g, m, state).encode()

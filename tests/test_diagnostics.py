@@ -104,6 +104,20 @@ def test_heat_reduction_convergence_orders():
     assert abs(out["space_order"] - 2.0) <= 0.2
 
 
+def test_coupled_scheme_is_first_order_in_time():
+    """The coupled scheme converges at first order in time in phi, theta
+    and u_x, in both quasi-static forms and in the Kelvin-Voigt regime:
+    the windows converge to the implicit-Euler fixed point, whatever
+    iteration gets them there."""
+    out = convergence_study("coupled")
+    assert set(out["orders"]) == {"theta", "pressure", "visco"}
+    for regime, fields in out["orders"].items():
+        assert set(fields) == {"phi", "theta", "u_x"}
+        for field, orders in fields.items():
+            assert len(orders) == 2 and min(orders) >= 0.9, (regime, field, orders)
+    assert out["time_order"] >= 0.9
+
+
 def test_unknown_study_preset_rejected():
     with pytest.raises(ValueError):
         convergence_study("bogus")

@@ -8,7 +8,7 @@ from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver,
                              conjugate_gradient, solve_elasticity)
 from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, OP_CACHE_SIZE, _grid_ops,
                          flux_stiffness_matrix)
-from conftest import (FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
+from conftest import (EDGE_TAGS, FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
                       make_material, reference_clamped, reference_gram_stiffness,
                       reference_stiffness_apply, smooth_phi)
 
@@ -127,12 +127,6 @@ def test_assembled_stiffness_matches_matrix_free_apply(variant, shift, tags):
     got_kv = np.concatenate(prob.apply(v[:n], v[n:]))
     want_kv = np.concatenate(reference_stiffness_apply(prob, v[:n], v[n:]))
     assert np.max(np.abs(got_kv - want_kv)) <= 1e-12 * np.max(np.abs(want_kv))
-
-
-# any edge tags with at least one clamped edge
-EDGE_TAGS = st.fixed_dictionaries(
-    {e: st.sampled_from([DIRICHLET, NEUMANN]) for e in EDGES}).filter(
-    lambda tags: DIRICHLET in tags.values())
 
 
 @settings(deadline=None, max_examples=40)

@@ -11,14 +11,14 @@ from chbsim.biot import STIFFNESS_SCALE, apply_B_tilde, apply_fluid_operator
 from chbsim.elliptic import VISCO, DirectSolver, EllipticProblem, solve_elasticity
 from chbsim.grid import VectorField2, divergence, neumann_laplacian
 from chbsim.rhs import SourceSpec, ViscoOperators, chemical_potential, pressure, stress
-from chbsim.stepper import (BUNDLE_WINDOWS, GIVE_UP_AFTER, FrozenElastic, FrozenVisco,
-                            PRESSURE_FORM, THETA_FORM, Linearization, StepFailure, StepperConfig,
-                            _pressure_iterates, _theta_iterates,
-                            _visco_iterates, initial_state,
+from chbsim.stepper import (ANDERSON_DEPTH, BUNDLE_WINDOWS, GIVE_UP_AFTER, FrozenElastic,
+                            FrozenVisco, PRESSURE_FORM, THETA_FORM, Linearization, StepFailure,
+                            StepperConfig, _anderson_step, _pressure_iterates,
+                            _theta_iterates, _visco_iterates, initial_state,
                             linear_substep_phi, linear_substep_theta_elastic,
                             linear_substep_theta_visco, linear_substep_u_visco,
                             picard_window, run_simulation)
-from conftest import FULL_DIRICHLET, MIXED, make_grid, make_material, smooth_phi
+from conftest import EDGE_TAGS, FULL_DIRICHLET, MIXED, make_grid, make_material, smooth_phi
 
 
 # The three iterate maps of picard_window as (rho, formulation): the
@@ -225,8 +225,14 @@ def test_update_form_map_matches_the_frozen_operator_formula(form):
     iterates = {"theta": _theta_iterates, "pressure": _pressure_iterates,
                 "visco": _visco_iterates}[form]
     stream = iterates(frozen, st, sources, dt)
-    _, s1 = next(stream)
-    _, s2 = next(stream)
+
+    def picard_step():
+        # the map yields (x_k, d_k); sending back x_k + d_k = g(x_k) makes
+        # it build the derived fields and yield the next iterate's state
+        x, d = next(stream)
+        return stream.send([a + b for a, b in zip(x, d)])
+    s1 = picard_step()
+    s2 = picard_step()
 
     t, w = st.t + dt, g.quad_weights()
     x, y = g.coords()
@@ -333,6 +339,73 @@ def test_short_run_conserves_mass(rho):
         assert abs(g.mean(s.theta) - m0t) <= 1e-12
 
 
+def _recording(iterates, sent):
+    """The iterate map `iterates`, appending to `sent` every next unknowns
+    that the window sends it."""
+    def recorded(*args):
+        stream = iterates(*args)
+        value = None
+        while True:
+            value = yield stream.send(value)
+            if value is not None:
+                sent.append(value)
+    return recorded
+
+
+@ITERATE_MAPS
+@settings(deadline=None, max_examples=12)
+@given(nx=st.integers(4, 10), ny=st.integers(4, 10), lx=st.floats(0.5, 2.0),
+       ly=st.floats(0.5, 2.0), tags=EDGE_TAGS, seed=st.integers(0, 2**32 - 1))
+def test_every_iterate_keeps_the_weighted_means(rho, formulation, nx, ny, lx, ly, tags, seed):
+    """Every unknowns a window's map is sent, the Anderson-mixed iterates
+    as well as the accepted one, keep the weighted means of phi and of
+    theta at mean(x_n) + dt mean(S), with sources of nonzero mean.  (The
+    pressure form's unknowns are (phi, p); its theta keeps the mean only
+    at the fixed point.)"""
+    g = make_grid(nx, ny, tags=tags, lx=lx, ly=ly)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(seed)
+    sources = SourceSpec(s_phase=lambda x, y, t: 0.5 + np.cos(np.pi * x),
+                         s_fluid=lambda x, y, t: np.exp(-10.0 * ((x - 0.4)**2 + y**2)))
+    st0 = initial_state(g, m, 0.1 + 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                        sources)
+    dt = 1e-3
+    cfg = StepperConfig(dt=dt, t_end=dt, tol_picard=1e-10, max_picard=200, max_shrinks=0,
+                        formulation=formulation)
+    name = ("_visco_iterates" if rho == 1 else
+            "_pressure_iterates" if formulation == PRESSURE_FORM else "_theta_iterates")
+    sent = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stepper, name, _recording(getattr(stepper, name), sent))
+        _, rep = picard_window(g, m, st0, sources, cfg)
+    assert len(sent) == rep.iterations > ANDERSON_DEPTH + 1
+    kept = [(0, st0.phi, sources.phase_at(g, dt))]
+    if formulation != PRESSURE_FORM:
+        kept.append((1, st0.theta, sources.fluid_at(g, dt)))
+    for index, start, source in kept:
+        want = g.mean(start) + dt * g.mean(source)
+        assert max(abs(g.mean(x[index]) - want) for x in sent) <= 1e-12
+
+
+@pytest.mark.parametrize("pairs", [1, 2, ANDERSON_DEPTH + 1])
+def test_anderson_step_is_the_least_squares_affine_combination(pairs):
+    """The Anderson step is sum_i alpha_i g(x_i) with g(x_i) = x_i + d_i,
+    where alpha minimizes the weighted norm of sum_i alpha_i d_i subject
+    to sum_i alpha_i = 1, solved here from its KKT system; one pair gives
+    the Picard step g(x_k)."""
+    rng = np.random.default_rng(20)
+    n = 30
+    w = rng.uniform(0.1, 2.0, n)
+    history = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(pairs)]
+    f = np.column_stack([d for _, d in history])
+    g = np.column_stack([x + d for x, d in history])
+    kkt = np.block([[2.0 * f.T @ (w[:, None] * f), np.ones((pairs, 1))],
+                    [np.ones((1, pairs)), np.zeros((1, 1))]])
+    alpha = np.linalg.solve(kkt, np.concatenate([np.zeros(pairs), [1.0]]))[:pairs]
+    got = _anderson_step(np.sqrt(w), history)
+    assert np.max(np.abs(got - g @ alpha)) <= 1e-12 * np.max(np.abs(g))
+
+
 def test_contraction_improves_with_smaller_windows():
     g = make_grid(12, tags=MIXED)
     m = make_material(eps=0.25)
@@ -388,11 +461,11 @@ def test_window_shrinks_then_fails_cleanly(rho, formulation):
 
 def _slowly_contracting_window(rho, eps):
     """Grid, material and start state of a 10^2 window behind a steep
-    phase, whose Picard iteration contracts slowly at the default
-    tol_picard and max_picard = 40.  With eps = 0.15 it cannot reach
-    tol_picard at dt = 1e-3 (contraction about 0.87) and converges at
-    dt = 5e-4 in 37 iterates; with eps = 0.3 it converges at dt = 4e-3
-    in 37 or 38."""
+    phase, whose accelerated Picard iteration contracts slowly at the
+    default tol_picard and max_picard = 40.  With eps = 0.14 it cannot
+    reach tol_picard at dt = 1e-3 within 40 iterates (it needs 61) and
+    converges at dt = 5e-4 in 20 or 21; with eps = 0.2 it converges at
+    dt = 2.5e-3 in 32 or 33."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=eps)
     rng = np.random.default_rng(9)
@@ -407,7 +480,7 @@ def test_given_up_attempt_shrinks_dt_to_the_same_state(rho, formulation, monkeyp
     max_picard iterates is given up after fewer of them, and the window
     goes on as if it had run them all: the retry at the shrunk dt reaches
     the same bytes, dt and shrink count as with the give-up test off."""
-    g, m, st = _slowly_contracting_window(rho, eps=0.15)
+    g, m, st = _slowly_contracting_window(rho, eps=0.14)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, formulation=formulation)
 
     def window(max_shrinks):
@@ -435,10 +508,11 @@ def test_given_up_attempt_shrinks_dt_to_the_same_state(rho, formulation, monkeyp
 
 @ITERATE_MAPS
 def test_late_converging_window_is_not_given_up(rho, formulation):
-    """A window that converges in more than 30 of its 40 iterates, like the
-    first retry-qs-32 window of the benchmark, is accepted at its dt."""
-    g, m, st = _slowly_contracting_window(rho, eps=0.3)
-    cfg = StepperConfig(dt=4e-3, t_end=4e-3, max_shrinks=0, formulation=formulation)
+    """A window that converges in more than 30 of its 40 iterates is
+    accepted at its dt, although the ratios of its accelerated residuals
+    vary from iterate to iterate."""
+    g, m, st = _slowly_contracting_window(rho, eps=0.2)
+    cfg = StepperConfig(dt=2.5e-3, t_end=2.5e-3, max_shrinks=0, formulation=formulation)
     _, rep = picard_window(g, m, st, SourceSpec(), cfg)
     assert rep.shrinks == 0 and 30 < rep.iterations <= cfg.max_picard
 
