@@ -39,8 +39,9 @@ tractions on the Neumann edges with boundary trapezoid quadrature.
 DirectSolver wraps a sparse LU for the time stepper's window-frozen
 systems; conjugate_gradient solves the systems that are iterative, each
 preconditioned by the LU of a nearby system: a problem with a
-reference, and the time stepper's quasi-static content system, whose
-Schur complement is preconditioned by its fixed-stress approximation.
+reference, and the time stepper's strongly coupled quasi-static
+content system, whose Schur complement is preconditioned by its
+fixed-stress approximation.
 Both report failure the same way: SolverFailure.
 """
 

@@ -15,9 +15,12 @@ applying L to any iterate.  The linear substeps are:
   phase:      (I + dt eps Lap(m(phi0) Lap .)) d = r,
               solved as the SPD system (W + dt eps B1 D_m W^{-1} B1)
   content:    (I + dt A(phi0)) d = r in the quasi-static regime,
-              solved in the conjugate pressure variable q:
-              (W B(phi0) + dt B_kappa) q = W r by fixed-stress
-              preconditioned CG on its Schur complement, d = r + dt NL(q)
+              solved in the conjugate pressure variable q,
+              d = r + dt NL(q): at weak coupling, q solves the
+              fixed-stress split P q = W r, with
+              P = W/M0 + dt B_kappa + beta W alpha0^2 / K_dr;
+              at strong coupling, (W B(phi0) + dt B_kappa) q = W r by
+              P-preconditioned CG on its Schur complement
   content:    (W + dt B_{kappa M}) d = W r in the visco regime
   displacement: (K_nu + dt K) d = K_nu (u_n - u_k + dt udot) in the
               visco regime (displacement is reconstructed, not evolved,
@@ -27,19 +30,20 @@ The operators are frozen in a bundle (FrozenElastic, FrozenVisco) at
 the phase field of the window that builds it.  Every matrix that is
 constant over a bundle is factored once per (bundle, dt) by a sparse
 direct solver and reused by every Picard iterate: the phase operator,
-the content system (quasi-static: its fixed-stress preconditioner P and
-the plain stiffness K0 that each product with its Schur complement
-solves with; visco: the content matrix itself) and the frozen
-elasticity problems.  Displacement problems at the current iterate
-phi_k (the quasi-static reconstruction, the pressure form's
+the content system (quasi-static: the fixed-stress P, and at strong
+coupling also the plain stiffness K0 that each product with the Schur
+complement solves with; visco: the content matrix itself) and the
+frozen elasticity problems.  Displacement problems at the current
+iterate phi_k (the quasi-static reconstruction, the pressure form's
 displacement and the visco u-dot problem) differ from their frozen
 counterparts by O(|phi_k - phi0|); they are solved by CG preconditioned
 with the frozen factor, to the fixed relative tolerance
-elliptic.REFERENCE_CG_TOL, and never factored.  A bundle therefore
-factors four matrices per dt: phase, P, K0 and the augmented problem in
-the quasi-static theta form (three in the pressure form, whose
-displacement solves share K0), and phase, content, visco0 and the
-shifted visco problem in the visco regime.
+elliptic.REFERENCE_CG_TOL, and never factored.  A weakly coupled
+quasi-static bundle therefore factors three matrices per dt: phase, P
+and the augmented problem in the theta form, phase, P and K0 in the
+pressure form, whose displacement solves are preconditioned by K0.  A
+strongly coupled theta-form bundle adds K0 (four).  A visco bundle
+factors four: phase, content, visco0 and the shifted visco problem.
 
 Since N carries every nonlinearity, L(phi0) sets only the rate of
 contraction, not the fixed point, so a bundle frozen at an earlier
@@ -47,11 +51,11 @@ window's phase reaches the same state (the chord method: Kelley,
 Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
 ch. 5).  run_simulation therefore lets one bundle serve up to
 BUNDLE_WINDOWS windows, and rebuilds it at the current window's phase
-sooner when a window needs more Picard iterates than the bundle's first
-one did, or when an attempt on it fails (see Linearization), the way
-CVODE refreshes its Newton matrix (Hindmarsh et al., ACM TOMS 31,
-2005).  A bundle keeps the factors of one dt: a retry at a smaller dt
-replaces those that depend on dt.
+sooner when a window needs more than REFRESH_MARGIN times the Picard
+iterates of the bundle's first one, or when an attempt on it fails (see
+Linearization), the way CVODE refreshes its Newton matrix (Hindmarsh et
+al., ACM TOMS 31, 2005).  A bundle keeps the factors of one dt: a retry
+at a smaller dt replaces those that depend on dt.
 
 The regimes differ only in their iterate map: the quasi-static regime
 iterates in (phi, theta) (or, with formulation = 'pressure', in
@@ -76,10 +80,10 @@ retried with dt scaled down by shrink_factor, on a bundle rebuilt at
 its own phase if the failed attempt's was stale.  An attempt is given
 up before max_picard iterates once it cannot converge (see
 _cannot_converge): at a non-finite residual, or, from iterate
-GIVE_UP_AFTER on, when the ratio observed over its last three
-residuals is not below 1 or, kept up, would not bring the residual down
-to the target within max_picard iterates (the chord method's stopping
-test, Kelley, ch. 5).
+GIVE_UP_AFTER on, when its mean rate over the whole attempt is not
+below 1 or, kept up, would not bring the residual down to the target
+within max_picard iterates (the chord method's stopping test, Kelley,
+ch. 5).
 """
 
 from dataclasses import dataclass, replace
@@ -193,13 +197,16 @@ def _wnorm2(w, v):
 
 
 # Picard iterates an attempt runs before its observed contraction may end
-# it.  The rule reads the accelerated residuals, whose ratios vary from
-# iterate to iterate.  Of the 1496 attempts that converge in the test
-# suite and in the benchmark workloads (seeds 1-8, and retry-qs-32 at
-# eps = 0.15), none would be given up.  The workloads' attempts converge
-# in at most 11 iterates, at least 4e8 times below the target the rule
-# predicts; the closest of all, a 10^2 test window converging at iterate
-# 33 of 40, predicts at iterate 9 a last residual 1.36 times below it.
+# it.  Audited with the give-up off, each converged attempt checked at
+# every prefix: none of the 913 attempts that converge in the test suite,
+# nor of the 400 of the benchmark workloads (seeds 1-8, and retry-qs-32 at
+# eps = 0.15), would be given up.  The workloads' attempts converge in at
+# most 11 iterates, far below the target the rule predicts; the closest of
+# all, a 10^2 test window converging at iterate 36 of 40, predicts at
+# iterate 34 a last residual 8.7 times below it.  Of 122 attempts that
+# converge in a scan of that window over eps in [0.14, 0.3] and dt in
+# [1e-3, 6e-3], two would be given up, both converging at their 40th and
+# last iterate; the rate over the last three ratios gave up 14.
 GIVE_UP_AFTER = 5
 
 
@@ -208,9 +215,13 @@ def _cannot_converge(residuals, target, max_picard):
     most target, cannot reach target within max_picard iterates.
 
     A non-finite residual cannot.  From iterate k = GIVE_UP_AFTER on, the
-    contraction estimate rho = (r_k / r_{k-3})^(1/3) must lie below 1,
-    and the residual it predicts at the last iterate, r_k rho^(max_picard
-    - k), must reach target.
+    contraction estimate rho = (r_k / r_1)^(1/(k-1)), the mean rate over
+    the whole attempt, must lie below 1, and the residual it predicts at
+    the last iterate, r_k rho^(max_picard - k), must reach target.  The
+    ratios of successive accelerated residuals vary from iterate to
+    iterate, so a rate read off a few of them can predict failure for an
+    attempt that converges; the whole attempt spans at least
+    ANDERSON_DEPTH + 1 of them.
     """
     r = residuals[-1]
     if not np.isfinite(r):
@@ -218,33 +229,47 @@ def _cannot_converge(residuals, target, max_picard):
     k = len(residuals)
     if k < GIVE_UP_AFTER:
         return False
-    rho = (r / residuals[-4]) ** (1.0 / 3.0)
+    rho = (r / residuals[0]) ** (1.0 / (k - 1))
     return not rho < 1.0 or r * rho ** (max_picard - k) > target
 
 
 # --- frozen operator bundles ---------------------------------------------
 
 
-# Weight of the fixed-stress term in the content preconditioner
-# P = Z + beta W alpha0^2 / K_dr.  beta = 1 is the classical fixed-stress
-# split; over beta in [0, 2] the preconditioned iteration count stays at
-# 6-8 on every grid measured (32^2 to 128^2), so it is not a setting.
+# Weight of the fixed-stress term in P = Z + beta W alpha0^2 / K_dr.  At
+# weak coupling P is the frozen content operator itself, so beta sets the
+# split's rate of contraction; at strong coupling P preconditions
+# ContentSchur.  beta = 1 is the classical fixed-stress split (Kim,
+# Tchelepi & Juanes, CMAME 200, 2011), not a setting: as a preconditioner
+# at s = 0.2, beta in [0, 2] kept the PCG count at 6-8 on every grid
+# measured (32^2 to 128^2).
 FIXED_STRESS_BETA = 1.0
+
+# Largest coupling strength s_max = max alpha0^2 M0 / K_dr over the nodes
+# at which the bundle's fixed-stress P is the frozen content operator (see
+# FrozenElastic.content_solver).  The split contracts at about s / (1 + s)
+# (Mikelic & Wheeler, Comput. Geosci. 17, 2013).  Measured with alpha = 1
+# and M raised, on 10 windows of spinodal-qs-32 and on retry-qs-32 (seed
+# 1): against the Schur solve's 41 and 31 Picard iterates, the split alone
+# takes 54 and 32 at s = 1 and 61 and 37 at s = 2, in 0.55-0.65 of the
+# time; 77 and 42 at s = 2.7, in 0.8 of it; at s = 4 it is slower, and
+# from s = 5.3 on it shrinks dt.  The benchmark workloads have s = 0.08.
+FIXED_STRESS_MAX_COUPLING = 2.0
 
 
 class ContentSchur:
-    """Quasi-static content solve S q = b by preconditioned CG.
+    """Quasi-static content solve S q = b by preconditioned CG, the content
+    solver of a strongly coupled bundle (see FrozenElastic.content_solver).
 
-    S = Z + G_f K0_f^{-1} G_f' (see FrozenElastic.content_solver): one
-    product costs one solve with the plain K0 factor k0.  The
-    preconditioner is the LU of the fixed-stress approximation
-    P = Z + beta W alpha0^2 / K_dr, with the drained bulk modulus
-    K_dr = lam + mu of the scaled plain stiffness at phi0.  Fixed-stress
-    splitting is spectrally equivalent to S (Kim, Tchelepi & Juanes,
-    CMAME 200, 2011; Mikelic & Wheeler, Comput. Geosci. 17, 2013), so
-    the iteration count does not grow with the grid.  CG runs to the
-    relative tolerance REFERENCE_CG_TOL, like the other preconditioned
-    solves.
+    S = Z + G_f K0_f^{-1} G_f': one product costs one solve with the plain
+    K0 factor k0.  The preconditioner is the LU of the fixed-stress
+    approximation P = Z + beta W alpha0^2 / K_dr, with the drained bulk
+    modulus K_dr = lam + mu of the scaled plain stiffness at phi0.
+    Fixed-stress splitting is spectrally equivalent to S (Kim, Tchelepi &
+    Juanes, CMAME 200, 2011; Mikelic & Wheeler, Comput. Geosci. 17, 2013),
+    so the iteration count does not grow with the grid; it grows with the
+    coupling strength.  CG runs to the relative tolerance
+    REFERENCE_CG_TOL, like the other preconditioned solves.
     """
 
     def __init__(self, z, g_f, k0, precond):
@@ -301,15 +326,22 @@ class _FrozenPhase:
 
 @dataclass
 class FrozenElastic(_FrozenPhase):
-    """Window-frozen operators for the quasi-static regime."""
+    """Window-frozen operators for the quasi-static regime.
+
+    coupling is the largest coupling strength alpha0^2 M0 / K_dr over the
+    nodes, with the drained bulk modulus K_dr of the fixed-stress P.
+    """
 
     def __post_init__(self):
         super().__post_init__()
         self.ctx0 = BiotContext(self.grid, self.material, self.phi0)
         self.b_kappa = flux_stiffness_matrix(self.grid, self.ctx0.kappa)
+        lam, mu = self.material.lame(self.phi0)
+        self.k_drained = STIFFNESS_SCALE * (lam + mu)
+        self.coupling = float(np.max(self.ctx0.alpha**2 * self.ctx0.modulus / self.k_drained))
 
     def content_solver(self, dt):
-        """ContentSchur of the content system, cached per dt.
+        """The frozen content operator's solver, cached per dt.
 
         The content system (W B(phi0) + dt B_kappa) q = W r has the
         pressure unfolding
@@ -321,19 +353,28 @@ class FrozenElastic(_FrozenPhase):
         G v = W alpha0 div v and the plain stiffness K0 at phi0, both
         restricted to the free displacement dofs.  Eliminating v gives
         back W B(phi0) + dt B_kappa as the SPD Schur complement
-        Z + G_f K0_f^{-1} G_f', which ContentSchur solves by CG with the
-        bundle's plain K0 factor, preconditioned by the fixed-stress P.
+        S = Z + G_f K0_f^{-1} G_f'.  Its fixed-stress approximation
+        P = Z + beta W alpha0^2 / K_dr replaces the elastic response
+        G_f K0_f^{-1} G_f' by the diagonal one of a drained medium.
+
+        Since the frozen operator sets only the rate of contraction, not
+        the fixed point, a bundle whose coupling is at most
+        FIXED_STRESS_MAX_COUPLING takes P itself as its content operator:
+        the DirectSolver of P, which factors no stiffness.  Above it the
+        split alone contracts too slowly, and the solver is ContentSchur,
+        which solves S by CG with the bundle's plain K0 factor,
+        preconditioned by P.
         """
         def build():
-            n = self.grid.n_nodes
-            plain, alpha = self.ctx0.plain, self.ctx0.alpha
-            div_f = self.grid.strain_op[3 * n:, self.grid.free_dofs]
-            g_f = sp.diags(self.w * alpha) @ div_f
+            alpha = self.ctx0.alpha
             z = sp.diags(self.w / self.ctx0.modulus) + dt * self.b_kappa
-            lam, mu = self.material.lame(self.phi0)
-            k_drained = STIFFNESS_SCALE * (lam + mu)
-            fixed_stress = z + sp.diags(FIXED_STRESS_BETA * self.w * alpha**2 / k_drained)
-            return ContentSchur(z, g_f, plain.factor(), DirectSolver(fixed_stress))
+            fixed_stress = DirectSolver(
+                z + sp.diags(FIXED_STRESS_BETA * self.w * alpha**2 / self.k_drained))
+            if self.coupling <= FIXED_STRESS_MAX_COUPLING:
+                return fixed_stress
+            n = self.grid.n_nodes
+            g_f = sp.diags(self.w * alpha) @ self.grid.strain_op[3 * n:, self.grid.free_dofs]
+            return ContentSchur(z, g_f, self.ctx0.plain.factor(), fixed_stress)
         return self._cached("content", dt, build)
 
 
@@ -376,12 +417,13 @@ def linear_substep_phi(frozen, dt, r):
 
 def linear_substep_theta_elastic(frozen, dt, r):
     """Solve (I + dt A(phi0)) theta = r via the conjugate pressure q,
-    which solves (W B(phi0) + dt B_kappa) q = W r (see
+    which solves (W B(phi0) + dt B_kappa) q = W r; at weak coupling A(phi0)
+    is replaced by its fixed-stress split, and q solves P q = W r (see
     FrozenElastic.content_solver).
 
     Returns (theta, report).  theta is recovered from the flux form
     theta = r + dt NL(q, kappa0), which conserves the weighted mean of r
-    exactly, whatever the CG residual of q.
+    exactly, whatever the residual of q.
     """
     w = frozen.w
     q, rep = frozen.content_solver(dt).solve(w * r)
@@ -409,6 +451,12 @@ def linear_substep_u_visco(frozen, dt, u_n, f_u):
 # of the run time there but takes up to 1.3 % more iterates.
 BUNDLE_WINDOWS = 5
 
+# A bundle is rebuilt early after a window that needs more than this
+# multiple of its first window's Picard iterates.  Accelerated windows of
+# one bundle vary by an iterate or two, whatever the bundle's age (7, 8,
+# 8, 8 on retry-qs-32), so a count one higher is no sign of a stale L.
+REFRESH_MARGIN = 1.25
+
 
 @dataclass
 class Linearization:
@@ -417,8 +465,9 @@ class Linearization:
     A window that has no bundle of its regime builds one at its own phi.
     The bundle is dropped, so that the next window builds a fresh one,
     after it has served BUNDLE_WINDOWS windows or after a window that
-    needed more Picard iterates than its first one.  A failed attempt on
-    a stale bundle also rebuilds it (see picard_window).
+    needed more than REFRESH_MARGIN times the Picard iterates of its
+    first one.  A failed attempt on a stale bundle also rebuilds it (see
+    picard_window).
     """
 
     frozen: _FrozenPhase = None
@@ -436,7 +485,8 @@ class Linearization:
         if self.windows == 0:
             self.first_iterations = iterations
         self.windows += 1
-        if self.windows >= BUNDLE_WINDOWS or iterations > self.first_iterations:
+        if (self.windows >= BUNDLE_WINDOWS
+                or iterations > REFRESH_MARGIN * self.first_iterations):
             self.frozen = None
 
 
@@ -467,8 +517,10 @@ def _pressure_iterates(frozen, state, sources, dt):
     Independent route for cross-checking: the unknowns are (phi, p);
     displacement solves use the plain (unaugmented) stiffness with
     -grad(alpha p) loading, and the fluid content is carried implicitly
-    through theta = p / M + alpha div u.  The pressure update solves
-    (W B(phi0) + dt B_kappa) d_p = W (theta_n - theta_k + dt N_theta).
+    through theta = p / M + alpha div u.  The pressure update solves the
+    bundle's content operator, (W B(phi0) + dt B_kappa) d_p
+    = W (theta_n - theta_k + dt N_theta), or P d_p = W (...) at weak
+    coupling.
     """
     grid, material, w = frozen.grid, frozen.material, frozen.w
     t_new = state.t + dt
@@ -570,9 +622,9 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
     the accelerated iteration.  An attempt fails after max_picard
     iterates, on a SolverFailure, or as soon as _cannot_converge shows
     that it cannot succeed within max_picard iterates: at a non-finite
-    residual, or from iterate GIVE_UP_AFTER on when its contraction
-    estimate is not below 1 or predicts a residual above the target at
-    iterate max_picard.  The window is then retried with
+    residual, or from iterate GIVE_UP_AFTER on when its mean rate over
+    the attempt is not below 1 or predicts a residual above the target
+    at iterate max_picard.  The window is then retried with
     dt scaled by shrink_factor, on a bundle rebuilt at the window's phi
     if the failed one was stale.  After max_shrinks retries, StepFailure
     carries every PicardAttempt made, and its message marks the stale
