@@ -9,17 +9,18 @@ strong equations:
 
   N_phi   = div(m(phi) grad mu) + S_phase
   N_theta = div(kappa(phi) grad p) + S_fluid
-  N_u     = udot,   Knu(phi) udot = weak(f, g) - E'W sigma_rest   (visco)
+  F_u     = weak(f, g) - E'W sigma(phi, theta, u; E((u - u_n) / dt))   (visco)
 
 where mu and p are the derived chemical potential and pressure at the
-current iterate, and sigma_rest is the stress minus its viscous part.
-Evaluating N through the derived fields keeps every sign tied to the
-governing equations.
+current iterate; F_u, the weak momentum force at the implicit-Euler
+strain rate, vanishes at the Kelvin-Voigt window's momentum balance.
+Evaluating N and F_u through the derived fields keeps every sign tied
+to the governing equations.
 
-The displacement solves at the current iterate (udot here, and the
-quasi-static reconstruction when the stepper passes a reference to
-displacement_problem) factor nothing: they run CG preconditioned by
-the factor of the same problem frozen at phi0.
+The quasi-static reconstruction at the current iterate (when the
+stepper passes a reference to displacement_problem) factors nothing:
+it runs CG preconditioned by the factor of the same problem frozen at
+phi0.
 """
 
 from dataclasses import dataclass
@@ -207,11 +208,11 @@ def rhs_elastic(grid, material, phi, theta, u, sources, t):
 
 @dataclass
 class ViscoOperators:
-    """Frozen-phase operators for the Kelvin-Voigt regime.
-
-    The stepper uses visco0 (the u-dot problem and its preconditioner)
-    and kappa_m0; apply_a0 applies the u-substep's frozen operator A0,
-    which the update-form map never applies to an iterate.
+    """Frozen-phase visco operators of the Kelvin-Voigt regime: visco0, the
+    visco stiffness Knu(phi0), and apply_a0, the frozen operator
+    A0 = Knu(phi0)^{-1} K(phi0) of the displacement update.  The stepper
+    uses neither: its update solves the shifted problem alone (see
+    chbsim.stepper.FrozenVisco).
     """
 
     grid: object
@@ -220,12 +221,9 @@ class ViscoOperators:
 
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=float).ravel()
-        # visco stiffness at phi0 (for udot, A0 and the implicit u-substep)
         self.visco0 = EllipticProblem(
             self.grid, self.material, self.phi0, variant=VISCO,
             scale=STIFFNESS_SCALE)
-        self.kappa_m0 = (self.material.permeability(self.phi0)
-                         * self.material.biot_modulus(self.phi0))
 
     def apply_a0(self, u):
         """A0 u = Knu(phi0)^{-1} K(phi0) u (Knu(phi0) factored on first use)."""
@@ -233,27 +231,20 @@ class ViscoOperators:
         return solve_elasticity(self.visco0, elastic0.apply(u.ux, u.uy))[0]
 
 
-def rhs_visco(grid, material, ctx_ops, phi, theta, u, sources, t):
-    """(N_phi, N_u, N_theta) for the visco-elastic regime at one iterate.
+def rhs_visco(grid, material, phi, theta, u, u_n, dt, sources, t):
+    """(N_phi, F_u, N_theta) for the visco-elastic regime at one iterate.
 
-    ctx_ops is a ViscoOperators bundle frozen at the window start; N_u is
-    the displacement velocity udot.
+    F_u is the weak momentum force at the implicit-Euler strain rate
+    E((u - u_n) / dt), as a VectorField2 of nodal weak-form values (zero
+    on the Dirichlet nodes); it vanishes where the window's momentum
+    balance holds.
     """
     mu_chem = chemical_potential(grid, material, phi, theta, u)
     f_phi = phase_rhs(grid, material, phi, mu_chem, sources.phase_at(grid, t))
-
-    # displacement velocity: Knu(phi) E(udot) balances f, g and the rest
-    # stress sigma_rest (sigma without its viscous part); at phi = phi0
-    # Knu is the bundle's visco0, solved with its factor, and at any
-    # other phi by CG preconditioned with that factor
-    sigma_rest = stress(grid, material, phi, theta, u)
-    if np.array_equal(phi, ctx_ops.phi0):
-        visco_phi = ctx_ops.visco0
-    else:
-        visco_phi = EllipticProblem(grid, material, phi, variant=VISCO, scale=STIFFNESS_SCALE,
-                                    reference=ctx_ops.visco0)
-    rhs_ext = visco_phi.assemble_rhs(body=sources.body_at(grid, t), traction=sources.traction)
-    rhs_sig = visco_phi.assemble_rhs(tensor_source=sigma_rest)
-    udot, _ = solve_elasticity(
-        visco_phi, (rhs_ext[0] - rhs_sig[0], rhs_ext[1] - rhs_sig[1]))
-    return f_phi, udot, _content_rhs(grid, material, phi, theta, u, sources, t)
+    rate = symmetric_gradient(VectorField2(grid, (u.ux - u_n.ux) / dt, (u.uy - u_n.uy) / dt))
+    sigma = stress(grid, material, phi, theta, u, strain_rate=rate)
+    prob = EllipticProblem(grid, material, phi)  # assembly only
+    rhs_ext = prob.assemble_rhs(body=sources.body_at(grid, t), traction=sources.traction)
+    rhs_sig = prob.assemble_rhs(tensor_source=sigma)
+    f_u = VectorField2(grid, rhs_ext[0] - rhs_sig[0], rhs_ext[1] - rhs_sig[1])
+    return f_phi, f_u, _content_rhs(grid, material, phi, theta, u, sources, t)

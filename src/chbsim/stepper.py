@@ -22,9 +22,10 @@ applying L to any iterate.  The linear substeps are:
               at strong coupling, (W B(phi0) + dt B_kappa) q = W r by
               P-preconditioned CG on its Schur complement
   content:    (W + dt B_{kappa M}) d = W r in the visco regime
-  displacement: (K_nu + dt K) d = K_nu (u_n - u_k + dt udot) in the
-              visco regime (displacement is reconstructed, not evolved,
-              in the quasi-static regime)
+  displacement: (K_nu + dt K)(phi0) d = dt F_u(x_k) in the visco regime,
+              dt F_u = K_nu(phi_k)(u_n - u_k) + dt (f - E'W sigma_rest),
+              with the state-dependent viscous mass K_nu(phi_k) (u is
+              reconstructed, not evolved, in the quasi-static regime)
 
 The operators are frozen in a bundle (FrozenElastic, FrozenVisco) at
 the phase field of the window that builds it.  Every matrix that is
@@ -34,16 +35,16 @@ the content system (quasi-static: the fixed-stress P, and at strong
 coupling also the plain stiffness K0 that each product with the Schur
 complement solves with; visco: the content matrix itself) and the
 frozen elasticity problems.  Displacement problems at the current
-iterate phi_k (the quasi-static reconstruction, the pressure form's
-displacement and the visco u-dot problem) differ from their frozen
-counterparts by O(|phi_k - phi0|); they are solved by CG preconditioned
-with the frozen factor, to the fixed relative tolerance
-elliptic.REFERENCE_CG_TOL, and never factored.  A weakly coupled
-quasi-static bundle therefore factors three matrices per dt: phase, P
-and the augmented problem in the theta form, phase, P and K0 in the
-pressure form, whose displacement solves are preconditioned by K0.  A
-strongly coupled theta-form bundle adds K0 (four).  A visco bundle
-factors four: phase, content, visco0 and the shifted visco problem.
+iterate phi_k (the quasi-static reconstruction and the pressure form's
+displacement) differ from their frozen counterparts by
+O(|phi_k - phi0|); they are solved by CG preconditioned with the frozen
+factor, to the fixed relative tolerance elliptic.REFERENCE_CG_TOL, and
+never factored.  A weakly coupled quasi-static bundle therefore factors
+three matrices per dt: phase, P and the augmented problem in the theta
+form, phase, P and K0 in the pressure form, whose displacement solves
+are preconditioned by K0.  A strongly coupled theta-form bundle adds K0
+(four).  A visco bundle factors three: phase, content and the shifted
+visco problem.
 
 Since N carries every nonlinearity, L(phi0) sets only the rate of
 contraction, not the fixed point, so a bundle frozen at an earlier
@@ -95,9 +96,8 @@ from .biot import STIFFNESS_SCALE, BiotContext
 from .elliptic import (PLAIN, REFERENCE_CG_MAXITER, REFERENCE_CG_TOL, VISCO, DirectSolver,
                        EllipticProblem, SolverFailure, conjugate_gradient, solve_elasticity)
 from .grid import VectorField2, divergence, flux_stiffness_matrix
-from .rhs import (SimState, SourceSpec, ViscoOperators, displacement_problem,
-                  eigenstrain_tensor_source, pressure, reconstruct_displacement,
-                  rhs_elastic, rhs_visco)
+from .rhs import (SimState, SourceSpec, displacement_problem, eigenstrain_tensor_source,
+                  pressure, reconstruct_displacement, rhs_elastic, rhs_visco)
 
 THETA_FORM = "theta"
 PRESSURE_FORM = "pressure"
@@ -380,12 +380,13 @@ class FrozenElastic(_FrozenPhase):
 
 @dataclass
 class FrozenVisco(_FrozenPhase):
-    """Window-frozen operators for the Kelvin-Voigt regime."""
+    """Window-frozen operators for the Kelvin-Voigt regime: B_{kappa M}(phi0)
+    and, per dt, the content solver and the shifted visco problem."""
 
     def __post_init__(self):
         super().__post_init__()
-        self.ops = ViscoOperators(self.grid, self.material, self.phi0)
-        self.b_km = flux_stiffness_matrix(self.grid, self.ops.kappa_m0)
+        m, phi0 = self.material, self.phi0
+        self.b_km = flux_stiffness_matrix(self.grid, m.permeability(phi0) * m.biot_modulus(phi0))
 
     def content_solver(self, dt):
         """DirectSolver of W + dt B_{kappa M}(phi0), cached per dt."""
@@ -436,10 +437,10 @@ def linear_substep_theta_visco(frozen, dt, r):
     return _mean_restoring_solve(frozen.content_solver(dt), frozen.w, r)
 
 
-def linear_substep_u_visco(frozen, dt, u_n, f_u):
-    """Solve (K_nu + dt K)(phi0) d = K_nu(phi0) (u_n + dt f_u) for d."""
-    rhs = frozen.ops.visco0.apply(u_n.ux + dt * f_u.ux, u_n.uy + dt * f_u.uy)
-    return solve_elasticity(frozen.shifted_problem(dt), rhs)
+def linear_substep_u_visco(frozen, dt, f_u):
+    """Solve (K_nu + dt K)(phi0) d = dt f_u for d, f_u the weak momentum
+    force of rhs_visco."""
+    return solve_elasticity(frozen.shifted_problem(dt), (dt * f_u.ux, dt * f_u.uy))
 
 
 # --- Picard windows -------------------------------------------------------
@@ -552,18 +553,18 @@ def _pressure_iterates(frozen, state, sources, dt):
 
 def _visco_iterates(frozen, state, sources, dt):
     """Kelvin-Voigt iterate map: the unknowns (phi, theta, u_x, u_y) all
-    enter the residual, and no field is derived."""
+    enter the residual, no field is derived, and no system at the current
+    iterate is solved."""
     grid, material = frozen.grid, frozen.material
     t_new = state.t + dt
     phi_k, theta_k, u_k = state.phi, state.theta, state.u
     while True:
-        n_phi, udot, n_theta = rhs_visco(
-            grid, material, frozen.ops, phi_k, theta_k, u_k, sources, t_new)
+        n_phi, f_u, n_theta = rhs_visco(
+            grid, material, phi_k, theta_k, u_k, state.u, dt, sources, t_new)
         d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
         d_theta, _ = linear_substep_theta_visco(
             frozen, dt, state.theta - theta_k + dt * n_theta)
-        d_u, _ = linear_substep_u_visco(
-            frozen, dt, VectorField2(grid, state.u.ux - u_k.ux, state.u.uy - u_k.uy), udot)
+        d_u, _ = linear_substep_u_visco(frozen, dt, f_u)
         phi_k, theta_k, ux, uy = yield ((phi_k, theta_k, u_k.ux, u_k.uy),
                                         (d_phi, d_theta, d_u.ux, d_u.uy))
         u_k = VectorField2(grid, ux, uy)

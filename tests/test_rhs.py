@@ -1,7 +1,7 @@
 import numpy as np
 
 from chbsim.grid import VectorField2, divergence, symmetric_gradient
-from chbsim.rhs import (SourceSpec, ViscoOperators,
+from chbsim.rhs import (SourceSpec,
                         chemical_potential, displacement_problem, pressure,
                         reconstruct_displacement, rhs_elastic, rhs_visco,
                         stress)
@@ -118,15 +118,16 @@ def test_rhs_elastic_vanishes_at_uniform_equilibrium():
 
 
 def test_rhs_visco_vanishes_at_uniform_equilibrium():
+    """At rest (u = u_n) in a uniform pure phase, the phase and content
+    tendencies and the weak momentum force F_u all vanish."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=1, m1=0.0, k1=0.0, M1=0.0, a1=0.0,
                       tau0=0.0, tau1=0.0,
                       lam_a=1.0, lam_b=1.0, mu_a=1.0, mu_b=1.0)
     phi = np.ones(g.n_nodes)
     theta = np.zeros(g.n_nodes)
-    ops = ViscoOperators(g, m, phi)
     u = VectorField2.zero(g)
-    f_phi, f_u, f_theta = rhs_visco(g, m, ops, phi, theta, u, SourceSpec(), 0.0)
+    f_phi, f_u, f_theta = rhs_visco(g, m, phi, theta, u, u.copy(), 1e-3, SourceSpec(), 0.0)
     assert np.max(np.abs(f_phi)) <= 1e-9
     assert np.max(np.abs(f_u.ux)) <= 1e-9 and np.max(np.abs(f_u.uy)) <= 1e-9
     assert np.max(np.abs(f_theta)) <= 1e-9
@@ -161,10 +162,9 @@ def test_rhs_lipschitz_sampled():
 
 
 def test_rhs_visco_at_phi0_reuses_the_window_factor(monkeypatch):
-    """On the first Picard iterate phi = phi0, so the u-dot problem is the
-    window's visco0: once apply_a0 has factored it, rhs_visco factors
-    nothing new.  At a different phase the u-dot problem is solved by CG
-    preconditioned with that factor, so it factors nothing either."""
+    """rhs_visco evaluates the weak momentum force at the implicit-Euler
+    strain rate and solves nothing: it factors no matrix, at the window's
+    start phase phi0 or at any other."""
     import chbsim.elliptic as elliptic
     g = make_grid(8, tags=MIXED)
     m = make_material(rho=1)
@@ -173,8 +173,7 @@ def test_rhs_visco_at_phi0_reuses_the_window_factor(monkeypatch):
     theta = 0.1 * smooth_phi(g, rng)
     u = VectorField2(g, 0.01 * rng.standard_normal(g.n_nodes),
                      0.01 * rng.standard_normal(g.n_nodes))
-    ops = ViscoOperators(g, m, phi0)
-    ops.apply_a0(u)
+    u_n = VectorField2.zero(g)
     created = []
 
     class CountingSolver(elliptic.DirectSolver):
@@ -183,7 +182,7 @@ def test_rhs_visco_at_phi0_reuses_the_window_factor(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(elliptic, "DirectSolver", CountingSolver)
-    rhs_visco(g, m, ops, phi0.copy(), theta, u, SourceSpec(), 0.0)
+    rhs_visco(g, m, phi0.copy(), theta, u, u_n, 1e-3, SourceSpec(), 0.0)
     assert created == []
-    rhs_visco(g, m, ops, phi0 + 0.01, theta, u, SourceSpec(), 0.0)
+    rhs_visco(g, m, phi0 + 0.01, theta, u, u_n, 1e-3, SourceSpec(), 0.0)
     assert created == []
