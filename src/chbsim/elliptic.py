@@ -28,8 +28,13 @@ coefficients is a pair of triangular solves.  A problem given a
 reference problem (same grid and variant, typically frozen at the
 start phase of a recent window) factors nothing: it solves K x = b by CG
 preconditioned with the reference's cached LU.  The two stiffnesses
-differ by O(|phi - phi_ref|), so a few iterations reach the fixed
-relative tolerance REFERENCE_CG_TOL.
+differ by O(|phi - phi_ref|), so a few iterations reach the absolute
+target REFERENCE_CG_TOL ||b||.  Such a solve may start from a nearby
+solution x0 and may be inexact: with a forcing term eta > 0 it stops
+once the residual is at most eta times the start's own residual (or at
+the absolute target, if that is larger).  The time stepper solves each
+Picard iterate's displacement so, from the previous iterate's, and the
+accepted state's to the absolute target (see chbsim.stepper).
 
 Right-hand sides accept a body force, a nodal tensor source P entering
 as + sum w_k P_k : E(w)_k (the weak form of -div P), a scalar source q
@@ -114,33 +119,44 @@ def _require_positive(value, name, owner, it, history):
         raise SolverFailure(f"{reason} ({name} = {value:.3e} at iter {it})", history)
 
 
-def conjugate_gradient(apply_a, b, precondition=None, tol=1e-10, maxiter=5000):
-    """Preconditioned CG for SPD operators.
+def conjugate_gradient(apply_a, b, x0=None, precondition=None, tol=1e-10, maxiter=5000,
+                       forcing=0.0):
+    """Preconditioned CG for SPD operators, started from x0 (None: zero).
 
-    Stops when ||r|| <= tol * ||b||, so b = 0 returns x = 0 at once.
-    precondition maps a residual r to M^{-1} r for an SPD preconditioner
-    M; None means no preconditioning.  Raises SolverFailure when maxiter
-    is exhausted, and at once on a non-finite right-hand side, a
-    curvature p'Ap or a preconditioned residual product r'z that is not
-    positive (the operator or the preconditioner is not SPD), or a
-    non-finite value in either.
+    Stops when ||r|| <= max(tol ||b||, forcing ||b - A x0||): the first
+    bound is absolute, whatever the start, and the second, relative to
+    the start's own residual, is the forcing term of an inexact solve
+    (0, the default, gives the absolute target alone).  b = 0 returns
+    x = 0 at once, and a start that already meets the target is returned
+    with 0 iterations.  precondition maps a residual r to M^{-1} r for an
+    SPD preconditioner M; None means no preconditioning.  Raises
+    SolverFailure when maxiter is exhausted, and at once on a non-finite
+    right-hand side or start residual, a curvature p'Ap or a
+    preconditioned residual product r'z that is not positive (the
+    operator or the preconditioner is not SPD), or a non-finite value in
+    either.
     """
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if not np.isfinite(bnorm):
         raise SolverFailure("non-finite right-hand side", [bnorm])
-    target = tol * bnorm
-    if bnorm <= target:
+    if bnorm == 0.0:
         return np.zeros_like(b), SolveReport(0, bnorm, [bnorm])
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - apply_a(x)
+    res = float(np.linalg.norm(r))
+    if not np.isfinite(res):
+        raise SolverFailure(f"non-finite value (||b - A x0|| = {res:.3e} at iter 0)", [res])
+    target = max(tol * bnorm, forcing * res)
+    history = [res]
+    if res <= target:
+        return x, SolveReport(0, res, history)
     if precondition is None:
         def precondition(r):
             return r
-    x = np.zeros_like(b)
-    r = b.copy()
     z = precondition(r)
     p = z.copy()
     rz = float(np.dot(r, z))
-    history = [bnorm]
     _require_positive(rz, "r'z", "preconditioner", 0, history)
     for it in range(1, maxiter + 1):
         ap = apply_a(p)
@@ -163,10 +179,11 @@ def conjugate_gradient(apply_a, b, precondition=None, tol=1e-10, maxiter=5000):
         history)
 
 
-# Relative tolerance and iteration cap of the CG solves preconditioned by
-# a reference problem's LU.  The reference stiffness is within
-# O(|phi - phi_ref|) of the problem's own, so CG needs a handful of
-# iterations; the cap only bounds a failing solve.
+# Tolerance relative to |b| (the absolute target of a tight solve) and
+# iteration cap of the CG solves preconditioned by a reference problem's
+# LU.  The reference stiffness is within O(|phi - phi_ref|) of the
+# problem's own, so CG needs a handful of iterations; the cap only bounds
+# a failing solve.
 REFERENCE_CG_TOL = 1e-12
 REFERENCE_CG_MAXITER = 100
 
@@ -262,13 +279,15 @@ class EllipticProblem:
             self._solver = DirectSolver(self.stiffness_matrix())
         return self._solver
 
-    def solve(self, b):
+    def solve(self, b, x0=None, forcing=0.0):
         """K^{-1} b on the free dofs of a stacked (bx, by) vector.
 
-        Without a reference, a direct solve with this problem's factor;
-        with one, CG preconditioned by the reference's factor.  Returns
-        the stacked solution, zero on the Dirichlet dofs, and its
-        SolveReport.
+        Without a reference, a direct solve with this problem's factor,
+        which needs no start and is exact.  With one, CG preconditioned by
+        the reference's factor, started from the stacked x0 (None: zero)
+        and stopped at max(REFERENCE_CG_TOL ||b||, forcing ||b - K x0||)
+        (see conjugate_gradient).  Returns the stacked solution, zero on
+        the Dirichlet dofs, and its SolveReport.
         """
         x = np.zeros(2 * self.grid.n_nodes)
         free = self.grid.free_dofs
@@ -277,8 +296,9 @@ class EllipticProblem:
         else:
             x[free], report = conjugate_gradient(
                 self.stiffness_matrix().dot, b[free],
+                x0=None if x0 is None else x0[free],
                 precondition=self.reference.factor().apply_inverse,
-                tol=REFERENCE_CG_TOL, maxiter=REFERENCE_CG_MAXITER)
+                tol=REFERENCE_CG_TOL, maxiter=REFERENCE_CG_MAXITER, forcing=forcing)
         return x, report
 
     # --- right-hand side assembly ----------------------------------------
@@ -333,8 +353,11 @@ class EllipticProblem:
         return rx, ry
 
 
-def solve_elasticity(problem, rhs):
-    """Direct solve of the displacement problem; returns (VectorField2, SolveReport)."""
+def solve_elasticity(problem, rhs, start=None, forcing=0.0):
+    """Solve the displacement problem for the weak rhs pair, from the
+    VectorField2 start (None: zero) and with the forcing term forcing (see
+    EllipticProblem.solve); returns (VectorField2, SolveReport)."""
     n = problem.grid.n_nodes
-    x, report = problem.solve(np.concatenate(rhs))
+    x0 = None if start is None else np.concatenate([start.ux, start.uy])
+    x, report = problem.solve(np.concatenate(rhs), x0, forcing)
     return VectorField2(problem.grid, x[:n], x[n:]), report

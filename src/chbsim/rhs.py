@@ -20,7 +20,10 @@ to the governing equations.
 The quasi-static reconstruction at the current iterate (when the
 stepper passes a reference to displacement_problem) factors nothing:
 it runs CG preconditioned by the factor of the same problem frozen at
-phi0.
+phi0, warm-started from the previous iterate's displacement.  Inside a
+window it is inexact, stopped by a forcing term relative to the start's
+own residual; the accepted state's is solved to the absolute target
+(see chbsim.stepper).
 """
 
 from dataclasses import dataclass
@@ -161,10 +164,15 @@ def displacement_problem(grid, material, phi, reference=None):
                            reference=reference)
 
 
-def reconstruct_displacement(problem, material, theta, sources, t):
+def reconstruct_displacement(problem, material, theta, sources, t, start=None, forcing=0.0):
     """Solve the quasi-static displacement for given phase and content.
 
     u = Ctilde(phi)^{-1}( -div(C T + alpha M theta I) + f, g ).
+
+    A problem with a reference solves by CG from the displacement start
+    (None: zero), to the absolute target, or, with forcing > 0, only
+    until its residual has fallen by that factor (see
+    EllipticProblem.solve); a problem without one solves directly.
     """
     phi = problem.phi
     scalar = (eigenstrain_tensor_source(material, phi)
@@ -172,7 +180,7 @@ def reconstruct_displacement(problem, material, theta, sources, t):
     rhs = problem.assemble_rhs(
         body=sources.body_at(problem.grid, t), scalar_source=scalar,
         traction=sources.traction)
-    return solve_elasticity(problem, rhs)
+    return solve_elasticity(problem, rhs, start, forcing)
 
 
 # --- right-hand sides -----------------------------------------------------

@@ -62,6 +62,89 @@ def test_cg_rejects_what_is_not_spd_or_not_finite():
         assert len(exc.value.residuals) == 1
 
 
+def _spd_system(seed, n=30):
+    """A dense SPD system (a, b), its solution and a Jacobi preconditioner."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a = a @ a.T + n * np.eye(n)
+    b = rng.standard_normal(n)
+    inv_diag = 1.0 / np.diag(a)
+    return a, b, np.linalg.solve(a, b), lambda r: inv_diag * r
+
+
+def test_cg_start_at_the_solution_returns_it():
+    a, b, x, precondition = _spd_system(4)
+    got, rep = conjugate_gradient(lambda v: a @ v, b, x0=x, precondition=precondition,
+                                  tol=1e-10)
+    assert rep.iterations == 0 and np.array_equal(got, x)
+    assert rep.residuals == [rep.residual] and rep.residual <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("start", ["zero", "near", "far"])
+def test_cg_target_is_absolute_whatever_the_start(start):
+    """The stopping target is tol |b|, not relative to the start's residual:
+    a start whose residual is far above |b| still ends below tol |b|, a
+    start near the solution ends there sooner, and every start stops at the
+    first residual below the target, so warm and cold solutions agree to
+    it."""
+    a, b, x, precondition = _spd_system(5)
+    rng = np.random.default_rng(6)
+    x0 = {"zero": np.zeros_like(b), "near": x + 1e-6 * rng.standard_normal(b.size),
+          "far": 1e3 * np.linalg.norm(b) / np.linalg.norm(a, 2) * rng.standard_normal(b.size)}
+    tol = 1e-10
+    target = tol * np.linalg.norm(b)
+    cold, cold_rep = conjugate_gradient(lambda v: a @ v, b, precondition=precondition, tol=tol)
+    got, rep = conjugate_gradient(lambda v: a @ v, b, x0=x0[start],
+                                  precondition=precondition, tol=tol)
+    assert rep.residuals[0] == pytest.approx(np.linalg.norm(b - a @ x0[start]))
+    if start == "far":
+        assert rep.residuals[0] >= 1e2 * np.linalg.norm(b)
+    assert rep.residual <= target < rep.residuals[-2]
+    assert np.linalg.norm(b - a @ got) <= 1.01 * target
+    assert np.linalg.norm(a @ (got - cold)) <= 2.02 * target
+    if start == "zero":
+        assert np.array_equal(got, cold) and rep.residuals == cold_rep.residuals
+    if start == "near":
+        assert rep.iterations < cold_rep.iterations
+
+
+def test_cg_forcing_stops_relative_to_the_start():
+    """With a forcing term eta, CG stops at the first residual below
+    max(tol |b|, eta |b - A x0|): at the relative bound when it is the
+    larger, and at the absolute one when a tiny eta makes that larger."""
+    a, b, x, precondition = _spd_system(7)
+    x0 = x + 1e-3 * np.random.default_rng(8).standard_normal(b.size)
+    r0 = np.linalg.norm(b - a @ x0)
+    _, rep = conjugate_gradient(lambda v: a @ v, b, x0=x0, precondition=precondition,
+                                tol=1e-12, forcing=0.1)
+    assert rep.residual <= 0.1 * r0 < rep.residuals[-2]
+    _, rep = conjugate_gradient(lambda v: a @ v, b, x0=x0, precondition=precondition,
+                                tol=1e-3, forcing=1e-9)
+    assert rep.residual <= 1e-3 * np.linalg.norm(b) < rep.residuals[-2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cg_non_finite_start_fails_at_once(bad):
+    """A non-finite start raises SolverFailure after the one product that
+    forms its residual, before any iteration or preconditioner step."""
+    a, b, x, _ = _spd_system(9)
+    x0 = x.copy()
+    x0[3] = bad
+    products, steps = [], []
+
+    def apply_a(v):
+        products.append(v)
+        return a @ v
+
+    def precondition(r):
+        steps.append(r)
+        return r
+
+    with pytest.raises(SolverFailure, match="non-finite value") as exc:
+        conjugate_gradient(apply_a, b, x0=x0, precondition=precondition, maxiter=10**9)
+    assert len(products) == 1 and steps == [] and len(exc.value.residuals) == 1
+
+
 def test_scalar_helmholtz_keeps_constants():
     g = make_grid(8, tags=MIXED)
     b = flux_stiffness_matrix(g, 1.0)
