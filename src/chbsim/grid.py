@@ -34,13 +34,15 @@ satisfy the zero-flux condition.
 
 Everything a grid derives from its geometry (shape, lengths and edge
 tags), down to the displacement stiffness's Gram map, is built once in
-one bounded cache (_grid_ops).
+one bounded cache (_grid_ops); the per-axis eigenpairs that the
+displacement preconditioner needs join it on first use.
 """
 
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 DIRICHLET = "dirichlet"
@@ -174,6 +176,24 @@ class Grid:
         dofs (see _stiffness_gram); callers must not modify them."""
         return self._ops()["gram"]
 
+    @property
+    def axis_eigenpairs(self):
+        """((values, vectors) along x, (values, vectors) along y): the
+        generalized eigenpairs of (A, T) on each axis's free displacement
+        nodes (see _axis_eigenpairs), computed on first use and cached
+        with the grid's operators; callers must not modify them.
+
+        A node is clamped where its column or its row is (the corner
+        rule), so the free nodes are the product of the free columns and
+        the free rows.
+        """
+        ops = self._ops()
+        if "axis_eig" not in ops:
+            clamped = ops["dirichlet"].reshape(self.ny, self.nx)
+            ops["axis_eig"] = (_axis_eigenpairs(self.nx, self.hx, ~clamped.all(axis=0)),
+                               _axis_eigenpairs(self.ny, self.hy, ~clamped.all(axis=1)))
+        return ops["axis_eig"]
+
 
 def _sbp_first_derivative(n, h):
     """1D first derivative, trapezoid-norm summation-by-parts pair.
@@ -278,6 +298,26 @@ def _stiffness_gram(strain):
                          shape=(keys.size, strain.shape[0]))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
     return gram, (keys % m).astype(np.int32), indptr.astype(np.int32)
+
+
+def _axis_eigenpairs(n, h, free):
+    """(values, vectors) of A v = value T v on the free nodes of one axis
+    of n nodes, spacing h.
+
+    A = d1' diag(t) d1 is the 1D SBP operator and T = diag(t) the
+    trapezoid mass, both restricted to the free nodes; the vectors are
+    T-orthonormal, V' T V = I, so V' A V = diag(values).  The 2D blocks
+    hx hy (a T_y (x) A_x + b A_y (x) T_x) of a constant-coefficient
+    stiffness are then diagonal in V_y (x) V_x (fast diagonalization).  An
+    axis with no clamped node keeps the constants as its one zero value.
+    """
+    t = _trapezoid(n)
+    d = _sbp_first_derivative(n, h)[:, free].toarray()
+    values, vectors = scipy.linalg.eigh(d.T @ (t[:, None] * d), np.diag(t[free]))
+    values = np.maximum(values, 0.0)
+    for array in (values, vectors):
+        array.setflags(write=False)
+    return values, vectors
 
 
 def _trapezoid(n):

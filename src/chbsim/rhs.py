@@ -19,11 +19,11 @@ to the governing equations.
 
 The quasi-static reconstruction at the current iterate (when the
 stepper passes a reference to displacement_problem) factors nothing:
-it runs CG preconditioned by the factor of the same problem frozen at
-phi0, warm-started from the previous iterate's displacement.  Inside a
-window it is inexact, stopped by a forcing term relative to the start's
-own residual; the accepted state's is solved to the absolute target
-(see chbsim.stepper).
+it runs CG preconditioned by the block fast-diagonalization of the same
+problem frozen at phi0, warm-started from the previous iterate's
+displacement.  Inside a window it is inexact, stopped by a forcing term
+relative to the start's own preconditioned residual; the accepted
+state's is solved to the absolute target (see chbsim.stepper).
 """
 
 from dataclasses import dataclass
@@ -157,8 +157,8 @@ def displacement_problem(grid, material, phi, reference=None):
     """Augmented quasi-static displacement problem at phase phi.
 
     reference is passed to EllipticProblem: with the stepper's frozen
-    augmented problem at phi0, the solve is preconditioned CG instead of
-    a new factorization.
+    augmented problem at phi0, the solve is CG preconditioned by that
+    problem's block fast-diagonalization, and nothing is factored.
     """
     return EllipticProblem(grid, material, phi, variant=AUGMENTED, scale=STIFFNESS_SCALE,
                            reference=reference)
@@ -171,8 +171,8 @@ def reconstruct_displacement(problem, material, theta, sources, t, start=None, f
 
     A problem with a reference solves by CG from the displacement start
     (None: zero), to the absolute target, or, with forcing > 0, only
-    until its residual has fallen by that factor (see
-    EllipticProblem.solve); a problem without one solves directly.
+    until its preconditioned residual norm has fallen by that factor
+    (see EllipticProblem.solve); a problem without one solves directly.
     """
     phi = problem.phi
     scalar = (eigenstrain_tensor_source(material, phi)

@@ -34,21 +34,21 @@ direct solver and reused by every Picard iterate: the phase operator,
 the content system (quasi-static: the fixed-stress P, and at strong
 coupling also the plain stiffness K0 that each product with the Schur
 complement solves with; visco: the content matrix itself) and the
-frozen elasticity problems.  Displacement problems at the current
-iterate phi_k (the quasi-static reconstruction and the pressure form's
-displacement) differ from their frozen counterparts by
-O(|phi_k - phi0|); they are solved by CG preconditioned with the frozen
-factor and never factored.  A weakly coupled quasi-static bundle
-therefore factors three matrices per dt: phase, P and the augmented
-problem in the theta form, phase, P and K0 in the pressure form, whose
-displacement solves are preconditioned by K0.  A strongly coupled
-theta-form bundle adds K0 (four).  A visco bundle factors three: phase,
+visco regime's shifted elasticity problem.  Displacement problems at
+the current iterate phi_k (the quasi-static reconstruction and the
+pressure form's displacement) are never factored: they are solved by CG
+preconditioned with the block fast-diagonalization of the frozen
+problem at phi0 (elliptic.LameBlockPreconditioner), which factors
+nothing either.  A weakly coupled quasi-static bundle therefore
+factors two matrices per dt, phase and P, in both forms; a strongly
+coupled one adds K0 (three).  A visco bundle factors three: phase,
 content and the shifted visco problem.
 
 A quasi-static map feeds an iterate's u only into its tendencies, so
 the displacement solve at a Picard iterate is inexact: it starts from
-the previous iterate's u and stops once its residual is ITERATE_FORCING
-times its start's, an error that shrinks with the Picard update.  Only
+the previous iterate's u and stops once its preconditioned residual
+norm is ITERATE_FORCING / (1 + s)^2 times its start's, s the bundle's
+coupling strength, an error that shrinks with the Picard update.  Only
 the accepted state's u is solved to the absolute target
 elliptic.REFERENCE_CG_TOL |b|, from the last iterate's.
 
@@ -143,10 +143,11 @@ class StepperConfig:
 
     No solve reads tol_lin: the frozen substeps are sparse direct
     solves, and the displacement solves at the current iterate run CG
-    preconditioned with the bundle's factor, a Picard iterate's to the
-    forcing term ITERATE_FORCING and the accepted state's to the
-    absolute target REFERENCE_CG_TOL |b|; neither is a setting.  The
-    field, its config key and its validation are kept only because
+    preconditioned with the bundle's block fast-diagonalization, a
+    Picard iterate's to the coupling-scaled forcing term ITERATE_FORCING
+    and the accepted state's to the absolute target REFERENCE_CG_TOL
+    |b|; neither is a setting.  The field, its config key and its
+    validation are kept only because
     bench/run_bench.py writes stepper.tol_lin into every config, and
     parse_config rejects unknown keys.
     """
@@ -501,18 +502,42 @@ class Linearization:
 
 
 # Forcing term eta of the displacement solves at a Picard iterate: each
-# runs from the previous iterate's u until its residual is at most eta
-# times its start's, so the error it leaves is about eta |d_k| and
-# shrinks with the Picard update (the inexact-Newton forcing term: Dembo,
-# Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and Anderson
-# acceleration keeps its rate (Toth et al., SIAM J. Sci. Comput. 39,
-# 2017).  On seeds 1-10 of spinodal-qs-32, retry-qs-32 and source-qs-64,
-# in both forms, eta = 0.1, 0.3 and 0.5 all take one PCG iteration per
-# iterate solve and the same Picard iterates, window by window, as tight
-# solves from zero; eta = 0.01 takes two on retry-qs-32 and source-qs-64
-# (theta form: 700 and 470 CG iterations per ten runs, against 430 and
-# 310).  0.1 is the smallest of them at one iteration.
+# runs from the previous iterate's u until its preconditioned residual
+# norm is at most eta / (1 + s)^2 times its start's (see
+# _iterate_forcing), so the error it leaves is about that multiple of
+# |d_k| and shrinks with the Picard update (the inexact-Newton forcing
+# term: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), and
+# Anderson acceleration keeps its rate (Toth et al., SIAM J. Sci. Comput.
+# 39, 2017).  On seeds 1-10 of spinodal-qs-32, retry-qs-32 and
+# source-qs-64 (s = 0.08), CG iterations of the iterate solves per ten
+# runs, theta form: eta = 0.01 takes 1664, 1030 and 550; eta = 0.1 takes
+# 982, 540 and 320, at most two per solve in the theta form and three in
+# the pressure form, with the Picard iterates of tight solves window by
+# window in both forms; eta = 0.3 takes 722, 390 and 240, but the
+# pressure form's source-qs-64 takes 210 Picard iterates, not 200; eta =
+# 0.5 takes one per solve, but retry-qs-32 takes 320, not 310.  0.1 is
+# the largest that keeps the iterates.
 ITERATE_FORCING = 0.1
+
+
+def _iterate_forcing(frozen):
+    """The forcing term of a bundle's iterate solves, ITERATE_FORCING over
+    (1 + s)^2, s = frozen.coupling.
+
+    A displacement error du moves the pressure M (theta - alpha div u) by
+    alpha M div du, a move that grows with s = alpha^2 M / K_dr; so the
+    solve must be tighter at strong coupling.  On the retry-qs-32 config
+    at 10^2 and 32^2 with a0 = 1, a1 = modulus1 = 0, eps = 0.3 and
+    modulus0 in {4, 16, 64, 256} (s = 0.7 to 44), seeds 1-2, both forms:
+    the unscaled eta shrinks dt 19 times and takes 1627 Picard iterates;
+    eta / (1 + s) and eta / (1 + s)^2 shrink none and take 776 and 770,
+    against 810 with the exact solves preconditioned by a sparse LU at
+    phi0.  The square keeps the 12 iterates of the strongly coupled
+    window of tests/test_stepper.py, where eta / (1 + s) takes 13, and
+    the square with a stop on the Euclidean residual in place of the
+    preconditioned one takes 11.
+    """
+    return ITERATE_FORCING / (1.0 + frozen.coupling)**2
 
 
 def _theta_iterates(frozen, state, sources, dt):
@@ -521,11 +546,12 @@ def _theta_iterates(frozen, state, sources, dt):
     The unknowns are (phi, theta).  The displacement is reconstructed at
     each next (phi, theta) and does not enter the residual: at a Picard
     iterate inexactly, by PCG from the previous iterate's u to the
-    forcing term ITERATE_FORCING; at the accepted state to the absolute
-    target, from the last iterate's u.
+    coupling-scaled forcing term of _iterate_forcing; at the accepted
+    state to the absolute target, from the last iterate's u.
     """
     grid, material = frozen.grid, frozen.material
     t_new = state.t + dt
+    iterate_forcing = _iterate_forcing(frozen)
     phi_k, theta_k, u_k = state.phi, state.theta, state.u
     while True:
         n_phi, n_theta = rhs_elastic(grid, material, phi_k, theta_k, u_k, sources, t_new)
@@ -536,7 +562,7 @@ def _theta_iterates(frozen, state, sources, dt):
         problem = displacement_problem(grid, material, phi_k,
                                        reference=frozen.ctx0.augmented)
         u_k, _ = reconstruct_displacement(problem, material, theta_k, sources, t_new, u_k,
-                                          0.0 if accepted else ITERATE_FORCING)
+                                          0.0 if accepted else iterate_forcing)
         yield SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
@@ -551,12 +577,13 @@ def _pressure_iterates(frozen, state, sources, dt):
     = W (theta_n - theta_k + dt N_theta), or P d_p = W (...) at weak
     coupling.  The first displacement solve, at the start state's (phi, p),
     runs from its u to the absolute target; each at a Picard iterate runs
-    from the previous iterate's u to the forcing term ITERATE_FORCING; the
-    accepted state's runs from the last iterate's u to the absolute
-    target, so its theta carries a tight div u.
+    from the previous iterate's u to the coupling-scaled forcing term of
+    _iterate_forcing; the accepted state's runs from the last iterate's u
+    to the absolute target, so its theta carries a tight div u.
     """
     grid, material, w = frozen.grid, frozen.material, frozen.w
     t_new = state.t + dt
+    iterate_forcing = _iterate_forcing(frozen)
 
     def solve_u(phi, p, start, forcing):
         prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=STIFFNESS_SCALE,
@@ -578,7 +605,7 @@ def _pressure_iterates(frozen, state, sources, dt):
         d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
         d_p, _ = frozen.content_solver(dt).solve(w * (state.theta - theta_k + dt * n_theta))
         (phi_k, p_k), accepted = yield (phi_k, p_k), (d_phi, d_p)
-        u_k = solve_u(phi_k, p_k, u_k, 0.0 if accepted else ITERATE_FORCING)
+        u_k = solve_u(phi_k, p_k, u_k, 0.0 if accepted else iterate_forcing)
         theta_k = content_of(phi_k, p_k, u_k)
         yield SimState(grid, phi_k, theta_k, u_k, t_new)
 

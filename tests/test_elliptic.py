@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver,
-                             EllipticProblem, SolverFailure,
-                             conjugate_gradient, solve_elasticity)
+from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver, EllipticProblem,
+                             LameBlockPreconditioner, SolverFailure, conjugate_gradient,
+                             solve_elasticity)
 from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, OP_CACHE_SIZE, _grid_ops,
                          flux_stiffness_matrix)
 from conftest import (EDGE_TAGS, FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
@@ -70,6 +73,50 @@ def _spd_system(seed, n=30):
     b = rng.standard_normal(n)
     inv_diag = 1.0 / np.diag(a)
     return a, b, np.linalg.solve(a, b), lambda r: inv_diag * r
+
+
+def test_cg_zero_start_makes_one_product_per_iteration():
+    """A zero start takes its residual to be b without a product with A, so
+    a solve from zero makes exactly `iterations` products, one per
+    iteration."""
+    a, b, _, precondition = _spd_system(10)
+    products = []
+
+    def apply_a(v):
+        products.append(v)
+        return a @ v
+
+    _, rep = conjugate_gradient(apply_a, b, precondition=precondition, tol=1e-10)
+    assert rep.iterations > 0 and len(products) == rep.iterations
+    assert rep.residuals[0] == np.linalg.norm(b)
+
+
+def test_cg_forcing_measures_the_preconditioned_residual():
+    """The forcing term bounds the preconditioned residual norm
+    sqrt(r' M^{-1} r) relative to the start's, not the Euclidean one: CG
+    stops at the first iterate whose r'z is at most eta^2 r0'z0, on a
+    system scaled so that the two norms weigh the residual's entries very
+    unequally and the Euclidean rule would stop elsewhere."""
+    a, b, x, _ = _spd_system(11)
+    scale = np.logspace(-2, 2, b.size)
+    a = scale[:, None] * a * scale[None, :]
+    b = scale * b
+    inv_diag = 1.0 / np.diag(a)
+    x0 = np.linalg.solve(a, b) + 1e-3 * np.random.default_rng(12).standard_normal(b.size)
+    rz = []
+
+    def precondition(r):
+        z = inv_diag * r
+        rz.append(float(np.dot(r, z)))
+        return z
+
+    eta = 0.1
+    _, rep = conjugate_gradient(lambda v: a @ v, b, x0=x0, precondition=precondition,
+                                tol=1e-14, forcing=eta)
+    assert len(rz) == rep.iterations + 1 >= 3
+    assert rz[-1] <= eta**2 * rz[0] < min(rz[1:-1])
+    euclidean = rep.residuals
+    assert not (euclidean[-1] <= eta * euclidean[0] < min(euclidean[1:-1]))
 
 
 def test_cg_start_at_the_solution_returns_it():
@@ -274,9 +321,9 @@ def test_gram_map_cache_is_bounded_and_keyed_by_edge_tags():
        mixed=st.booleans(), delta=st.floats(0.0, 0.1), seed=st.integers(0, 2**32 - 1))
 def test_reference_preconditioned_solve_matches_direct_solve(nx, ny, variant, mixed,
                                                              delta, seed):
-    """CG preconditioned by the factor at phi0 solves the problem at phi,
-    |phi - phi0| <= 0.1, as accurately as a fresh factorization, and never
-    factors the problem at phi."""
+    """CG preconditioned by the block fast-diagonalization of the problem
+    at phi0 solves the problem at phi, |phi - phi0| <= 0.1, as accurately
+    as a fresh factorization, and factors neither problem."""
     g = make_grid(nx, ny, tags=MIXED if mixed else FULL_DIRICHLET)
     m = make_material(rho=1)
     rng = np.random.default_rng(seed)
@@ -290,7 +337,83 @@ def test_reference_preconditioned_solve_matches_direct_solve(nx, ny, variant, mi
     want, _ = EllipticProblem(g, m, phi, variant=variant, scale=2.0).solve(b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     assert report.iterations <= 30
-    assert prob._solver is None
+    assert prob._solver is None and reference._solver is None
+
+
+ALL_EDGE_TAGS = [dict(zip(EDGES, tags)) for tags in itertools.product((DIRICHLET, NEUMANN),
+                                                                      repeat=4)
+                 if DIRICHLET in tags]
+
+
+def _constant_blocks(grid, lam, mu):
+    """The dense (u_x, u_x) and (u_y, u_y) blocks of the stiffness with
+    constant Lame parameters, formed from Grid.strain_op on the free
+    dofs of reference_clamped."""
+    free = ~reference_clamped(grid)
+    strain = grid.strain_op[:, np.flatnonzero(np.concatenate([free, free]))].toarray()
+    w = grid.quad_weights()
+    weight = np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w])
+    k = strain.T @ (weight[:, None] * strain)
+    half = int(free.sum())
+    return k[:half, :half], k[half:, half:]
+
+
+@pytest.mark.parametrize("tags", ALL_EDGE_TAGS,
+                         ids=["".join(t[0] for t in tags.values()) for tags in ALL_EDGE_TAGS])
+@pytest.mark.parametrize("nx, ny, lx, ly", [(7, 5, 1.3, 0.6), (5, 9, 0.8, 2.1)])
+def test_fast_diagonalized_blocks_match_the_dense_oracle(tags, nx, ny, lx, ly):
+    """With no coupling between the components, the block preconditioner
+    is the block-diagonal constant-coefficient stiffness D, solved by fast
+    diagonalization on the tensor-product free set of every edge-tag set
+    with a Dirichlet edge, on grids with nx != ny and lx != ly; it matches
+    the dense solve with D to 1e-12, also with lam = 0."""
+    g = make_grid(nx, ny, tags=tags, lx=lx, ly=ly)
+    rng = np.random.default_rng(nx * ny)
+    for lam, mu in ((1.7, 0.6), (0.0, 2.5)):
+        d_x, d_y = _constant_blocks(g, lam, mu)
+        block_diagonal = sp.block_diag([d_x, d_y], format="csc")
+        precondition = LameBlockPreconditioner(g, block_diagonal, lam, mu)
+        r = rng.standard_normal(block_diagonal.shape[0])
+        want = np.concatenate([np.linalg.solve(d_x, r[:d_x.shape[0]]),
+                               np.linalg.solve(d_y, r[d_x.shape[0]:])])
+        assert np.linalg.norm(precondition(r) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("tags", [MIXED, FULL_DIRICHLET, dict(MIXED, bottom=NEUMANN)],
+                         ids=["mixed", "clamped", "left-only"])
+@pytest.mark.parametrize("variant", [PLAIN, AUGMENTED, VISCO])
+def test_block_gauss_seidel_preconditioner_is_spd(variant, tags):
+    """The preconditioner of a variable-coefficient problem is a symmetric
+    positive definite map: (D + L) D^{-1} (D + L') with the constant
+    blocks D and the problem's own off-diagonal block L."""
+    g = make_grid(7, 6, tags=tags, lx=1.2)
+    prob = EllipticProblem(g, make_material(rho=1), smooth_phi(g, np.random.default_rng(4)),
+                           variant=variant, scale=2.0, shift=0.3)
+    precondition = prob.preconditioner()
+    inverse = np.column_stack([precondition(e) for e in np.eye(g.free_dofs.size)])
+    assert np.max(np.abs(inverse - inverse.T)) <= 1e-12 * np.max(np.abs(inverse))
+    assert scipy.linalg.eigvalsh(0.5 * (inverse + inverse.T)).min() > 0.0
+
+
+def test_preconditioned_iteration_count_does_not_grow_with_the_grid():
+    """From a zero start, the reference-preconditioned CG on an interface
+    phase does not grow with the grid: over 16^2, 32^2 and 64^2 its count
+    stays within one iteration of the 16^2 count (19, 19, 20 here).  The
+    constant Lame blocks are spectrally equivalent to the stiffness
+    uniformly in the grid, so the count is set by the coefficient
+    contrast."""
+    m = make_material(eps=0.35, tau1=0.05)
+    counts = []
+    for n in (16, 32, 64):
+        g = make_grid(n, tags=MIXED)
+        x, y = g.coords()
+        phi = np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.25) / 0.05)
+        reference = EllipticProblem(g, m, phi, variant=AUGMENTED, scale=2.0)
+        prob = EllipticProblem(g, m, phi, variant=AUGMENTED, scale=2.0, reference=reference)
+        b = np.zeros(2 * g.n_nodes)
+        b[g.free_dofs] = np.random.default_rng(n).standard_normal(g.free_dofs.size)
+        counts.append(prob.solve(b)[1].iterations)
+    assert max(counts) <= counts[0] + 1 <= 30, counts
 
 
 def test_reference_needs_same_grid_and_variant():
