@@ -171,6 +171,14 @@ class Grid:
         return self._ops()["free_dofs"]
 
     @property
+    def node_major_order(self):
+        """The free dofs of a stacked (ux, uy) in node-major order, as
+        positions in free_dofs: u_x and u_y of each free node adjacent,
+        read-only.  A node is clamped in both components or in neither, so
+        the free u_x and u_y halves list the same nodes."""
+        return self._ops()["node_major"]
+
+    @property
     def stiffness_gram(self):
         """(T, indices, indptr) of the displacement stiffness on the free
         dofs (see _stiffness_gram); callers must not modify them."""
@@ -233,9 +241,10 @@ def _grid_ops(nx, ny, lx, ly, tags):
     """What an nx x ny grid on [0, lx] x [0, ly] with edge tags `tags`
     (in EDGES order) derives from its geometry: the difference and face
     operators, the quadrature weights, the Dirichlet mask, the free
-    displacement dofs and the stiffness Gram map.  Cached, so every field
-    and problem on one grid shares them; callers must not modify them
-    (the weights, mask and dofs are read-only).
+    displacement dofs, their node-major order and the stiffness Gram map.
+    Cached, so every field and problem on one grid shares them; callers
+    must not modify them (the weights, mask, dofs and order are
+    read-only).
     """
     hx, hy = lx / (nx - 1), ly / (ny - 1)
     d1x = _sbp_first_derivative(nx, hx)
@@ -265,12 +274,13 @@ def _grid_ops(nx, ny, lx, ly, tags):
     clamped = clamped.ravel()
     weights = (hx * hy) * np.outer(ty, tx).ravel()
     free_dofs = np.flatnonzero(np.concatenate([~clamped, ~clamped]))
-    for array in (weights, clamped, free_dofs):
+    node_major = np.arange(free_dofs.size).reshape(2, -1).T.ravel()
+    for array in (weights, clamped, free_dofs, node_major):
         array.setflags(write=False)
     return {"dx": dx, "dy": dy, "dxt": dx.T.tocsr(), "dyt": dy.T.tocsr(),
             "strain": strain, "face_grad": face_grad, "face_grad_t": face_grad.T.tocsr(),
             "face_avg": face_avg, "face_vol": face_vol, "weights": weights,
-            "dirichlet": clamped, "free_dofs": free_dofs,
+            "dirichlet": clamped, "free_dofs": free_dofs, "node_major": node_major,
             "gram": _stiffness_gram(strain[:, free_dofs].tocsr())}
 
 
@@ -282,7 +292,10 @@ def _stiffness_gram(strain):
     EllipticProblem.stiffness_matrix), so K's values in the CSC pattern
     (indices, indptr) of every pair of entries sharing a strain row are
     T @ weight, with T_(ij),r = E_ri E_rj.  The pattern keeps entries that
-    cancel for a particular weight, as exact or rounding-level zeros.
+    cancel for a particular weight, as exact or rounding-level zeros: it is
+    that of the structural product |E_f|' |E_f|, whose positive sums cannot
+    cancel, and each pair finds its place by a binary search within its
+    column of it.
     """
     m = strain.shape[1]
     # every ordered pair (left, right) of stored entries within one row
@@ -292,12 +305,18 @@ def _stiffness_gram(strain):
     left = np.repeat(np.arange(strain.nnz), size)
     start = np.cumsum(size) - size                          # first pair of each entry
     right = np.repeat(strain.indptr[row] - start, size) + np.arange(left.size)
+    magnitude = abs(strain)
+    pattern = (magnitude.T @ magnitude).tocsc()
+    pattern.sort_indices()
+    # read as CSR, the pattern's arrays hold at (j, i) the place of K_ij;
+    # sampling a CSR with sorted indices searches each of its rows
+    place = sp.csr_matrix((np.arange(pattern.nnz, dtype=float), pattern.indices,
+                           pattern.indptr), shape=(m, m))
     i, j = strain.indices[left], strain.indices[right]
-    keys, position = np.unique(j.astype(np.int64) * m + i, return_inverse=True)
+    position = np.asarray(place[j, i]).ravel().astype(np.int64)
     gram = sp.csr_matrix((strain.data[left] * strain.data[right], (position, row[left])),
-                         shape=(keys.size, strain.shape[0]))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // m, minlength=m))])
-    return gram, (keys % m).astype(np.int32), indptr.astype(np.int32)
+                         shape=(pattern.nnz, strain.shape[0]))
+    return gram, pattern.indices.astype(np.int32), pattern.indptr.astype(np.int32)
 
 
 def _axis_eigenpairs(n, h, free):

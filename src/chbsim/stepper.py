@@ -29,12 +29,13 @@ applying L to any iterate.  The linear substeps are:
 
 The operators are frozen in a bundle (FrozenElastic, FrozenVisco) at
 the phase field of the window that builds it.  Every matrix that is
-constant over a bundle is factored once per (bundle, dt) by a sparse
-direct solver and reused by every Picard iterate: the phase operator,
-the content system (quasi-static: the fixed-stress P, and at strong
-coupling also the plain stiffness K0 that each product with the Schur
-complement solves with; visco: the content matrix itself) and the
-visco regime's shifted elasticity problem.  Displacement problems at
+constant over a bundle is SPD, and is factored once per (bundle, dt) by
+a sparse direct solver (elliptic.DirectSolver) and reused by every
+Picard iterate: the phase operator, the content system (quasi-static:
+the fixed-stress P, and at strong coupling also the plain stiffness K0
+that each product with the Schur complement solves with; visco: the
+content matrix itself) and the visco regime's shifted elasticity
+problem.  Displacement problems at
 the current iterate phi_k (the quasi-static reconstruction and the
 pressure form's displacement) are never factored: they are solved by CG
 preconditioned with the block fast-diagonalization of the frozen
@@ -272,7 +273,7 @@ class ContentSchur:
     solver of a strongly coupled bundle (see FrozenElastic.content_solver).
 
     S = Z + G_f K0_f^{-1} G_f': one product costs one solve with the plain
-    K0 factor k0.  The preconditioner is the LU of the fixed-stress
+    K0 factor k0.  The preconditioner is the factor of the fixed-stress
     approximation P = Z + beta W alpha0^2 / K_dr, with the drained bulk
     modulus K_dr = lam + mu of the scaled plain stiffness at phi0.
     Fixed-stress splitting is spectrally equivalent to S (Kim, Tchelepi &
@@ -328,7 +329,8 @@ class _FrozenPhase:
         return self._solvers[role, dt]
 
     def phase_solver(self, dt):
-        """DirectSolver of W + dt eps B1 diag(m0/w) B1, cached per dt."""
+        """DirectSolver of W + dt eps B1 diag(m0/w) B1, cached per dt: SPD,
+        as W is and B1 diag(m0/w) B1 is semidefinite."""
         return self._cached("phase", dt, lambda: DirectSolver(
             sp.diags(self.w) + (dt * self.material.eps) * (
                 self.b_one @ sp.diags(self.m0 / self.w) @ self.b_one)))
@@ -370,10 +372,10 @@ class FrozenElastic(_FrozenPhase):
         Since the frozen operator sets only the rate of contraction, not
         the fixed point, a bundle whose coupling is at most
         FIXED_STRESS_MAX_COUPLING takes P itself as its content operator:
-        the DirectSolver of P, which factors no stiffness.  Above it the
-        split alone contracts too slowly, and the solver is ContentSchur,
-        which solves S by CG with the bundle's plain K0 factor,
-        preconditioned by P.
+        the DirectSolver of the SPD P, which factors no stiffness.  Above
+        it the split alone contracts too slowly, and the solver is
+        ContentSchur, which solves S by CG with the bundle's plain K0
+        factor, preconditioned by P.
         """
         def build():
             alpha = self.ctx0.alpha
@@ -399,7 +401,8 @@ class FrozenVisco(_FrozenPhase):
         self.b_km = flux_stiffness_matrix(self.grid, m.permeability(phi0) * m.biot_modulus(phi0))
 
     def content_solver(self, dt):
-        """DirectSolver of W + dt B_{kappa M}(phi0), cached per dt."""
+        """DirectSolver of W + dt B_{kappa M}(phi0), cached per dt: SPD, as
+        W is and the flux matrix B_{kappa M} is semidefinite."""
         return self._cached("content", dt, lambda: DirectSolver(
             sp.diags(self.w) + dt * self.b_km))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver, EllipticProblem,
@@ -11,6 +12,7 @@ from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver, EllipticProb
                              solve_elasticity)
 from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, OP_CACHE_SIZE, _grid_ops,
                          flux_stiffness_matrix)
+from chbsim.stepper import FIXED_STRESS_MAX_COUPLING, FrozenElastic, FrozenVisco
 from conftest import (EDGE_TAGS, FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
                       make_material, reference_clamped, reference_gram_stiffness,
                       reference_stiffness_apply, smooth_phi)
@@ -393,6 +395,83 @@ def test_block_gauss_seidel_preconditioner_is_spd(variant, tags):
     inverse = np.column_stack([precondition(e) for e in np.eye(g.free_dofs.size)])
     assert np.max(np.abs(inverse - inverse.T)) <= 1e-12 * np.max(np.abs(inverse))
     assert scipy.linalg.eigvalsh(0.5 * (inverse + inverse.T)).min() > 0.0
+
+
+@pytest.mark.parametrize("tags", ALL_EDGE_TAGS,
+                         ids=["".join(t[0] for t in tags.values()) for tags in ALL_EDGE_TAGS])
+@pytest.mark.parametrize("nx, ny", [(7, 5), (5, 9)])
+def test_gram_pattern_is_the_structural_product(tags, nx, ny):
+    """The stiffness pattern that the Gram map fills is, in CSC order with
+    sorted rows, exactly that of the dense structural product |E_f|' |E_f|:
+    every pair of free dofs that share a strain row, and no other."""
+    g = make_grid(nx, ny, tags=tags)
+    strain = np.abs(g.strain_op[:, g.free_dofs].toarray())
+    want = sp.csc_matrix((strain.T @ strain) > 0)
+    want.sort_indices()
+    gram, indices, indptr = g.stiffness_gram
+    assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
+    assert gram.shape == (want.nnz, strain.shape[0])
+
+
+def _interface_factor(name, dt=1e-3):
+    """The DirectSolver of one window-frozen system on the 32^2 mixed-tag
+    interface phase of the benchmark material, made the way the time
+    stepper makes it."""
+    g = make_grid(32, tags=MIXED)
+    m = make_material(eps=0.35, tau1=0.05)
+    x, _ = g.coords()
+    phi = np.tanh((x - 0.5) / (np.sqrt(2.0) * 0.35))
+    elastic, visco = FrozenElastic(g, m, phi), FrozenVisco(g, m, phi)
+    assert elastic.coupling <= FIXED_STRESS_MAX_COUPLING   # content solver is P's factor
+    return {
+        "phase": lambda: elastic.phase_solver(dt),
+        "fixed-stress": lambda: elastic.content_solver(dt),
+        "visco-content": lambda: visco.content_solver(dt),
+        "plain": lambda: EllipticProblem(g, m, phi, PLAIN, scale=2.0).factor(),
+        "augmented": lambda: EllipticProblem(g, m, phi, AUGMENTED, scale=2.0).factor(),
+        "shifted": lambda: visco.shifted_problem(dt).factor(),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["phase", "fixed-stress", "visco-content", "plain",
+                                  "augmented", "shifted"])
+def test_every_factor_pivots_on_the_diagonal_with_no_more_fill_than_colamd(name):
+    """Every window-frozen system is SPD, so its factor keeps the pivots on
+    the diagonal (the row and column permutations agree) and stores no
+    more nonzeros in L + U than SuperLU's general default, a COLAMD
+    ordering with partial pivoting, makes of the same matrix."""
+    solver = _interface_factor(name)
+    lu = solver._lu
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert lu.nnz <= spla.splu(solver.matrix).nnz
+
+
+@pytest.mark.parametrize("tags", ALL_EDGE_TAGS,
+                         ids=["".join(t[0] for t in tags.values()) for tags in ALL_EDGE_TAGS])
+@pytest.mark.parametrize("nx, ny, lx, ly", [(7, 5, 1.3, 0.6), (5, 9, 0.8, 2.1)])
+def test_node_major_factor_solves_match_the_dense_solve(tags, nx, ny, lx, ly):
+    """The displacement factor works in the grid's node-major order and
+    scatters back: its solve and its apply_inverse match a dense solve of
+    the stiffness in the caller's stacked order to 1e-12, for every
+    variant and every edge-tag set with a Dirichlet edge."""
+    g = make_grid(nx, ny, tags=tags, lx=lx, ly=ly)
+    order = g.node_major_order
+    half = g.free_dofs.size // 2
+    assert not order.flags.writeable
+    assert np.array_equal(np.sort(order), np.arange(2 * half))
+    assert np.array_equal(order[1::2] - order[::2], np.full(half, half))
+    m = make_material(rho=1)
+    rng = np.random.default_rng(nx * ny)
+    phi = smooth_phi(g, rng)
+    for variant, shift in ((PLAIN, 0.0), (AUGMENTED, 0.0), (VISCO, 0.3)):
+        prob = EllipticProblem(g, m, phi, variant=variant, scale=2.0, shift=shift)
+        b = rng.standard_normal(2 * half)
+        want = np.linalg.solve(prob.stiffness_matrix().toarray(), b)
+        x, report = prob.factor().solve(b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert report.residual <= 1e-12 * np.linalg.norm(b)
+        x = prob.factor().apply_inverse(b)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_preconditioned_iteration_count_does_not_grow_with_the_grid():
