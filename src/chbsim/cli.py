@@ -96,15 +96,15 @@ def run_from_config(cfg, out_dir):
             append(diagnostics_row(grid, material, state).as_csv())
             snapshot(0, state)
             try:
-                states, _ = run_simulation(grid, material, stepper_cfg, state,
-                                           sources, observer=observer)
+                state, _ = run_simulation(grid, material, stepper_cfg, state,
+                                          sources, observer=observer)
             except (StepFailure, SolverFailure) as exc:
                 print(f"run failed at window {window + 1}: {exc}", file=sys.stderr)
                 return 1
     except OSError as exc:
         raise RuntimeError(f"failed to write '{csv_path}': {exc}")
     if window % stride != 0:
-        snapshot(window, states[-1])
+        snapshot(window, state)
     return 0
 
 

@@ -147,9 +147,9 @@ def _heat_error(n, dt, t_end):
     cfg = StepperConfig(dt=dt, t_end=t_end, tol_picard=1e-11, tol_lin=1e-12,
                         formulation=THETA_FORM)
     state = initial_state(g, mat, phi, theta0)
-    states, _ = run_simulation(g, mat, cfg, state)
+    final, _ = run_simulation(g, mat, cfg, state)
     exact = theta0 * np.exp(-2.0 * np.pi**2 * t_end)
-    err = states[-1].theta - exact
+    err = final.theta - exact
     w = g.quad_weights()
     return float(np.sqrt(np.dot(w, err**2)))
 
@@ -172,8 +172,7 @@ def _coupled_finals(rho, formulation):
     for k in range(4):
         cfg = StepperConfig(dt=4e-3 / 2**k, t_end=0.016, tol_picard=1e-11,
                             formulation=formulation)
-        states, _ = run_simulation(g, mat, cfg, initial_state(g, mat, phi0, theta0))
-        final = states[-1]
+        final, _ = run_simulation(g, mat, cfg, initial_state(g, mat, phi0, theta0))
         finals.append((final.phi, final.theta, final.u.ux))
     return g.quad_weights(), finals
 

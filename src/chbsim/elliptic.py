@@ -70,7 +70,7 @@ class SolverFailure(RuntimeError):
 
     Raised when CG misses its tolerance or meets a non-finite value, when
     a sparse factorization fails (singular matrix), and when a direct
-    solve returns non-finite values.
+    solve returns non-finite values or too large a backward error.
     """
 
     def __init__(self, message, residuals):
@@ -85,6 +85,13 @@ class SolveReport:
     iterations: int
     residual: float
     residuals: list
+
+
+# Largest normwise backward error of a direct solve (see DirectSolver.solve).
+# The phase, P, visco content and shifted stiffness factors give at most
+# 5.6e-18 on an interface phase at 32^2-128^2, dt = 1e-3 and 1e-2 (|r|/|b|
+# up to 9.6e-11); a factor of 2A gives at least 1 / (2 + sqrt(n) cond(A)).
+DIRECT_BACKWARD_ERROR_TOL = 1e-10
 
 
 class DirectSolver:
@@ -108,13 +115,14 @@ class DirectSolver:
     displacement stiffness is factored in its node-major order
     (Grid.node_major_order).
 
-    A singular or failed factorization and a non-finite solution (from a
-    non-finite matrix or right-hand side) raise SolverFailure, so callers
-    handle a direct solve exactly like a failed CG solve.
+    A singular or failed factorization, a non-finite solution and a
+    wrong one (see solve) raise SolverFailure, so callers handle a
+    direct solve exactly like a failed CG solve.
     """
 
     def __init__(self, matrix, order=None):
         self.matrix = sp.csc_matrix(matrix)
+        self._norm = np.linalg.norm(self.matrix.data)   # Frobenius norm of A
         self._order = order
         permuted = self.matrix if order is None else self.matrix[order][:, order]
         try:
@@ -132,12 +140,19 @@ class DirectSolver:
         return x
 
     def solve(self, b):
-        """x = A^{-1} b with its residual report."""
+        """x = A^{-1} b with its residual report; raises SolverFailure when
+        the normwise backward error |r| / (|A|_F |x| + |b|) of r = b - A x
+        (Rigal & Gaches, J. ACM 14, 1967) exceeds DIRECT_BACKWARD_ERROR_TOL,
+        so a wrong factor fails at once."""
         b = np.asarray(b, dtype=float)
         x = self.apply_inverse(b)
         res = float(np.linalg.norm(b - self.matrix @ x))
         if not np.isfinite(res):
             raise SolverFailure("direct solve produced non-finite values", [res])
+        scale = self._norm * np.linalg.norm(x) + np.linalg.norm(b)
+        if res > DIRECT_BACKWARD_ERROR_TOL * scale:
+            raise SolverFailure(f"direct solve residual {res:.3e} has backward error "
+                                f"{res / scale:.2e} > {DIRECT_BACKWARD_ERROR_TOL:g}", [res])
         return x, SolveReport(0, res, [res])
 
 

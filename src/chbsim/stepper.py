@@ -57,13 +57,12 @@ Since N carries every nonlinearity, L(phi0) sets only the rate of
 contraction, not the fixed point, so a bundle frozen at an earlier
 window's phase reaches the same state (the chord method: Kelley,
 Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-ch. 5).  run_simulation therefore lets one bundle serve up to
-BUNDLE_WINDOWS windows, and rebuilds it at the current window's phase
-sooner when a window needs more than REFRESH_MARGIN times the Picard
-iterates of the bundle's first one, or when an attempt on it fails (see
-Linearization), the way CVODE refreshes its Newton matrix (Hindmarsh et
-al., ACM TOMS 31, 2005).  A bundle keeps the factors of one dt: a retry
-at a smaller dt replaces those that depend on dt.
+ch. 5).  run_simulation therefore lets one bundle serve BUNDLE_WINDOWS
+windows, and rebuilds it at the current window's phase sooner only when
+an attempt on it fails (see Linearization), the way CVODE refreshes its
+Newton matrix on age and on failure (Hindmarsh et al., ACM TOMS 31,
+2005).  A bundle keeps the factors of one dt: a retry at a smaller dt
+replaces those that depend on dt.
 
 The regimes differ only in their iterate map: the quasi-static regime
 iterates in (phi, theta) (or, with formulation = 'pressure', in
@@ -86,13 +85,12 @@ the weighted-L2 norm of the update d_k; the contraction estimate rho is
 the median of successive residual ratios of the accelerated iteration.
 A window that fails to converge, or whose linear solve fails, is
 retried with dt scaled down by shrink_factor, on a bundle rebuilt at
-its own phase if the failed attempt's was stale.  An attempt is given
-up before max_picard iterates once it cannot converge (see
-_cannot_converge): at a non-finite residual, or, from iterate
-GIVE_UP_AFTER on, when its mean rate over the whole attempt is not
-below 1 or, kept up, would not bring the residual down to the target
-within max_picard iterates (the chord method's stopping test, Kelley,
-ch. 5).
+its own phase.  An attempt is given up before max_picard iterates once
+it cannot converge (see _cannot_converge): at a non-finite residual,
+or, from iterate GIVE_UP_AFTER on, when its mean rate over the whole
+attempt is not below 1 or, kept up, would not bring the residual down
+to the target within max_picard iterates (the chord method's stopping
+test, Kelley, ch. 5).
 """
 
 from dataclasses import dataclass, replace
@@ -117,14 +115,11 @@ class PicardAttempt:
     the SolverFailure message that ended it (None when it succeeded, or
     when Picard did not converge: it ran max_picard iterations, or it was
     given up earlier because its contraction could not reach tol_picard
-    in max_picard iterations, see _cannot_converge).  fresh says
-    whether the attempt's bundle was built at the window's own phi; a
-    stale one was built at the phi of an earlier window."""
+    in max_picard iterations, see _cannot_converge)."""
 
     dt: float
     residuals: list
     error: str = None
-    fresh: bool = True
 
 
 class StepFailure(RuntimeError):
@@ -465,42 +460,31 @@ def linear_substep_u_visco(frozen, dt, f_u):
 # of the run time there but takes up to 1.3 % more iterates.
 BUNDLE_WINDOWS = 5
 
-# A bundle is rebuilt early after a window that needs more than this
-# multiple of its first window's Picard iterates.  Accelerated windows of
-# one bundle vary by an iterate or two, whatever the bundle's age (7, 8,
-# 8, 8 on retry-qs-32), so a count one higher is no sign of a stale L.
-REFRESH_MARGIN = 1.25
-
 
 @dataclass
 class Linearization:
-    """The frozen bundle that successive windows of one run share.
+    """The frozen bundle that successive windows of one run share, and its
+    age.
 
     A window that has no bundle of its regime builds one at its own phi.
     The bundle is dropped, so that the next window builds a fresh one,
-    after it has served BUNDLE_WINDOWS windows or after a window that
-    needed more than REFRESH_MARGIN times the Picard iterates of its
-    first one.  A failed attempt on a stale bundle also rebuilds it (see
-    picard_window).
+    after it has served BUNDLE_WINDOWS windows; a failed attempt on it
+    rebuilds it at the window's phi (see picard_window).
     """
 
     frozen: _FrozenPhase = None
     windows: int = 0            # windows accepted on the bundle
-    first_iterations: int = 0   # Picard iterates of the first of them
 
     def refresh(self, frozen_type, grid, material, phi):
-        # free a stale bundle's factors before the new bundle makes its own
+        # free the old bundle's factors before the new bundle makes its own
         self.frozen = None
         self.frozen = frozen_type(grid, material, phi)
         self.windows = 0
 
-    def record(self, iterations):
-        """Count one accepted window that took `iterations` Picard iterates."""
-        if self.windows == 0:
-            self.first_iterations = iterations
+    def record(self):
+        """Count one accepted window; drop the bundle at BUNDLE_WINDOWS."""
         self.windows += 1
-        if (self.windows >= BUNDLE_WINDOWS
-                or iterations > REFRESH_MARGIN * self.first_iterations):
+        if self.windows >= BUNDLE_WINDOWS:
             self.frozen = None
 
 
@@ -669,8 +653,8 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
     linearization is the Linearization that the windows of a run share;
     None builds a fresh bundle at the window's start phase field, which
     is then used by this window alone.  Given one, the window reuses its
-    bundle if it has one for the window's regime, and records its
-    iterate count in it (see Linearization).  One loop serves both
+    bundle if it has one for the window's regime, and counts the
+    accepted window in it (see Linearization).  One loop serves both
     regimes: each attempt runs an iterate map (theta form, pressure form
     or Kelvin-Voigt), a generator over (frozen, state, sources, dt).  At
     each iterate it yields (x_k, d_k), the arrays of the unknowns and of
@@ -693,10 +677,11 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
     iterates: at a non-finite residual, or from iterate GIVE_UP_AFTER on
     when its mean rate over the attempt is not below 1 or predicts a
     residual above the target at iterate max_picard.  The window is then
-    retried with dt scaled by shrink_factor, on a bundle rebuilt at the window's phi
-    if the failed one was stale.  After max_shrinks retries, StepFailure
-    carries every PicardAttempt made, and its message marks the stale
-    ones.
+    retried with dt scaled by shrink_factor, on a bundle rebuilt at the
+    window's phi, whatever phi the failed one was frozen at: the
+    dt-dependent factors are made anew at the shrunk dt in any case, so
+    a rebuild at the same phi repeats only the phi0-only parts.  After
+    max_shrinks retries, StepFailure carries every PicardAttempt made.
     """
     if material.rho == 1:
         frozen_type, iterates = FrozenVisco, _visco_iterates
@@ -706,8 +691,7 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
         frozen_type, iterates = FrozenElastic, _theta_iterates
     if linearization is None:
         linearization = Linearization()
-    fresh = not isinstance(linearization.frozen, frozen_type)
-    if fresh:
+    if not isinstance(linearization.frozen, frozen_type):
         linearization.refresh(frozen_type, grid, material, state.phi)
     w = linearization.frozen.w
     scale = 1.0 + np.sqrt(_wnorm2(w, state.phi)) + np.sqrt(_wnorm2(w, state.theta))
@@ -718,7 +702,7 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
     dt = cfg.dt
     attempts = []
     while True:
-        attempt = PicardAttempt(dt, [], fresh=fresh)
+        attempt = PicardAttempt(dt, [])
         attempts.append(attempt)
         residuals = attempt.residuals
         stream = iterates(linearization.frozen, state, sources, dt)
@@ -731,7 +715,7 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
                 residuals.append(float(np.linalg.norm(sw * d)))
                 if residuals[-1] <= target:
                     new_state = stream.send((np.split(x + d, blocks), True))
-                    linearization.record(len(residuals))
+                    linearization.record()
                     return new_state, PicardReport(
                         iterations=len(residuals), residual=residuals[-1],
                         residuals=residuals, rho=_median_ratio(residuals),
@@ -744,13 +728,10 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
         except SolverFailure as exc:
             attempt.error = str(exc)
         if len(attempts) > cfg.max_shrinks:
-            tried = ", ".join(f"{a.dt:.6g}" + ("" if a.fresh else " (stale bundle)")
-                              for a in attempts)
+            tried = ", ".join(f"{a.dt:.6g}" for a in attempts)
             raise StepFailure(f"window at t = {state.t:.6g} failed after {cfg.max_shrinks} "
                               f"dt shrinks (dt tried: {tried})", attempts)
-        if not fresh:
-            linearization.refresh(frozen_type, grid, material, state.phi)
-            fresh = True
+        linearization.refresh(frozen_type, grid, material, state.phi)
         dt *= cfg.shrink_factor
 
 
@@ -776,30 +757,28 @@ def initial_state(grid, material, phi, theta, sources=None):
 
 
 def run_simulation(grid, material, cfg, state, sources=None, observer=None):
-    """March windows until t_end; returns (states, reports).
+    """March windows until t_end; returns (final_state, reports), one
+    PicardReport per accepted window.
 
-    states[0] is the initial state; one entry is appended per accepted
-    window.  The windows share one Linearization, so a frozen bundle
-    serves up to BUNDLE_WINDOWS of them.  Each window runs at cfg.dt,
-    the last one at the remainder t_end - t when that is shorter by more
-    than rounding (1e-9 cfg.dt), so that a run of whole windows keeps
-    one dt.  observer(state, report), when given, is called after each
-    window (the CLI uses it for output).
+    The loop holds only the current state and the windows' shared
+    Linearization, so memory does not grow with the number of windows; a
+    caller that wants the trajectory collects it through observer(state,
+    report), which, when given, is called after each window (the CLI
+    uses it for output).  A frozen bundle serves BUNDLE_WINDOWS windows.
+    Each window runs at cfg.dt, the last one at the remainder t_end - t
+    when that is shorter by more than rounding (1e-9 cfg.dt), so that a
+    run of whole windows keeps one dt.
     """
     sources = SourceSpec() if sources is None else sources
-    states = [state]
     reports = []
     linearization = Linearization()
-    t = state.t
-    while t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
-        dt = cfg.t_end - t
+    while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+        dt = cfg.t_end - state.t
         if dt >= cfg.dt * (1.0 - 1e-9):
             dt = cfg.dt
         state, rep = picard_window(grid, material, state, sources, replace(cfg, dt=dt),
                                    linearization)
-        t = state.t
-        states.append(state)
         reports.append(rep)
         if observer is not None:
             observer(state, rep)
-    return states, reports
+    return state, reports

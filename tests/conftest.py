@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from chbsim.elliptic import AUGMENTED, VISCO
 from chbsim.grid import Grid, DIRICHLET, EDGES, NEUMANN
 from chbsim.materials import MaterialModel
+from chbsim.stepper import run_simulation
 
 FULL_DIRICHLET = {"left": DIRICHLET, "right": DIRICHLET,
                   "bottom": DIRICHLET, "top": DIRICHLET}
@@ -15,6 +16,17 @@ MIXED = {"left": DIRICHLET, "right": NEUMANN,
 EDGE_TAGS = st.fixed_dictionaries(
     {e: st.sampled_from([DIRICHLET, NEUMANN]) for e in EDGES}).filter(
     lambda tags: DIRICHLET in tags.values())
+
+
+@st.composite
+def grids(draw, tags=st.just(FULL_DIRICHLET)):
+    """Grids with nx, ny in [4, 12], domain lengths in [0.2, 5] and edge
+    tags drawn from the strategy tags."""
+    nx = draw(st.integers(4, 12))
+    ny = draw(st.integers(4, 12))
+    lx = draw(st.floats(0.2, 5.0))
+    ly = draw(st.floats(0.2, 5.0))
+    return Grid(nx, ny, lx, ly, dict(draw(tags)))
 
 
 def make_grid(nx=8, ny=None, tags=None, lx=1.0, ly=1.0):
@@ -53,6 +65,21 @@ def smooth_phi(grid, rng, amp=0.8, modes=3):
             f += rng.normal() * np.cos(kx * np.pi * x / grid.lx) \
                  * np.cos(ky * np.pi * y / grid.ly)
     return amp * np.tanh(f)
+
+
+def run_trajectory(grid, material, cfg, state, sources, observer=None):
+    """(states, reports) of a run_simulation call, with the trajectory,
+    the initial state first, collected through its observer; observer,
+    when given, is called after each window as well."""
+    states = [state]
+
+    def collect(new, report):
+        states.append(new)
+        if observer is not None:
+            observer(new, report)
+
+    _, reports = run_simulation(grid, material, cfg, state, sources, observer=collect)
+    return states, reports
 
 
 def reference_neumann_laplacian(grid, f, coeff):

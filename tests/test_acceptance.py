@@ -20,7 +20,8 @@ from chbsim.rhs import SourceSpec
 from chbsim.stepper import (PRESSURE_FORM, StepperConfig, initial_state,
                             picard_window, run_simulation)
 from conftest import (FULL_DIRICHLET, MIXED, decoupled_material,
-                      dense_reference_stiffness, make_grid, make_material, smooth_phi)
+                      dense_reference_stiffness, make_grid, make_material, run_trajectory,
+                      smooth_phi)
 
 
 def _report(num, name, ok, detail):
@@ -118,7 +119,7 @@ def spinodal_runs():
         cfg = StepperConfig(dt=1e-3, t_end=0.2, tol_picard=1e-6, tol_lin=1e-9)
         st = initial_state(g, m, phi0, theta0, SourceSpec())
         t0 = time.time()
-        states, reports = run_simulation(g, m, cfg, st, SourceSpec())
+        states, reports = run_trajectory(g, m, cfg, st, SourceSpec())
         out[rho] = (g, m, cfg, states, reports, time.time() - t0)
     return out
 
@@ -197,9 +198,9 @@ def test_criterion_08_formulation_equivalence():
         st = initial_state(g, m, phi0, theta0, SourceSpec())
         cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-10,
                             formulation=form)
-        states, _ = run_simulation(g, m, cfg, st, SourceSpec())
-        assert len(states) - 1 == 20
-        finals[form] = states[-1]
+        final, reports = run_simulation(g, m, cfg, st, SourceSpec())
+        assert len(reports) == 20
+        finals[form] = final
     a, b = finals["theta"], finals[PRESSURE_FORM]
     gap = max(np.max(np.abs(a.phi - b.phi)), np.max(np.abs(a.theta - b.theta)),
               np.max(np.abs(a.u.ux - b.u.ux)), np.max(np.abs(a.u.uy - b.u.uy)))
@@ -269,10 +270,10 @@ def test_criterion_10_stationary_fixed_points():
         st = initial_state(g, m, phi, theta, SourceSpec())
         cfg = StepperConfig(dt=1e-3, t_end=0.1, tol_picard=1e-11)
         rows = [diagnostics_row(g, m, st)]
-        states, reports = run_simulation(
+        _, reports = run_simulation(
             g, m, cfg, st, SourceSpec(),
             observer=lambda s, r: rows.append(diagnostics_row(g, m, s, r)))
-        assert len(states) - 1 == 100
+        assert len(reports) == 100
         drift = 0.0
         base = rows[0]
         for row in rows[1:]:

@@ -89,12 +89,12 @@ def test_pde_residual_small_at_equilibrium_and_detects_corruption():
     theta = np.full(g.n_nodes, 0.5)
     st = initial_state(g, m, phi, theta, SourceSpec())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11)
-    states, _ = run_simulation(g, m, cfg, st, SourceSpec())
-    res = pde_residual(g, m, states[0], states[1], SourceSpec())
+    new, _ = run_simulation(g, m, cfg, st, SourceSpec())
+    res = pde_residual(g, m, st, new, SourceSpec())
     assert max(res.values()) <= 10 * 1e-8
-    bad = states[1].copy()
+    bad = new.copy()
     bad.phi[55] += 1.0
-    res_bad = pde_residual(g, m, states[0], bad, SourceSpec())
+    res_bad = pde_residual(g, m, st, bad, SourceSpec())
     assert max(res_bad.values()) > 0.1
 
 

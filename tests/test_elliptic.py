@@ -7,14 +7,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from chbsim.elliptic import (AUGMENTED, PLAIN, VISCO, DirectSolver, EllipticProblem,
-                             LameBlockPreconditioner, SolverFailure, conjugate_gradient,
-                             solve_elasticity)
-from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, OP_CACHE_SIZE, _grid_ops,
-                         flux_stiffness_matrix)
+from chbsim.elliptic import (AUGMENTED, DIRECT_BACKWARD_ERROR_TOL, PLAIN, VISCO, DirectSolver,
+                             EllipticProblem, LameBlockPreconditioner, SolverFailure,
+                             conjugate_gradient, solve_elasticity)
+from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, OP_CACHE_SIZE, SymTensorField, VectorField2,
+                         _grid_ops, flux_stiffness_matrix, symmetric_gradient)
 from chbsim.stepper import FIXED_STRESS_MAX_COUPLING, FrozenElastic, FrozenVisco
-from conftest import (EDGE_TAGS, FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
-                      make_material, reference_clamped, reference_gram_stiffness,
+from conftest import (EDGE_TAGS, FULL_DIRICHLET, MIXED, dense_reference_stiffness, grids,
+                      make_grid, make_material, reference_clamped, reference_gram_stiffness,
                       reference_stiffness_apply, smooth_phi)
 
 
@@ -520,6 +520,45 @@ def test_direct_solves_fail_fast_on_non_finite_values():
     singular[2, 2] = 0.0
     with pytest.raises(SolverFailure):
         DirectSolver(singular)
+
+
+def test_wrong_but_finite_direct_solve_fails_at_once():
+    """A factor that solves finitely but wrongly, here the factor of 2A in
+    place of A's, fails its first solve on the normwise backward error,
+    and the message names the residual; the right factor passes."""
+    g = make_grid(10, tags=MIXED)
+    rng = np.random.default_rng(3)
+    solver = FrozenElastic(g, make_material(), smooth_phi(g, rng)).phase_solver(1e-3)
+    b = rng.standard_normal(g.n_nodes)
+    solver.solve(b)
+    solver._lu = DirectSolver(2.0 * solver.matrix)._lu
+    with pytest.raises(SolverFailure, match="direct solve residual .* backward error") as exc:
+        solver.solve(b)
+    assert len(exc.value.residuals) == 1 and exc.value.residuals[0] > 0.0
+    assert f"> {DIRECT_BACKWARD_ERROR_TOL:g}" in str(exc.value)
+
+
+@settings(deadline=None, max_examples=40)
+@given(g=grids(EDGE_TAGS), seed=st.integers(0, 2**32 - 1))
+def test_weak_loads_are_the_quadrature_of_their_virtual_work(g, seed):
+    """assemble_rhs is the weak form of the module docstring: for any test
+    displacement v that vanishes on the Dirichlet nodes, a tensor source
+    P, a scalar source q and a body force f load it with
+    sum w (P : E(v) + q div v + f . v), P : E = pxx exx + pyy eyy
+    + 2 pxy exy, E(v) the nodal symmetric gradient, to 1e-12 relative,
+    on every grid shape and edge-tag set with a Dirichlet edge."""
+    rng = np.random.default_rng(seed)
+    n = g.n_nodes
+    p = SymTensorField(g, *rng.standard_normal((3, n)))
+    q = rng.standard_normal(n)
+    f = VectorField2(g, *rng.standard_normal((2, n)))
+    v = VectorField2(g, *np.where(g.dirichlet_mask(), 0.0, rng.standard_normal((2, n))))
+    prob = EllipticProblem(g, make_material(), np.zeros(n))
+    rx, ry = prob.assemble_rhs(body=f, tensor_source=p, scalar_source=q)
+    e = symmetric_gradient(v)
+    work = g.quad_weights() * (p.xx * e.xx + p.yy * e.yy + 2.0 * p.xy * e.xy
+                               + q * (e.xx + e.yy) + f.ux * v.ux + f.uy * v.uy)
+    assert abs(rx @ v.ux + ry @ v.uy - work.sum()) <= 1e-12 * np.abs(work).sum()
 
 
 def test_elasticity_matches_dense_direct_solve():

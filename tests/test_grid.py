@@ -7,7 +7,7 @@ from chbsim import grid as grid_module
 from chbsim.grid import (Grid, NEUMANN, VectorField2, divergence,
                          flux_stiffness_matrix, laplacian_stiffness_form,
                          neumann_laplacian, symmetric_gradient)
-from conftest import (FULL_DIRICHLET, MIXED, make_grid, reference_neumann_laplacian,
+from conftest import (FULL_DIRICHLET, MIXED, grids, make_grid, reference_neumann_laplacian,
                       smooth_phi)
 
 
@@ -175,16 +175,6 @@ def test_gradient_exact_on_affine():
 
 
 # --- properties over random grid shapes ----------------------------------
-
-
-@st.composite
-def grids(draw):
-    """Grids with nx, ny in [4, 12] and domain lengths in [0.2, 5]."""
-    nx = draw(st.integers(4, 12))
-    ny = draw(st.integers(4, 12))
-    lx = draw(st.floats(0.2, 5.0))
-    ly = draw(st.floats(0.2, 5.0))
-    return Grid(nx, ny, lx, ly, dict(FULL_DIRICHLET))
 
 
 @st.composite

@@ -1,4 +1,7 @@
+import gc
 import sys
+import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +26,7 @@ from chbsim.stepper import (ANDERSON_DEPTH, BUNDLE_WINDOWS, FIXED_STRESS_BETA,
                             linear_substep_theta_visco, linear_substep_u_visco,
                             picard_window, run_simulation)
 from conftest import (EDGE_TAGS, FULL_DIRICHLET, MIXED, dense_reference_stiffness, make_grid,
-                      make_material, reference_clamped, smooth_phi)
+                      make_material, reference_clamped, run_trajectory, smooth_phi)
 
 
 # The three iterate maps of picard_window as (rho, formulation): the
@@ -420,7 +423,7 @@ def test_visco_run_keeps_the_weak_momentum_balance_without_cg(monkeypatch):
     st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng), sources)
     tol = 1e-10
     cfg = StepperConfig(dt=1e-3, t_end=3e-3, tol_picard=tol)
-    states, reports = run_simulation(g, m, cfg, st, sources)
+    states, reports = run_trajectory(g, m, cfg, st, sources)
     assert len(reports) == 3 and all(r.shrinks == 0 for r in reports)
     for prev, new in zip(states, states[1:]):
         assert pde_residual(g, m, prev, new, sources)["mechanics"] <= 100 * tol
@@ -456,7 +459,7 @@ def test_accepted_state_is_tight_and_the_iterates_are_not(formulation, monkeypat
                          s_fluid=lambda x, y, t: np.exp(-10.0 * ((x - 0.4)**2 + y**2)))
     st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng), sources)
     cfg = StepperConfig(dt=1e-3, t_end=3e-3, tol_picard=1e-9, formulation=formulation)
-    states, reports = run_simulation(g, m, cfg, st, sources)
+    states, reports = run_trajectory(g, m, cfg, st, sources)
     assert len(reports) == 3 and all(r.shrinks == 0 for r in reports)
     for prev, new in zip(states, states[1:]):
         assert pde_residual(g, m, prev, new, sources)["mechanics"] <= 1e-10
@@ -512,7 +515,7 @@ def test_short_run_conserves_mass(rho):
     theta0 = 0.05 * rng.standard_normal(g.n_nodes)
     st = initial_state(g, m, phi0, theta0, SourceSpec())
     cfg = StepperConfig(dt=1e-3, t_end=5e-3, tol_picard=1e-9)
-    states, _ = run_simulation(g, m, cfg, st, SourceSpec())
+    states, _ = run_trajectory(g, m, cfg, st, SourceSpec())
     m0p, m0t = g.mean(st.phi), g.mean(st.theta)
     for s in states:
         assert abs(g.mean(s.phi) - m0p) <= 1e-12
@@ -615,8 +618,8 @@ def test_theta_and_pressure_formulations_agree():
         st = initial_state(g, m, phi0, theta0, SourceSpec())
         cfg = StepperConfig(dt=1e-3, t_end=5e-3, tol_picard=1e-10,
                             formulation=form)
-        states, _ = run_simulation(g, m, cfg, st, SourceSpec())
-        finals.append(states[-1])
+        final, _ = run_simulation(g, m, cfg, st, SourceSpec())
+        finals.append(final)
     a, b = finals
     assert np.max(np.abs(a.phi - b.phi)) <= 1e-7
     assert np.max(np.abs(a.theta - b.theta)) <= 1e-7
@@ -739,6 +742,32 @@ def test_non_finite_state_shrinks_then_fails_cleanly(rho, formulation):
     for a in attempts:
         assert "non-finite" in a.error
         assert a.residuals == []
+
+
+def test_wrongly_ordered_direct_solve_fails_the_window_at_once(monkeypatch):
+    """A Kelvin-Voigt window whose displacement factor does not undo its
+    node-major ordering solves finitely but wrongly: every attempt fails
+    at its first iterate on the direct solve's backward error, naming the
+    residual, and the window ends in StepFailure within seconds, not
+    after a crawl of shrunk windows to the right state."""
+    def unordered(self, b):
+        return self._lu.solve(b if self._order is None else b[self._order])
+
+    monkeypatch.setattr(DirectSolver, "apply_inverse", unordered)
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=1, eps=0.3)
+    rng = np.random.default_rng(13)
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    start = time.perf_counter()
+    with pytest.raises(StepFailure) as exc:
+        picard_window(g, m, st, SourceSpec(), cfg)
+    assert time.perf_counter() - start <= 20.0
+    attempts = exc.value.attempts
+    assert len(attempts) == cfg.max_shrinks + 1
+    for a in attempts:
+        assert a.residuals == [] and "direct solve residual" in a.error
 
 
 def _counting_factors(monkeypatch):
@@ -994,11 +1023,23 @@ def test_linearization_point_does_not_change_fixed_point(rho, formulation):
         assert np.max(np.abs(a - b)) <= 10 * tol
 
 
+def _counting_bundles(monkeypatch):
+    built = []
+    original = stepper._FrozenPhase.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(stepper._FrozenPhase, "__post_init__", counting)
+    return built
+
+
 @ITERATE_MAPS
 def test_run_shares_one_bundle_among_several_windows(rho, formulation, monkeypatch):
-    """A 20-window run whose Picard counts do not grow builds a bundle
-    every BUNDLE_WINDOWS windows: at most ceil(20 / 5) bundles of three
-    factors, besides the initial state's."""
+    """A 20-window run with no failed attempt builds a bundle every
+    BUNDLE_WINDOWS windows: exactly ceil(20 / 5) bundles, each of three
+    factors (visco) or two (quasi-static), besides the initial state's."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(17)
@@ -1006,32 +1047,37 @@ def test_run_shares_one_bundle_among_several_windows(rho, formulation, monkeypat
     st = initial_state(g, m, 0.01 * rng.standard_normal(g.n_nodes), np.zeros(g.n_nodes),
                        SourceSpec())
     initial = len(created)
+    built = _counting_bundles(monkeypatch)
     cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6, formulation=formulation)
     _, reports = run_simulation(g, m, cfg, st, SourceSpec())
     assert len(reports) == 20 and all(r.shrinks == 0 for r in reports)
-    assert len(created) - initial <= -(-20 // BUNDLE_WINDOWS) * 3
+    assert len(built) == -(-20 // BUNDLE_WINDOWS)
+    assert len(created) - initial == len(built) * (3 if rho == 1 else 2)
 
 
-def test_bundle_is_kept_until_a_window_needs_a_margin_more_iterates():
-    """Accelerated windows of one bundle vary by an iterate or two: a
-    bundle whose first window took 8 Picard iterates serves windows of 10,
-    and is dropped after one of 11, more than REFRESH_MARGIN = 1.25 times
-    as many."""
+def test_bundle_is_dropped_only_after_bundle_windows():
+    """A bundle serves BUNDLE_WINDOWS windows whatever their Picard
+    counts: record() takes no count, and drops the bundle at the
+    BUNDLE_WINDOWS-th window and not before."""
     lin = Linearization()
     lin.refresh(FrozenElastic, make_grid(4), make_material(), np.zeros(16))
     bundle = lin.frozen
-    for iterations in (8, 10, 10):
-        lin.record(iterations)
-        assert lin.frozen is bundle
-    lin.record(11)
-    assert lin.frozen is None and lin.windows < BUNDLE_WINDOWS
+    for windows in range(1, BUNDLE_WINDOWS):
+        lin.record()
+        assert lin.frozen is bundle and lin.windows == windows
+    lin.record()
+    assert lin.frozen is None
 
 
+@pytest.mark.parametrize("bundle", ["stale", "fresh"])
 @pytest.mark.parametrize("rho", [0, 1])
-def test_failed_stale_attempt_retries_on_a_fresh_bundle(rho, monkeypatch):
-    """An attempt that fails on a bundle frozen at an earlier phase hands
-    a bundle rebuilt at the window's own phi to the attempt at the
-    shrunk dt; StepFailure marks the stale attempts."""
+def test_failed_attempt_retries_on_a_bundle_rebuilt_at_the_window_phase(
+        rho, bundle, monkeypatch):
+    """An attempt that fails hands a new bundle, built at the window's own
+    phi, to the attempt at the shrunk dt, whether the failed bundle was
+    frozen at an earlier phase (stale) or built by this window (fresh);
+    the retried window is bitwise the window run directly at the shrunk
+    dt on a new Linearization.  StepFailure lists the dt values tried."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(14)
@@ -1040,20 +1086,29 @@ def test_failed_stale_attempt_retries_on_a_fresh_bundle(rho, monkeypatch):
     other = st.phi + 0.2 * smooth_phi(g, rng)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
 
+    def linearization():
+        return Linearization() if bundle == "fresh" else _stale_linearization(g, m, other)
+
     _fault_first_solves(monkeypatch, rho, 1)
-    lin = _stale_linearization(g, m, other)
-    stale = lin.frozen
+    built = _counting_bundles(monkeypatch)
+    lin = linearization()
     new_state, rep = picard_window(g, m, st, SourceSpec(), cfg, lin)
     assert rep.shrinks == 1 and rep.dt_used == 5e-4
     assert new_state.t == pytest.approx(st.t + 5e-4)
-    assert lin.frozen is not stale and np.array_equal(lin.frozen.phi0, st.phi)
-    assert lin.windows == 1 and lin.first_iterations == rep.iterations
+    assert len(built) == 2 and lin.frozen is built[1]
+    assert np.array_equal(lin.frozen.phi0, st.phi) and lin.windows == 1
+    direct, direct_rep = picard_window(g, m, st, SourceSpec(), replace(cfg, dt=5e-4),
+                                       Linearization())
+    assert rep.residuals == direct_rep.residuals and new_state.t == direct.t
+    for a, b in ((new_state.phi, direct.phi), (new_state.theta, direct.theta),
+                 (new_state.u.ux, direct.u.ux), (new_state.u.uy, direct.u.uy)):
+        assert a.tobytes() == b.tobytes()
 
     _fault_first_solves(monkeypatch, rho, 10**6)
     with pytest.raises(StepFailure) as exc:
-        picard_window(g, m, st, SourceSpec(), cfg, _stale_linearization(g, m, other))
-    assert [(a.dt, a.fresh) for a in exc.value.attempts] == [(1e-3, False), (5e-4, True)]
-    assert "dt tried: 0.001 (stale bundle), 0.0005)" in str(exc.value)
+        picard_window(g, m, st, SourceSpec(), cfg, linearization())
+    assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
+    assert "dt tried: 0.001, 0.0005)" in str(exc.value)
 
 
 @pytest.mark.parametrize("rho", [0, 1])
@@ -1087,10 +1142,30 @@ def test_run_keeps_cfg_dt_in_its_last_window():
     st = initial_state(g, m, 0.01 * rng.standard_normal(g.n_nodes), np.zeros(g.n_nodes),
                        SourceSpec())
     cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6)
-    states, reports = run_simulation(g, m, cfg, st, SourceSpec())
+    final, reports = run_simulation(g, m, cfg, st, SourceSpec())
     assert len(reports) == 20
     assert all(r.dt_used == cfg.dt for r in reports)
-    assert abs(states[-1].t - cfg.t_end) <= 1e-12
+    assert abs(final.t - cfg.t_end) <= 1e-12
+
+
+@ITERATE_MAPS
+def test_run_keeps_no_trajectory(rho, formulation):
+    """run_simulation holds only the current state, so its memory does
+    not grow with the windows: of the states an observer sees, keeping
+    only weak references, the returned final state alone is still alive
+    after the call."""
+    g = make_grid(8, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(11)
+    st = initial_state(g, m, 0.1 * smooth_phi(g, rng), np.zeros(g.n_nodes), SourceSpec())
+    seen = []
+    cfg = StepperConfig(dt=1e-3, t_end=6e-3, tol_picard=1e-6, formulation=formulation)
+    final, reports = run_simulation(g, m, cfg, st, SourceSpec(),
+                                    observer=lambda s, r: seen.append(weakref.ref(s)))
+    gc.collect()
+    alive = [ref() for ref in seen if ref() is not None]
+    assert len(seen) == len(reports) == 6
+    assert len(alive) == 1 and alive[0] is final
 
 
 def test_run_simulation_window_count_and_observer():
@@ -1101,11 +1176,11 @@ def test_run_simulation_window_count_and_observer():
                        np.zeros(g.n_nodes), SourceSpec())
     seen = []
     cfg = StepperConfig(dt=1e-3, t_end=3e-3, tol_picard=1e-9)
-    states, reports = run_simulation(g, m, cfg, st, SourceSpec(),
-                                     observer=lambda s, r: seen.append(s.t))
-    assert len(states) == 4 and len(reports) == 3
+    final, reports = run_simulation(g, m, cfg, st, SourceSpec(),
+                                    observer=lambda s, r: seen.append(s.t))
+    assert len(reports) == 3
     assert seen == [pytest.approx(1e-3), pytest.approx(2e-3), pytest.approx(3e-3)]
-    assert states[-1].t == pytest.approx(3e-3)
+    assert final.t == pytest.approx(3e-3)
 
 
 @pytest.mark.parametrize("field, value", [
