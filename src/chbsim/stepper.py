@@ -91,8 +91,26 @@ or, from iterate GIVE_UP_AFTER on, when its mean rate over the whole
 attempt is not below 1 or, kept up, would not bring the residual down
 to the target within max_picard iterates (the chord method's stopping
 test, Kelley, ch. 5).
+
+The solutions are smooth in time after the initial layer, so a window
+starts its Picard iteration from a prediction of its state, not from
+x_n: run_simulation extrapolates every field (phi, theta, u_x, u_y) to
+t_n + dt by the Lagrange polynomial through the last k + 1 accepted
+states, at their own times, with k at most PREDICTOR_ORDER.  k is picked
+by hindcast: the order whose same extrapolation, made one window back,
+came closest to the state just accepted, in the quadrature-weighted L2
+norm over all fields.  k = 0, the start from x_n, is kept whenever no
+extrapolation beats it: in the first two windows, in an initial
+transient, behind a sharp interface.  Only a window's first attempt
+starts from the prediction; a retry after a failed attempt starts from
+x_n at the shrunk dt.  The start moves the iterates, not the fixed
+point.  This is the predictor of implicit integrators (CVODE: Hindmarsh
+et al., ACM TOMS 31, 2005; the extrapolated starting values of Hairer &
+Wanner, Solving Ordinary Differential Equations II, Sec. IV.8).
 """
 
+import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -180,7 +198,10 @@ class PicardReport:
     """The accepted attempt of a window: its iterate count, last residual
     and residual history, the median ratio rho of its successive
     residuals (the observed contraction of the accelerated iteration,
-    not of the plain Picard map), its dt and the shrinks before it."""
+    not of the plain Picard map), its dt and the shrinks before it.
+    start_order is the order k of the extrapolation that the accepted
+    attempt started from (see run_simulation); 0, the start state x_n,
+    for a window run without a predicted start and for every retry."""
 
     iterations: int
     residual: float
@@ -188,6 +209,7 @@ class PicardReport:
     rho: float
     dt_used: float
     shrinks: int
+    start_order: int = 0
 
 
 def _median_ratio(residuals):
@@ -527,19 +549,21 @@ def _iterate_forcing(frozen):
     return ITERATE_FORCING / (1.0 + frozen.coupling)**2
 
 
-def _theta_iterates(frozen, state, sources, dt):
+def _theta_iterates(frozen, state, sources, dt, start):
     """Quasi-static iterate map in the fluid content theta.
 
-    The unknowns are (phi, theta).  The displacement is reconstructed at
-    each next (phi, theta) and does not enter the residual: at a Picard
-    iterate inexactly, by PCG from the previous iterate's u to the
-    coupling-scaled forcing term of _iterate_forcing; at the accepted
-    state to the absolute target, from the last iterate's u.
+    The unknowns are (phi, theta), x_0 those of start (the window's
+    start state x_n or a prediction), with start's u.  The displacement
+    is reconstructed at each next (phi, theta) and does not enter the
+    residual: at a Picard iterate inexactly, by PCG from the previous
+    iterate's u to the coupling-scaled forcing term of _iterate_forcing;
+    at the accepted state to the absolute target, from the last
+    iterate's u.
     """
     grid, material = frozen.grid, frozen.material
     t_new = state.t + dt
     iterate_forcing = _iterate_forcing(frozen)
-    phi_k, theta_k, u_k = state.phi, state.theta, state.u
+    phi_k, theta_k, u_k = start.phi, start.theta, start.u
     while True:
         n_phi, n_theta = rhs_elastic(grid, material, phi_k, theta_k, u_k, sources, t_new)
         d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
@@ -553,7 +577,7 @@ def _theta_iterates(frozen, state, sources, dt):
         yield SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
-def _pressure_iterates(frozen, state, sources, dt):
+def _pressure_iterates(frozen, state, sources, dt, start):
     """Quasi-static iterate map in the pressure p.
 
     Independent route for cross-checking: the unknowns are (phi, p);
@@ -562,30 +586,32 @@ def _pressure_iterates(frozen, state, sources, dt):
     through theta = p / M + alpha div u.  The pressure update solves the
     bundle's content operator, (W B(phi0) + dt B_kappa) d_p
     = W (theta_n - theta_k + dt N_theta), or P d_p = W (...) at weak
-    coupling.  The first displacement solve, at the start state's (phi, p),
-    runs from its u to the absolute target; each at a Picard iterate runs
-    from the previous iterate's u to the coupling-scaled forcing term of
-    _iterate_forcing; the accepted state's runs from the last iterate's u
-    to the absolute target, so its theta carries a tight div u.
+    coupling.  x_0 is the (phi, p) of start.  The first displacement
+    solve, at x_0, runs from start's u: to the absolute target when start
+    is the window's start state x_n, and as an iterate solve when it is a
+    predicted start.  Each at a Picard iterate runs from the previous
+    iterate's u to the coupling-scaled forcing term of _iterate_forcing;
+    the accepted state's runs from the last iterate's u to the absolute
+    target, so its theta carries a tight div u.
     """
     grid, material, w = frozen.grid, frozen.material, frozen.w
     t_new = state.t + dt
     iterate_forcing = _iterate_forcing(frozen)
 
-    def solve_u(phi, p, start, forcing):
+    def solve_u(phi, p, u0, forcing):
         prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=STIFFNESS_SCALE,
                                reference=frozen.ctx0.plain)
         scalar = eigenstrain_tensor_source(material, phi) + material.biot_alpha(phi) * p
         rhs = prob.assemble_rhs(body=sources.body_at(grid, t_new), scalar_source=scalar,
                                 traction=sources.traction)
-        return solve_elasticity(prob, rhs, start, forcing)[0]
+        return solve_elasticity(prob, rhs, u0, forcing)[0]
 
     def content_of(phi, p, u):
         return p / material.biot_modulus(phi) + material.biot_alpha(phi) * divergence(u)
 
-    phi_k = state.phi
-    p_k = pressure(material, state.phi, state.theta, divergence(state.u))
-    u_k = solve_u(phi_k, p_k, state.u, 0.0)
+    phi_k = start.phi
+    p_k = pressure(material, start.phi, start.theta, divergence(start.u))
+    u_k = solve_u(phi_k, p_k, start.u, 0.0 if start is state else iterate_forcing)
     theta_k = content_of(phi_k, p_k, u_k)
     while True:
         n_phi, n_theta = rhs_elastic(grid, material, phi_k, theta_k, u_k, sources, t_new)
@@ -597,13 +623,13 @@ def _pressure_iterates(frozen, state, sources, dt):
         yield SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
-def _visco_iterates(frozen, state, sources, dt):
-    """Kelvin-Voigt iterate map: the unknowns (phi, theta, u_x, u_y) all
-    enter the residual, no field is derived, and no system at the current
-    iterate is solved."""
+def _visco_iterates(frozen, state, sources, dt, start):
+    """Kelvin-Voigt iterate map: the unknowns (phi, theta, u_x, u_y), x_0
+    those of start, all enter the residual, no field is derived, and no
+    system at the current iterate is solved."""
     grid, material = frozen.grid, frozen.material
     t_new = state.t + dt
-    phi_k, theta_k, u_k = state.phi, state.theta, state.u
+    phi_k, theta_k, u_k = start.phi, start.theta, start.u
     while True:
         n_phi, f_u, n_theta = rhs_visco(
             grid, material, phi_k, theta_k, u_k, state.u, dt, sources, t_new)
@@ -647,9 +673,12 @@ def _anderson_step(sw, history):
     return x + d - (dx + df) @ gamma
 
 
-def picard_window(grid, material, state, sources, cfg, linearization=None):
+def picard_window(grid, material, state, sources, cfg, linearization=None, start=None):
     """Advance one window; returns (new_state, PicardReport).
 
+    start, a SimState, is the first attempt's start x_0, by default the
+    window's start state x_n (run_simulation passes its prediction); a
+    retry starts from x_n.  The fixed point does not depend on it.
     linearization is the Linearization that the windows of a run share;
     None builds a fresh bundle at the window's start phase field, which
     is then used by this window alone.  Given one, the window reuses its
@@ -663,7 +692,8 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
     the fields derived from them and yields their SimState.  The
     quasi-static maps build an iterate's displacement inexactly and the
     accepted state's to the absolute target (see ITERATE_FORCING); the
-    Kelvin-Voigt map derives no field and ignores the flag.  The window
+    Kelvin-Voigt map derives no field and ignores the flag.  Each map
+    also takes the attempt's start x_0.  The window
     sends the Anderson step of _anderson_step, over the last
     ANDERSON_DEPTH + 1 pairs of the attempt (the history restarts with
     every attempt), as an iterate.  An attempt succeeds when the
@@ -700,12 +730,13 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
 
     target = cfg.tol_picard * scale
     dt = cfg.dt
+    start = state if start is None else start
     attempts = []
     while True:
         attempt = PicardAttempt(dt, [])
         attempts.append(attempt)
         residuals = attempt.residuals
-        stream = iterates(linearization.frozen, state, sources, dt)
+        stream = iterates(linearization.frozen, state, sources, dt, start)
         history = []
         try:
             while True:
@@ -733,6 +764,46 @@ def picard_window(grid, material, state, sources, cfg, linearization=None):
                               f"dt shrinks (dt tried: {tried})", attempts)
         linearization.refresh(frozen_type, grid, material, state.phi)
         dt *= cfg.shrink_factor
+        start = state
+
+
+# --- predicted starts -----------------------------------------------------
+
+
+# Highest order of the extrapolation a window starts from (see
+# run_simulation); the history holds PREDICTOR_ORDER + 2 states.  Total
+# Picard iterates on seeds 1-10 of spinodal-qs-32 and spinodal-visco-32
+# (20 windows each), then on their 200-window runs at seed 1, by the
+# highest order: 0 (every window from x_n) 795, 773; 1090, 1009.  1: 625,
+# 611; 829, 760.  2: 498, 442; 584, 577.  3: 414, 397; 429, 423.  4: 438,
+# 404; 408, 375.  5: 446, 418; 422, 370.  From 1 on, source-qs-64 and
+# retry-qs-32 take 190 and 300, not 200 and 310, and no window shrinks.
+# 3 is the fewest on the short runs and within 13 % of the fewest on the
+# long ones.
+PREDICTOR_ORDER = 3
+
+
+def _extrapolate(history, t):
+    """The Lagrange polynomial through history, pairs (t_j, x_j) of
+    distinct times and flat arrays, evaluated at t."""
+    x = 0.0
+    for j, (t_j, x_j) in enumerate(history):
+        x = x + math.prod((t - t_i) / (t_j - t_i)
+                          for i, (t_i, _) in enumerate(history) if i != j) * x_j
+    return x
+
+
+def _hindcast_order(w, history):
+    """The order k in 0 .. PREDICTOR_ORDER whose extrapolation through the
+    k + 1 states of history before its last came closest to that last
+    state, in the w-weighted L2 norm; history holds pairs (t_j, x_j),
+    oldest first.  Ties go to the lower order, so 0, the last state
+    itself, is the answer unless an extrapolation beats it, and it is
+    the only one with fewer than three states."""
+    *past, (t_n, x_n) = history
+    errors = [_wnorm2(w, _extrapolate(past[len(past) - k - 1:], t_n) - x_n)
+              for k in range(min(PREDICTOR_ORDER, len(past) - 1) + 1)]
+    return int(np.argmin(errors)) if errors else 0
 
 
 # --- driver ---------------------------------------------------------------
@@ -760,24 +831,47 @@ def run_simulation(grid, material, cfg, state, sources=None, observer=None):
     """March windows until t_end; returns (final_state, reports), one
     PicardReport per accepted window.
 
-    The loop holds only the current state and the windows' shared
-    Linearization, so memory does not grow with the number of windows; a
-    caller that wants the trajectory collects it through observer(state,
-    report), which, when given, is called after each window (the CLI
-    uses it for output).  A frozen bundle serves BUNDLE_WINDOWS windows.
-    Each window runs at cfg.dt, the last one at the remainder t_end - t
-    when that is shorter by more than rounding (1e-9 cfg.dt), so that a
-    run of whole windows keeps one dt.
+    The loop holds the current state, the windows' shared Linearization
+    and the fields of the last PREDICTOR_ORDER + 2 accepted states (the
+    start state counting as one), so memory does not grow with the
+    number of windows; a caller that wants the trajectory collects it
+    through observer(state, report), which, when given, is called after
+    each window (the CLI uses it for output).  A frozen bundle serves
+    BUNDLE_WINDOWS windows.  Each window runs at cfg.dt, the last one at
+    the remainder t_end - t when that is shorter by more than rounding
+    (1e-9 cfg.dt), so that a run of whole windows keeps one dt.
+
+    Each window starts its Picard iteration from a prediction of its
+    state: the Lagrange extrapolation of every field (phi, theta, u_x,
+    u_y) to t_n + dt through the last k + 1 states, at their own times.
+    The order k is picked by hindcast (_hindcast_order): the k whose
+    extrapolation through the states before x_n came closest to x_n, in
+    the quadrature-weighted L2 norm over all fields.  k = 0 starts from
+    x_n itself, and wins unless an extrapolation beats it, so always in
+    the first two windows.  The prediction is only the first attempt's
+    start (see picard_window), and the report's start_order records k.
     """
     sources = SourceSpec() if sources is None else sources
     reports = []
     linearization = Linearization()
+    w = np.tile(grid.quad_weights(), 4)
+    history = deque(maxlen=PREDICTOR_ORDER + 2)
     while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
         dt = cfg.t_end - state.t
         if dt >= cfg.dt * (1.0 - 1e-9):
             dt = cfg.dt
+        history.append((state.t, np.concatenate([state.phi, state.theta, state.u.ux,
+                                                 state.u.uy])))
+        order = _hindcast_order(w, history)
+        start = None
+        if order:
+            phi, theta, ux, uy = np.split(
+                _extrapolate(list(history)[-order - 1:], state.t + dt), 4)
+            start = SimState(grid, phi, theta, VectorField2(grid, ux, uy), state.t + dt)
         state, rep = picard_window(grid, material, state, sources, replace(cfg, dt=dt),
-                                   linearization)
+                                   linearization, start)
+        if rep.shrinks == 0:
+            rep.start_order = order
         reports.append(rep)
         if observer is not None:
             observer(state, rep)

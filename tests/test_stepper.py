@@ -13,14 +13,16 @@ import chbsim.elliptic as elliptic
 import chbsim.stepper as stepper
 from chbsim.biot import STIFFNESS_SCALE, apply_B_tilde, apply_fluid_operator
 from chbsim.diagnostics import pde_residual
-from chbsim.elliptic import REFERENCE_CG_TOL, VISCO, DirectSolver, EllipticProblem
+from chbsim.elliptic import (REFERENCE_CG_TOL, VISCO, DirectSolver, EllipticProblem,
+                             SolverFailure)
 from chbsim.grid import VectorField2, divergence, flux_stiffness_matrix, neumann_laplacian
-from chbsim.rhs import (SourceSpec, ViscoOperators, chemical_potential, displacement_problem,
-                        eigenstrain_tensor_source, pressure, stress)
+from chbsim.rhs import (SimState, SourceSpec, ViscoOperators, chemical_potential,
+                        displacement_problem, eigenstrain_tensor_source, pressure, stress)
 from chbsim.stepper import (ANDERSON_DEPTH, BUNDLE_WINDOWS, FIXED_STRESS_BETA,
-                            FIXED_STRESS_MAX_COUPLING, GIVE_UP_AFTER, ContentSchur,
-                            FrozenElastic, FrozenVisco, PRESSURE_FORM, THETA_FORM, Linearization,
-                            StepFailure, StepperConfig, _anderson_step, _pressure_iterates,
+                            FIXED_STRESS_MAX_COUPLING, GIVE_UP_AFTER, PREDICTOR_ORDER,
+                            ContentSchur, FrozenElastic, FrozenVisco, PRESSURE_FORM, THETA_FORM,
+                            Linearization, StepFailure, StepperConfig, _anderson_step,
+                            _extrapolate, _hindcast_order, _pressure_iterates,
                             _theta_iterates, _visco_iterates, initial_state,
                             linear_substep_phi, linear_substep_theta_elastic,
                             linear_substep_theta_visco, linear_substep_u_visco,
@@ -320,7 +322,7 @@ def test_update_form_map_matches_the_frozen_operator_formula(form):
     frozen = (FrozenVisco if form == "visco" else FrozenElastic)(g, m, st.phi)
     iterates = {"theta": _theta_iterates, "pressure": _pressure_iterates,
                 "visco": _visco_iterates}[form]
-    stream = iterates(frozen, st, sources, dt)
+    stream = iterates(frozen, st, sources, dt, st)
 
     def picard_step():
         # the map yields (x_k, d_k); sending back x_k + d_k = g(x_k) as an
@@ -1166,6 +1168,177 @@ def test_run_keeps_no_trajectory(rho, formulation):
     alive = [ref() for ref in seen if ref() is not None]
     assert len(seen) == len(reports) == 6
     assert len(alive) == 1 and alive[0] is final
+
+
+# Window end times with a shrunk window (2.5e-3) and a short last one.
+PREDICTOR_TIMES = [0.0, 1e-3, 2e-3, 2.5e-3, 3.5e-3, 3.8e-3]
+
+
+@pytest.mark.parametrize("order", range(PREDICTOR_ORDER + 1))
+def test_extrapolation_is_exact_for_polynomials_of_its_order(order):
+    """The Lagrange extrapolation through order + 1 states at non-uniform
+    times, those of a shrunk window among them, reproduces fields that
+    are polynomials in t of degree at most order."""
+    rng = np.random.default_rng(order)
+    coefficients = rng.standard_normal((order + 1, 50))
+
+    def field(t):
+        return sum(c * t**d for d, c in enumerate(coefficients))
+
+    for end in range(order + 1, len(PREDICTOR_TIMES)):
+        history = [(t, field(t)) for t in PREDICTOR_TIMES[end - order - 1:end]]
+        t = PREDICTOR_TIMES[end]
+        assert np.allclose(_extrapolate(history, t), field(t), rtol=0, atol=1e-12)
+
+
+def test_hindcast_picks_the_order_that_predicted_the_last_state():
+    """A cubic history is predicted exactly by the cubic extrapolation
+    alone, so the hindcast picks it; a quadratic history of four states,
+    which allow orders up to 2, gives 2."""
+    w = np.full(20, 0.05)
+    v = np.random.default_rng(3).standard_normal((4, 20))
+    cubic = [(t, v[0] + t * v[1] + t**2 * v[2] + t**3 * v[3]) for t in PREDICTOR_TIMES[1:]]
+    quadratic = [(t, v[0] + t * v[1] + t**2 * v[2]) for t in PREDICTOR_TIMES[2:]]
+    assert _hindcast_order(w, cubic) == PREDICTOR_ORDER == 3
+    assert _hindcast_order(w, quadratic) == 2
+
+
+def test_hindcast_keeps_x_n_with_fewer_than_three_states():
+    """One or two states give no extrapolation to check against the last
+    state, so the hindcast returns 0 even on a linear history."""
+    w = np.full(20, 0.05)
+    v = np.random.default_rng(4).standard_normal((2, 20))
+    linear = [(t, v[0] + t * v[1]) for t in PREDICTOR_TIMES]
+    assert _hindcast_order(w, linear[:1]) == 0
+    assert _hindcast_order(w, linear[:2]) == 0
+    assert _hindcast_order(w, linear[:3]) == 1
+
+
+def test_hindcast_keeps_x_n_on_a_stiff_decaying_history():
+    """States that decay geometrically onto a rest state, by a factor 0.1
+    per window (a stiff mode), are overshot by every extrapolation:
+    linear extrapolation errs by (1 - r)^2 against the last step's
+    r (1 - r), so the hindcast keeps x_n."""
+    w = np.full(20, 0.05)
+    rest, mode = np.random.default_rng(5).standard_normal((2, 20))
+    history = [(1e-3 * j, rest + 0.1**j * mode) for j in range(PREDICTOR_ORDER + 2)]
+    assert _hindcast_order(w, history) == 0
+
+
+def _spinodal_start(rho):
+    """Small noise about the mixed state on a 12^2 grid: a smooth run."""
+    g = make_grid(12, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(17)
+    st = initial_state(g, m, 0.01 * rng.standard_normal(g.n_nodes), np.zeros(g.n_nodes),
+                       SourceSpec())
+    return g, m, st
+
+
+def _largest_gap(states, reference):
+    return max(max(np.max(np.abs(a - b)) for a, b in (
+        (x.phi, y.phi), (x.theta, y.theta), (x.u.ux, y.u.ux), (x.u.uy, y.u.uy)))
+        for x, y in zip(states, reference, strict=True))
+
+
+@ITERATE_MAPS
+def test_predicted_starts_save_iterates_within_the_picard_tolerance(rho, formulation):
+    """On a smooth spinodal run, run_simulation's predicted starts take
+    fewer Picard iterates, with no shrink, than the same windows run one
+    by one by picard_window from x_n, and its accepted states stay within
+    3 times that loop's gap to a tol_picard = 1e-11 reference.  The first
+    two windows start from x_n (start_order 0); later ones from an
+    extrapolation."""
+    g, m, st = _spinodal_start(rho)
+    cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6, formulation=formulation)
+    states, reports = run_trajectory(g, m, cfg, st, SourceSpec())
+    reference, _ = run_trajectory(g, m, replace(cfg, tol_picard=1e-11), st, SourceSpec())
+    loop, loop_reports, lin = [st], [], Linearization()
+    for _ in reports:
+        new, rep = picard_window(g, m, loop[-1], SourceSpec(), cfg, lin)
+        loop.append(new)
+        loop_reports.append(rep)
+    assert all(r.shrinks == 0 for r in reports + loop_reports)
+    assert all(r.start_order == 0 for r in loop_reports)
+    assert [r.start_order for r in reports[:2]] == [0, 0]
+    assert max(r.start_order for r in reports) == PREDICTOR_ORDER
+    iterations = sum(r.iterations for r in reports)
+    assert iterations < 0.75 * sum(r.iterations for r in loop_reports)
+    assert _largest_gap(states, reference) <= 3 * _largest_gap(loop, reference)
+
+
+@ITERATE_MAPS
+def test_window_started_at_its_fixed_point_accepts_at_once(rho, formulation):
+    """picard_window's start is the first attempt's x_0: started at the
+    window's own accepted state, solved to 1e-11, the window accepts
+    its first iterate, at the same state to the Picard tolerance."""
+    g, m, st = _spinodal_start(rho)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-8, formulation=formulation)
+    fixed_point, rep = picard_window(g, m, st, SourceSpec(), replace(cfg, tol_picard=1e-11))
+    assert rep.iterations > 1
+    new, rep = picard_window(g, m, st, SourceSpec(), cfg, start=fixed_point)
+    assert rep.iterations == 1 and rep.shrinks == 0
+    assert _largest_gap([new], [fixed_point]) <= 1e-8
+
+
+@pytest.mark.parametrize("rho", [0, 1])
+def test_failed_predicted_attempt_retries_from_the_window_start(rho, monkeypatch):
+    """An attempt from a predicted start that fails hands the attempt at
+    the shrunk dt x_n, not the prediction, on a bundle rebuilt at the
+    window's phi: the retried window is bitwise the window run directly
+    at the shrunk dt from x_n on a new Linearization."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(14)
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
+                       SourceSpec())
+    predicted = SimState(g, st.phi + 0.01 * smooth_phi(g, rng), st.theta + 0.01,
+                         st.u.copy(), st.t + 1e-3)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
+    _fault_first_solves(monkeypatch, rho, 1)
+    new_state, rep = picard_window(g, m, st, SourceSpec(), cfg, Linearization(),
+                                   start=predicted)
+    assert rep.shrinks == 1 and rep.dt_used == 5e-4 and rep.start_order == 0
+    direct, direct_rep = picard_window(g, m, st, SourceSpec(), replace(cfg, dt=5e-4),
+                                       Linearization())
+    assert rep.residuals == direct_rep.residuals and new_state.t == direct.t
+    for a, b in ((new_state.phi, direct.phi), (new_state.theta, direct.theta),
+                 (new_state.u.ux, direct.u.ux), (new_state.u.uy, direct.u.uy)):
+        assert a.tobytes() == b.tobytes()
+
+
+@ITERATE_MAPS
+def test_retried_window_of_a_run_reports_start_order_zero(rho, formulation, monkeypatch):
+    """In a run whose seventh window fails its attempt from a predicted
+    start, that window is retried from x_n at the shrunk dt and reports
+    start_order 0; the windows after it extrapolate through the shrunk
+    window's non-uniform times again."""
+    g, m, st = _spinodal_start(rho)
+    cfg = StepperConfig(dt=1e-3, t_end=0.012, tol_picard=1e-6, formulation=formulation)
+    substep, window = stepper.linear_substep_phi, stepper.picard_window
+    fail, starts = [], []
+
+    def failing_once(*args):
+        if fail:
+            fail.clear()
+            raise SolverFailure("injected failure", [])
+        return substep(*args)
+
+    def recording_window(*args):
+        starts.append(args[6])
+        fail[:] = [True] * (len(starts) == 7)   # the seventh window's first solve
+        return window(*args)
+
+    monkeypatch.setattr(stepper, "linear_substep_phi", failing_once)
+    monkeypatch.setattr(stepper, "picard_window", recording_window)
+    final, reports = run_simulation(g, m, cfg, st, SourceSpec())
+    assert [r.shrinks for r in reports] == [0] * 6 + [1] + [0] * (len(reports) - 7)
+    assert starts[6] is not None
+    assert reports[6].dt_used == 5e-4 and reports[6].start_order == 0
+    assert all((r.start_order > 0) == (s is not None) for r, s in zip(reports, starts)
+               if r.shrinks == 0)
+    assert max(r.start_order for r in reports[7:]) > 0
+    assert abs(final.t - cfg.t_end) <= 1e-12
 
 
 def test_run_simulation_window_count_and_observer():
