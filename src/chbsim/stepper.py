@@ -100,8 +100,9 @@ states, at their own times, with k at most PREDICTOR_ORDER.  k is picked
 by hindcast: the order whose same extrapolation, made one window back,
 came closest to the state just accepted, in the quadrature-weighted L2
 norm over all fields.  k = 0, the start from x_n, is kept whenever no
-extrapolation beats it: in the first two windows, in an initial
-transient, behind a sharp interface.  Only a window's first attempt
+extrapolation beats it: in the first two windows, in the next one or
+two of a spinodal run, and in every window of the sharp-interface runs
+that shrink least (see PREDICTOR_ORDER).  Only a window's first attempt
 starts from the prediction; a retry after a failed attempt starts from
 x_n at the shrunk dt.  The start moves the iterates, not the fixed
 point.  This is the predictor of implicit integrators (CVODE: Hindmarsh
@@ -673,12 +674,16 @@ def _anderson_step(sw, history):
     return x + d - (dx + df) @ gamma
 
 
-def picard_window(grid, material, state, sources, cfg, linearization=None, start=None):
+def picard_window(grid, material, state, sources, cfg, linearization=None, start=None,
+                  start_order=0):
     """Advance one window; returns (new_state, PicardReport).
 
     start, a SimState, is the first attempt's start x_0, by default the
     window's start state x_n (run_simulation passes its prediction); a
     retry starts from x_n.  The fixed point does not depend on it.
+    start_order, the order of the extrapolation that start is, is the
+    report's start_order if the first attempt is accepted; a retried
+    window reports 0.
     linearization is the Linearization that the windows of a run share;
     None builds a fresh bundle at the window's start phase field, which
     is then used by this window alone.  Given one, the window reuses its
@@ -750,7 +755,8 @@ def picard_window(grid, material, state, sources, cfg, linearization=None, start
                     return new_state, PicardReport(
                         iterations=len(residuals), residual=residuals[-1],
                         residuals=residuals, rho=_median_ratio(residuals),
-                        dt_used=dt, shrinks=len(attempts) - 1)
+                        dt_used=dt, shrinks=len(attempts) - 1,
+                        start_order=start_order if len(attempts) == 1 else 0)
                 if (len(residuals) == cfg.max_picard
                         or _cannot_converge(residuals, target, cfg.max_picard)):
                     break
@@ -779,7 +785,18 @@ def picard_window(grid, material, state, sources, cfg, linearization=None, start
 # 404; 408, 375.  5: 446, 418; 422, 370.  From 1 on, source-qs-64 and
 # retry-qs-32 take 190 and 300, not 200 and 310, and no window shrinks.
 # 3 is the fewest on the short runs and within 13 % of the fewest on the
-# long ones.
+# long ones.  Where the hindcast picks less, on seeds 1-10: k = 0, 1, 2, 3
+# on 15, 10, 10, 64 % of the windows of spinodal-qs-32 and 18, 12, 18,
+# 52 % of spinodal-visco-32 (k < 3 mostly in the first eight windows), and
+# 0 or 1 on 75 and 25 % of source-qs-64 and retry-qs-32 (4 windows).  On
+# the retry scan (retry-qs-32 at eps 0.1, 0.09, 0.08, seeds 1-3) it keeps
+# k = 0 for all 15 first attempts at eps 0.1 and 0.09.  Without it, a
+# fixed order min(3, states - 1) takes 456 and 430 iterates on the
+# spinodal runs and 15 shrinks on the scan at eps 0.1 and 0.09, not 3 and
+# 6; a ramp min(3, states - 2) keeps the shrinks and takes 425, 398, 190
+# and 290 on the four workloads, but 264 and 327 iterates on the scan at
+# eps 0.1 and 0.09, not 234 and 306 (theta form; the pressure form reads
+# the same to within 15 iterates).
 PREDICTOR_ORDER = 3
 
 
@@ -869,9 +886,7 @@ def run_simulation(grid, material, cfg, state, sources=None, observer=None):
                 _extrapolate(list(history)[-order - 1:], state.t + dt), 4)
             start = SimState(grid, phi, theta, VectorField2(grid, ux, uy), state.t + dt)
         state, rep = picard_window(grid, material, state, sources, replace(cfg, dt=dt),
-                                   linearization, start)
-        if rep.shrinks == 0:
-            rep.start_order = order
+                                   linearization, start, order)
         reports.append(rep)
         if observer is not None:
             observer(state, rep)

@@ -1271,13 +1271,14 @@ def test_predicted_starts_save_iterates_within_the_picard_tolerance(rho, formula
 def test_window_started_at_its_fixed_point_accepts_at_once(rho, formulation):
     """picard_window's start is the first attempt's x_0: started at the
     window's own accepted state, solved to 1e-11, the window accepts
-    its first iterate, at the same state to the Picard tolerance."""
+    its first iterate, at the same state to the Picard tolerance, and
+    reports the start_order it is given."""
     g, m, st = _spinodal_start(rho)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-8, formulation=formulation)
     fixed_point, rep = picard_window(g, m, st, SourceSpec(), replace(cfg, tol_picard=1e-11))
     assert rep.iterations > 1
-    new, rep = picard_window(g, m, st, SourceSpec(), cfg, start=fixed_point)
-    assert rep.iterations == 1 and rep.shrinks == 0
+    new, rep = picard_window(g, m, st, SourceSpec(), cfg, start=fixed_point, start_order=2)
+    assert rep.iterations == 1 and rep.shrinks == 0 and rep.start_order == 2
     assert _largest_gap([new], [fixed_point]) <= 1e-8
 
 
@@ -1286,7 +1287,8 @@ def test_failed_predicted_attempt_retries_from_the_window_start(rho, monkeypatch
     """An attempt from a predicted start that fails hands the attempt at
     the shrunk dt x_n, not the prediction, on a bundle rebuilt at the
     window's phi: the retried window is bitwise the window run directly
-    at the shrunk dt from x_n on a new Linearization."""
+    at the shrunk dt from x_n on a new Linearization, and reports
+    start_order 0."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(14)
@@ -1297,7 +1299,7 @@ def test_failed_predicted_attempt_retries_from_the_window_start(rho, monkeypatch
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
     _fault_first_solves(monkeypatch, rho, 1)
     new_state, rep = picard_window(g, m, st, SourceSpec(), cfg, Linearization(),
-                                   start=predicted)
+                                   start=predicted, start_order=1)
     assert rep.shrinks == 1 and rep.dt_used == 5e-4 and rep.start_order == 0
     direct, direct_rep = picard_window(g, m, st, SourceSpec(), replace(cfg, dt=5e-4),
                                        Linearization())
