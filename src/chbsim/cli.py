@@ -96,10 +96,15 @@ def run_from_config(cfg, out_dir):
             append(diagnostics_row(grid, material, state).as_csv())
             snapshot(0, state)
             try:
-                state, _ = run_simulation(grid, material, stepper_cfg, state,
-                                          sources, observer=observer)
+                state = run_simulation(grid, material, stepper_cfg, state, sources,
+                                       observer=observer)
             except (StepFailure, SolverFailure) as exc:
                 print(f"run failed at window {window + 1}: {exc}", file=sys.stderr)
+                for k, a in enumerate(getattr(exc, "attempts", []), start=1):
+                    last = f"{a.residuals[-1]:.3e}" if a.residuals else "none"
+                    error = "" if a.error is None else f", error: {a.error}"
+                    print(f"  attempt {k}: dt = {a.dt:.6g}, {len(a.residuals)} iterates, "
+                          f"last residual {last}{error}", file=sys.stderr)
                 return 1
     except OSError as exc:
         raise RuntimeError(f"failed to write '{csv_path}': {exc}")

@@ -39,7 +39,9 @@ def _blend(phi):
 
 
 def _blend_d(phi):
-    return 0.5 / np.cosh(phi) ** 2
+    # cosh overflows to inf beyond |phi| ~ 710, where the derivative is 0
+    with np.errstate(over="ignore"):
+        return 0.5 / np.cosh(phi) ** 2
 
 
 @dataclass(frozen=True)

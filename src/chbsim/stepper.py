@@ -57,9 +57,9 @@ Since N carries every nonlinearity, L(phi0) sets only the rate of
 contraction, not the fixed point, so a bundle frozen at an earlier
 window's phase reaches the same state (the chord method: Kelley,
 Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-ch. 5).  run_simulation therefore lets one bundle serve BUNDLE_WINDOWS
-windows, and rebuilds it at the current window's phase sooner only when
-an attempt on it fails (see Linearization), the way CVODE refreshes its
+ch. 5).  A Run therefore lets one bundle serve BUNDLE_WINDOWS windows,
+and rebuilds it at the current window's phase sooner only when an
+attempt on it fails (see picard_window), the way CVODE refreshes its
 Newton matrix on age and on failure (Hindmarsh et al., ACM TOMS 31,
 2005).  A bundle keeps the factors of one dt: a retry at a smaller dt
 replaces those that depend on dt.
@@ -94,7 +94,7 @@ test, Kelley, ch. 5).
 
 The solutions are smooth in time after the initial layer, so a window
 starts its Picard iteration from a prediction of its state, not from
-x_n: run_simulation extrapolates every field (phi, theta, u_x, u_y) to
+x_n: Run.step extrapolates every field (phi, theta, u_x, u_y) to
 t_n + dt by the Lagrange polynomial through the last k + 1 accepted
 states, at their own times, with k at most PREDICTOR_ORDER.  k is picked
 by hindcast: the order whose same extrapolation, made one window back,
@@ -112,7 +112,7 @@ Wanner, Solving Ordinary Differential Equations II, Sec. IV.8).
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -201,8 +201,8 @@ class PicardReport:
     residuals (the observed contraction of the accelerated iteration,
     not of the plain Picard map), its dt and the shrinks before it.
     start_order is the order k of the extrapolation that the accepted
-    attempt started from (see run_simulation); 0, the start state x_n,
-    for a window run without a predicted start and for every retry."""
+    attempt started from, set by Run.step; 0, the start state x_n, for a
+    window run without a predicted start and for every retry."""
 
     iterations: int
     residual: float
@@ -484,33 +484,6 @@ def linear_substep_u_visco(frozen, dt, f_u):
 BUNDLE_WINDOWS = 5
 
 
-@dataclass
-class Linearization:
-    """The frozen bundle that successive windows of one run share, and its
-    age.
-
-    A window that has no bundle of its regime builds one at its own phi.
-    The bundle is dropped, so that the next window builds a fresh one,
-    after it has served BUNDLE_WINDOWS windows; a failed attempt on it
-    rebuilds it at the window's phi (see picard_window).
-    """
-
-    frozen: _FrozenPhase = None
-    windows: int = 0            # windows accepted on the bundle
-
-    def refresh(self, frozen_type, grid, material, phi):
-        # free the old bundle's factors before the new bundle makes its own
-        self.frozen = None
-        self.frozen = frozen_type(grid, material, phi)
-        self.windows = 0
-
-    def record(self):
-        """Count one accepted window; drop the bundle at BUNDLE_WINDOWS."""
-        self.windows += 1
-        if self.windows >= BUNDLE_WINDOWS:
-            self.frozen = None
-
-
 # Forcing term eta of the displacement solves at a Picard iterate: each
 # runs from the previous iterate's u until its preconditioned residual
 # norm is at most eta / (1 + s)^2 times its start's (see
@@ -674,21 +647,17 @@ def _anderson_step(sw, history):
     return x + d - (dx + df) @ gamma
 
 
-def picard_window(grid, material, state, sources, cfg, linearization=None, start=None,
-                  start_order=0):
-    """Advance one window; returns (new_state, PicardReport).
+def picard_window(run, dt, start):
+    """Advance run one window of length dt from run.state, x_n; returns
+    (new_state, PicardReport) and leaves run.state to the caller.
 
-    start, a SimState, is the first attempt's start x_0, by default the
-    window's start state x_n (run_simulation passes its prediction); a
-    retry starts from x_n.  The fixed point does not depend on it.
-    start_order, the order of the extrapolation that start is, is the
-    report's start_order if the first attempt is accepted; a retried
-    window reports 0.
-    linearization is the Linearization that the windows of a run share;
-    None builds a fresh bundle at the window's start phase field, which
-    is then used by this window alone.  Given one, the window reuses its
-    bundle if it has one for the window's regime, and counts the
-    accepted window in it (see Linearization).  One loop serves both
+    start, a SimState, is the first attempt's start x_0: x_n itself or
+    a prediction of the window's state (see Run.step); a retry starts
+    from x_n.  The fixed point does not depend on it.  The window reuses
+    run.frozen, builds it at x_n's phi when the run has none, counts the
+    accepted window in run.windows, and drops the bundle, so that a
+    later window builds a fresh one, once it has served BUNDLE_WINDOWS
+    windows.  One loop serves both
     regimes: each attempt runs an iterate map (theta form, pressure form
     or Kelvin-Voigt), a generator over (frozen, state, sources, dt).  At
     each iterate it yields (x_k, d_k), the arrays of the unknowns and of
@@ -718,30 +687,27 @@ def picard_window(grid, material, state, sources, cfg, linearization=None, start
     a rebuild at the same phi repeats only the phi0-only parts.  After
     max_shrinks retries, StepFailure carries every PicardAttempt made.
     """
+    state, material, cfg = run.state, run.material, run.cfg
     if material.rho == 1:
         frozen_type, iterates = FrozenVisco, _visco_iterates
     elif cfg.formulation == PRESSURE_FORM:
         frozen_type, iterates = FrozenElastic, _pressure_iterates
     else:
         frozen_type, iterates = FrozenElastic, _theta_iterates
-    if linearization is None:
-        linearization = Linearization()
-    if not isinstance(linearization.frozen, frozen_type):
-        linearization.refresh(frozen_type, grid, material, state.phi)
-    w = linearization.frozen.w
+    w = run.grid.quad_weights()
     scale = 1.0 + np.sqrt(_wnorm2(w, state.phi)) + np.sqrt(_wnorm2(w, state.theta))
     if material.rho == 1:
         scale += np.sqrt(_wnorm2(w, state.u.ux) + _wnorm2(w, state.u.uy))
 
     target = cfg.tol_picard * scale
-    dt = cfg.dt
-    start = state if start is None else start
     attempts = []
     while True:
+        if run.frozen is None:
+            run.frozen, run.windows = frozen_type(run.grid, material, state.phi), 0
         attempt = PicardAttempt(dt, [])
         attempts.append(attempt)
         residuals = attempt.residuals
-        stream = iterates(linearization.frozen, state, sources, dt, start)
+        stream = iterates(run.frozen, state, run.sources, dt, start)
         history = []
         try:
             while True:
@@ -751,12 +717,13 @@ def picard_window(grid, material, state, sources, cfg, linearization=None, start
                 residuals.append(float(np.linalg.norm(sw * d)))
                 if residuals[-1] <= target:
                     new_state = stream.send((np.split(x + d, blocks), True))
-                    linearization.record()
+                    run.windows += 1
+                    if run.windows >= BUNDLE_WINDOWS:
+                        run.frozen = None
                     return new_state, PicardReport(
                         iterations=len(residuals), residual=residuals[-1],
                         residuals=residuals, rho=_median_ratio(residuals),
-                        dt_used=dt, shrinks=len(attempts) - 1,
-                        start_order=start_order if len(attempts) == 1 else 0)
+                        dt_used=dt, shrinks=len(attempts) - 1)
                 if (len(residuals) == cfg.max_picard
                         or _cannot_converge(residuals, target, cfg.max_picard)):
                     break
@@ -768,7 +735,7 @@ def picard_window(grid, material, state, sources, cfg, linearization=None, start
             tried = ", ".join(f"{a.dt:.6g}" for a in attempts)
             raise StepFailure(f"window at t = {state.t:.6g} failed after {cfg.max_shrinks} "
                               f"dt shrinks (dt tried: {tried})", attempts)
-        linearization.refresh(frozen_type, grid, material, state.phi)
+        run.frozen = None       # freed before the retry builds its own at x_n's phi
         dt *= cfg.shrink_factor
         start = state
 
@@ -777,7 +744,7 @@ def picard_window(grid, material, state, sources, cfg, linearization=None, start
 
 
 # Highest order of the extrapolation a window starts from (see
-# run_simulation); the history holds PREDICTOR_ORDER + 2 states.  Total
+# Run.step); the history holds PREDICTOR_ORDER + 2 states.  Total
 # Picard iterates on seeds 1-10 of spinodal-qs-32 and spinodal-visco-32
 # (20 windows each), then on their 200-window runs at seed 1, by the
 # highest order: 0 (every window from x_n) 795, 773; 1090, 1009.  1: 625,
@@ -844,50 +811,73 @@ def initial_state(grid, material, phi, theta, sources=None):
     return SimState(grid, phi, theta, u, 0.0)
 
 
-def run_simulation(grid, material, cfg, state, sources=None, observer=None):
-    """March windows until t_end; returns (final_state, reports), one
-    PicardReport per accepted window.
+@dataclass
+class Run:
+    """Everything one run carries from window to window, as CVODE keeps it
+    in one integrator memory: the grid, material, StepperConfig cfg and
+    sources, the current state, the frozen bundle that the windows share
+    and its age, windows, the number of windows accepted on it (see
+    picard_window), and history, the times and fields of the last
+    PREDICTOR_ORDER + 2 accepted states (the start state counting as
+    one).  Nothing in it grows with the number of windows."""
 
-    The loop holds the current state, the windows' shared Linearization
-    and the fields of the last PREDICTOR_ORDER + 2 accepted states (the
-    start state counting as one), so memory does not grow with the
-    number of windows; a caller that wants the trajectory collects it
-    through observer(state, report), which, when given, is called after
-    each window (the CLI uses it for output).  A frozen bundle serves
-    BUNDLE_WINDOWS windows.  Each window runs at cfg.dt, the last one at
-    the remainder t_end - t when that is shorter by more than rounding
-    (1e-9 cfg.dt), so that a run of whole windows keeps one dt.
+    grid: object
+    material: object
+    cfg: StepperConfig
+    state: SimState
+    sources: SourceSpec = None
+    frozen: _FrozenPhase = None
+    windows: int = 0
 
-    Each window starts its Picard iteration from a prediction of its
-    state: the Lagrange extrapolation of every field (phi, theta, u_x,
-    u_y) to t_n + dt through the last k + 1 states, at their own times.
-    The order k is picked by hindcast (_hindcast_order): the k whose
-    extrapolation through the states before x_n came closest to x_n, in
-    the quadrature-weighted L2 norm over all fields.  k = 0 starts from
-    x_n itself, and wins unless an extrapolation beats it, so always in
-    the first two windows.  The prediction is only the first attempt's
-    start (see picard_window), and the report's start_order records k.
-    """
-    sources = SourceSpec() if sources is None else sources
-    reports = []
-    linearization = Linearization()
-    w = np.tile(grid.quad_weights(), 4)
-    history = deque(maxlen=PREDICTOR_ORDER + 2)
-    while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+    def __post_init__(self):
+        self.sources = SourceSpec() if self.sources is None else self.sources
+        self.w = np.tile(self.grid.quad_weights(), 4)   # weights of a history entry
+        self.history = deque(maxlen=PREDICTOR_ORDER + 2)
+
+    def step(self):
+        """Advance the run one window by picard_window; returns its report.
+
+        The window runs at cfg.dt, or at the remainder t_end - t when that
+        is shorter by more than rounding (1e-9 cfg.dt), so that a run of
+        whole windows keeps one dt.  Its first attempt starts from the
+        Lagrange extrapolation of every field (phi, theta, u_x, u_y) to
+        t_n + dt through the last k + 1 states, at their own times, with
+        k picked by hindcast (_hindcast_order): the k whose extrapolation
+        through the states before x_n came closest to x_n, in the
+        quadrature-weighted L2 norm over all fields.  k = 0 starts from
+        x_n itself, and wins unless an extrapolation beats it, so always
+        in the first two windows.  The report's start_order records k
+        unless the window shrank."""
+        state, cfg = self.state, self.cfg
         dt = cfg.t_end - state.t
         if dt >= cfg.dt * (1.0 - 1e-9):
             dt = cfg.dt
-        history.append((state.t, np.concatenate([state.phi, state.theta, state.u.ux,
-                                                 state.u.uy])))
-        order = _hindcast_order(w, history)
-        start = None
+        self.history.append((state.t, np.concatenate([state.phi, state.theta, state.u.ux,
+                                                      state.u.uy])))
+        order = _hindcast_order(self.w, self.history)
+        start = state
         if order:
             phi, theta, ux, uy = np.split(
-                _extrapolate(list(history)[-order - 1:], state.t + dt), 4)
-            start = SimState(grid, phi, theta, VectorField2(grid, ux, uy), state.t + dt)
-        state, rep = picard_window(grid, material, state, sources, replace(cfg, dt=dt),
-                                   linearization, start, order)
-        reports.append(rep)
+                _extrapolate(list(self.history)[-order - 1:], state.t + dt), 4)
+            start = SimState(self.grid, phi, theta, VectorField2(self.grid, ux, uy),
+                             state.t + dt)
+        self.state, report = picard_window(self, dt, start)
+        if report.shrinks == 0:
+            report.start_order = order
+        return report
+
+
+def run_simulation(grid, material, cfg, state, sources=None, observer=None):
+    """March windows until t_end; returns the final state.
+
+    The loop steps one Run, so memory does not grow with the number of
+    windows; a caller that wants the trajectory or the PicardReports
+    collects them through observer(state, report), which, when given, is
+    called after each window (the CLI uses it for output).
+    """
+    run = Run(grid, material, cfg, state, sources)
+    while run.state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+        report = run.step()
         if observer is not None:
-            observer(state, rep)
-    return state, reports
+            observer(run.state, report)
+    return run.state

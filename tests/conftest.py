@@ -68,17 +68,18 @@ def smooth_phi(grid, rng, amp=0.8, modes=3):
 
 
 def run_trajectory(grid, material, cfg, state, sources, observer=None):
-    """(states, reports) of a run_simulation call, with the trajectory,
-    the initial state first, collected through its observer; observer,
+    """(states, reports) of a run_simulation call, collected through its
+    observer, the trajectory with the initial state first; observer,
     when given, is called after each window as well."""
-    states = [state]
+    states, reports = [state], []
 
     def collect(new, report):
         states.append(new)
+        reports.append(report)
         if observer is not None:
             observer(new, report)
 
-    _, reports = run_simulation(grid, material, cfg, state, sources, observer=collect)
+    run_simulation(grid, material, cfg, state, sources, observer=collect)
     return states, reports
 
 

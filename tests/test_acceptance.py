@@ -17,8 +17,7 @@ from chbsim.elliptic import EllipticProblem, solve_elasticity
 from chbsim.materials import MaterialModel
 from chbsim.oracle import fluid_operator_spectrum, verify_operator_identities
 from chbsim.rhs import SourceSpec
-from chbsim.stepper import (PRESSURE_FORM, StepperConfig, initial_state,
-                            picard_window, run_simulation)
+from chbsim.stepper import PRESSURE_FORM, Run, StepperConfig, initial_state, picard_window
 from conftest import (FULL_DIRICHLET, MIXED, decoupled_material,
                       dense_reference_stiffness, make_grid, make_material, run_trajectory,
                       smooth_phi)
@@ -175,7 +174,7 @@ def test_criterion_07_contraction_trend():
             st = initial_state(g, m, phi0, theta0, SourceSpec())
             cfg = StepperConfig(dt=dt, t_end=dt, tol_picard=1e-9,
                                 max_picard=300)
-            _, rep = picard_window(g, m, st, SourceSpec(), cfg)
+            _, rep = picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
             assert rep.shrinks == 0
             rhos.append(rep.rho)
         if rhos[1] < rhos[0]:
@@ -198,9 +197,9 @@ def test_criterion_08_formulation_equivalence():
         st = initial_state(g, m, phi0, theta0, SourceSpec())
         cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-10,
                             formulation=form)
-        final, reports = run_simulation(g, m, cfg, st, SourceSpec())
+        states, reports = run_trajectory(g, m, cfg, st, SourceSpec())
         assert len(reports) == 20
-        finals[form] = final
+        finals[form] = states[-1]
     a, b = finals["theta"], finals[PRESSURE_FORM]
     gap = max(np.max(np.abs(a.phi - b.phi)), np.max(np.abs(a.theta - b.theta)),
               np.max(np.abs(a.u.ux - b.u.ux)), np.max(np.abs(a.u.uy - b.u.uy)))
@@ -270,7 +269,7 @@ def test_criterion_10_stationary_fixed_points():
         st = initial_state(g, m, phi, theta, SourceSpec())
         cfg = StepperConfig(dt=1e-3, t_end=0.1, tol_picard=1e-11)
         rows = [diagnostics_row(g, m, st)]
-        _, reports = run_simulation(
+        _, reports = run_trajectory(
             g, m, cfg, st, SourceSpec(),
             observer=lambda s, r: rows.append(diagnostics_row(g, m, s, r)))
         assert len(reports) == 100

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -8,9 +9,11 @@ import chbsim.cli as cli
 import chbsim.stepper as stepper
 from chbsim.cli import main
 from chbsim.config import ConfigError, parse_config, serialize
+from chbsim.elliptic import SolverFailure
 from chbsim.grid import Grid, VectorField2, divergence
 from chbsim.materials import MaterialModel
 from chbsim.rhs import SimState, pressure
+from chbsim.stepper import BUNDLE_WINDOWS
 
 BASE = """
 grid.nx = 10
@@ -164,15 +167,60 @@ def test_cli_zero_window_run(tmp_path):
     assert len(lines) == 2              # header + initial row only
 
 
-def test_cli_determinism_byte_identical(tmp_path):
-    cfg_path = _write(tmp_path, BASE)
-    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["--config", cfg_path, "--out", out_a]) == 0
-    assert main(["--config", cfg_path, "--out", out_b]) == 0
-    for name in ("diagnostics.csv", "config.echo", "snapshot_00004.vtk"):
-        fa = (tmp_path / "a" / name).read_bytes()
-        fb = (tmp_path / "b" / name).read_bytes()
-        assert fa == fb
+@pytest.mark.parametrize("overrides", [[], ["stepper.formulation=pressure"], ["rho=1"]],
+                         ids=["theta", "pressure", "visco"])
+def test_cli_determinism_byte_identical(tmp_path, overrides):
+    """Two runs of one config write the same files with the same bytes, in
+    each regime, over 2 BUNDLE_WINDOWS + 1 windows: enough to rebuild the
+    bundle twice and to fill the predictor's history."""
+    windows = 2 * BUNDLE_WINDOWS + 1
+    args = ["--config", _write(tmp_path, BASE + "output.stride = 3\n"),
+            "--override", f"stepper.t_end={windows * 1e-3!r}"]
+    for override in overrides:
+        args += ["--override", override]
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(out_a)]) == 0
+    assert main(args + ["--out", str(out_b)]) == 0
+    names = sorted(os.listdir(out_a))
+    assert names == sorted(os.listdir(out_b))
+    assert len((out_a / "diagnostics.csv").read_text().splitlines()) == 2 + windows
+    assert len([n for n in names if n.endswith(".vtk")]) == 1 + -(-windows // 3)
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+# Eight-by-eight run whose first window cannot converge in one Picard
+# iterate at any of its three dt values.
+FAILING = "grid.nx = 8\ngrid.ny = 8\nstepper.max_picard = 1\nstepper.max_shrinks = 2\n"
+
+
+def test_failed_run_reports_each_attempt(tmp_path, capsys):
+    """A run that fails exits 1 and prints, after the line naming the
+    window, one line per attempt: its dt, iterate count and last
+    residual."""
+    assert main(["--config", _write(tmp_path, FAILING), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == ("run failed at window 1: window at t = 0 failed after 2 dt shrinks "
+                        "(dt tried: 0.001, 0.0005, 0.00025)")
+    assert len(lines) == 4
+    for k, (line, dt) in enumerate(zip(lines[1:], ["0.001", "0.0005", "0.00025"]), start=1):
+        assert re.fullmatch(rf"  attempt {k}: dt = {re.escape(dt)}, 1 iterates, "
+                            r"last residual \d\.\d{3}e[-+]\d\d", line), line
+
+
+def test_failed_run_reports_each_attempt_error(tmp_path, capsys, monkeypatch):
+    """An attempt ended by a failed linear solve, before its first
+    residual, reports no residual and the solver's message."""
+    def failing(*args):
+        raise SolverFailure("injected failure", [])
+
+    monkeypatch.setattr(stepper, "linear_substep_phi", failing)
+    assert main(["--config", _write(tmp_path, FAILING), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("run failed at window 1: ")
+    assert lines[1:] == [f"  attempt {k}: dt = {dt}, 0 iterates, last residual none, "
+                         "error: injected failure"
+                         for k, dt in enumerate(["0.001", "0.0005", "0.00025"], start=1)]
 
 
 def test_killed_run_keeps_the_windows_it_completed(tmp_path, monkeypatch):

@@ -89,7 +89,7 @@ def test_pde_residual_small_at_equilibrium_and_detects_corruption():
     theta = np.full(g.n_nodes, 0.5)
     st = initial_state(g, m, phi, theta, SourceSpec())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11)
-    new, _ = run_simulation(g, m, cfg, st, SourceSpec())
+    new = run_simulation(g, m, cfg, st, SourceSpec())
     res = pde_residual(g, m, st, new, SourceSpec())
     assert max(res.values()) <= 10 * 1e-8
     bad = new.copy()

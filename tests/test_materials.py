@@ -1,9 +1,11 @@
+import inspect
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from chbsim.materials import MaterialModel
+from chbsim.materials import MaterialModel, _blend_d
 from conftest import make_material
 
 
@@ -154,3 +156,19 @@ def test_lame_bounds_bracket_values():
     lam, mu = m.lame(phi)
     assert (lam >= lam_mn - 1e-12).all() and (lam <= lam_mx + 1e-12).all()
     assert (mu >= mu_mn - 1e-12).all() and (mu <= mu_mx + 1e-12).all()
+
+
+def test_blend_derivative_is_zero_without_warning_where_cosh_overflows():
+    """cosh overflows beyond |phi| ~ 710, as a diverging attempt's phase
+    can: the blend derivative is exactly 0 there, with no overflow
+    warning, and every phase-derivative law stays finite."""
+    m = make_material()
+    phi = np.array([-800.0, 800.0])
+    laws = [name for name, f in inspect.getmembers(m, inspect.ismethod)
+            if "deriv" in inspect.signature(f).parameters]
+    assert len(laws) == 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_blend_d(phi), [0.0, 0.0])
+        for name in laws:
+            assert np.all(np.isfinite(getattr(m, name)(phi, deriv=1))), name

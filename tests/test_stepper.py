@@ -21,7 +21,7 @@ from chbsim.rhs import (SimState, SourceSpec, ViscoOperators, chemical_potential
 from chbsim.stepper import (ANDERSON_DEPTH, BUNDLE_WINDOWS, FIXED_STRESS_BETA,
                             FIXED_STRESS_MAX_COUPLING, GIVE_UP_AFTER, PREDICTOR_ORDER,
                             ContentSchur, FrozenElastic, FrozenVisco, PRESSURE_FORM, THETA_FORM,
-                            Linearization, StepFailure, StepperConfig, _anderson_step,
+                            Run, StepFailure, StepperConfig, _anderson_step,
                             _extrapolate, _hindcast_order, _pressure_iterates,
                             _theta_iterates, _visco_iterates, initial_state,
                             linear_substep_phi, linear_substep_theta_elastic,
@@ -398,7 +398,7 @@ def test_window_converges_without_applying_a_frozen_operator(rho, formulation, m
     st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
                        SourceSpec())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, formulation=formulation)
-    _, rep = picard_window(g, m, st, SourceSpec(), cfg)
+    _, rep = picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
     assert rep.shrinks == 0 and rep.iterations >= 2
 
 
@@ -502,7 +502,7 @@ def test_pure_phase_equilibrium_is_stationary(rho):
                       mu_a=1.0, mu_b=1.0)
     state = _uniform_equilibrium(g, m)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10)
-    new, rep = picard_window(g, m, state, SourceSpec(), cfg)
+    new, rep = picard_window(Run(g, m, cfg, state, SourceSpec()), cfg.dt, state)
     assert rep.iterations <= 2
     assert np.max(np.abs(new.phi - state.phi)) <= 1e-9
     assert np.max(np.abs(new.theta - state.theta)) <= 1e-9
@@ -562,7 +562,7 @@ def test_every_iterate_keeps_the_weighted_means(rho, formulation, nx, ny, lx, ly
     sent = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stepper, name, _recording(getattr(stepper, name), sent))
-        _, rep = picard_window(g, m, st0, sources, cfg)
+        _, rep = picard_window(Run(g, m, cfg, st0, sources), cfg.dt, st0)
     assert len(sent) == rep.iterations > ANDERSON_DEPTH + 1
     kept = [(0, st0.phi, sources.phase_at(g, dt))]
     if formulation != PRESSURE_FORM:
@@ -602,7 +602,7 @@ def test_contraction_improves_with_smaller_windows():
         st = initial_state(g, m, phi0, theta0, SourceSpec())
         cfg = StepperConfig(dt=dt, t_end=dt, tol_picard=1e-10,
                             max_picard=200)
-        _, rep = picard_window(g, m, st, SourceSpec(), cfg)
+        _, rep = picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
         assert rep.shrinks == 0
         rhos.append(rep.rho)
     assert rhos[2] < rhos[1] < rhos[0]
@@ -620,7 +620,7 @@ def test_theta_and_pressure_formulations_agree():
         st = initial_state(g, m, phi0, theta0, SourceSpec())
         cfg = StepperConfig(dt=1e-3, t_end=5e-3, tol_picard=1e-10,
                             formulation=form)
-        final, _ = run_simulation(g, m, cfg, st, SourceSpec())
+        final = run_simulation(g, m, cfg, st, SourceSpec())
         finals.append(final)
     a, b = finals
     assert np.max(np.abs(a.phi - b.phi)) <= 1e-7
@@ -637,7 +637,7 @@ def test_window_shrinks_then_fails_cleanly(rho, formulation):
     cfg = StepperConfig(dt=0.5, t_end=0.5, tol_picard=1e-12,
                         max_picard=2, max_shrinks=2, formulation=formulation)
     with pytest.raises(StepFailure) as exc:
-        picard_window(g, m, st, SourceSpec(), cfg)
+        picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
     attempts = exc.value.attempts
     assert [a.dt for a in attempts] == [0.5, 0.25, 0.125]
     for a in attempts:
@@ -669,7 +669,7 @@ def test_given_up_attempt_shrinks_dt_to_the_same_state(rho, formulation, monkeyp
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, formulation=formulation)
 
     def window(max_shrinks):
-        return picard_window(g, m, st, SourceSpec(), replace(cfg, max_shrinks=max_shrinks))
+        return picard_window(Run(g, m, replace(cfg, max_shrinks=max_shrinks), st), cfg.dt, st)
 
     def failed_attempt():
         with pytest.raises(StepFailure) as exc:
@@ -694,7 +694,7 @@ def test_given_up_attempt_shrinks_dt_to_the_same_state(rho, formulation, monkeyp
 def _assert_accepted_late_at_full_dt(rho, formulation, eps, dt):
     g, m, st = _slowly_contracting_window(rho, eps)
     cfg = StepperConfig(dt=dt, t_end=dt, max_shrinks=0, formulation=formulation)
-    _, rep = picard_window(g, m, st, SourceSpec(), cfg)
+    _, rep = picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
     assert rep.shrinks == 0 and 30 < rep.iterations <= cfg.max_picard
 
 
@@ -737,7 +737,7 @@ def test_non_finite_state_shrinks_then_fails_cleanly(rho, formulation):
     st.theta[5 * g.nx + 5] = np.nan
     cfg = StepperConfig(dt=1e-3, t_end=0.501, max_shrinks=2, formulation=formulation)
     with pytest.raises(StepFailure, match=r"window at t = 0\.5 failed") as exc:
-        picard_window(g, m, st, SourceSpec(), cfg)
+        picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
     assert "dt tried: 0.001, 0.0005, 0.00025" in str(exc.value)
     attempts = exc.value.attempts
     assert [a.dt for a in attempts] == [0.001, 0.0005, 0.00025]
@@ -764,7 +764,7 @@ def test_wrongly_ordered_direct_solve_fails_the_window_at_once(monkeypatch):
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     start = time.perf_counter()
     with pytest.raises(StepFailure) as exc:
-        picard_window(g, m, st, SourceSpec(), cfg)
+        picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
     assert time.perf_counter() - start <= 20.0
     attempts = exc.value.attempts
     assert len(attempts) == cfg.max_shrinks + 1
@@ -839,7 +839,7 @@ def test_window_factor_count_does_not_grow_with_iterations(rho, formulation, mon
                        SourceSpec())
     created = _counting_factors(monkeypatch)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-11, formulation=formulation)
-    _, rep = picard_window(g, m, st, SourceSpec(), cfg)
+    _, rep = picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
     assert rep.shrinks == 0 and rep.iterations >= 4
     assert len(created) == (3 if rho == 1 else 2)
 
@@ -858,13 +858,13 @@ def test_indefinite_iterate_solve_shrinks_dt(formulation, monkeypatch):
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1,
                         formulation=formulation)
     _flip_iterate_stiffness(monkeypatch, 1)
-    new_state, rep = picard_window(g, m, st, SourceSpec(), cfg)
+    new_state, rep = picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
     assert rep.shrinks == 1 and rep.dt_used == 5e-4
     assert new_state.t == pytest.approx(st.t + 5e-4)
 
     _flip_iterate_stiffness(monkeypatch, 10**6)
     with pytest.raises(StepFailure) as exc:
-        picard_window(g, m, st, SourceSpec(), cfg)
+        picard_window(Run(g, m, cfg, st, SourceSpec()), cfg.dt, st)
     assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
     assert all("not positive definite" in a.error for a in exc.value.attempts)
 
@@ -926,13 +926,13 @@ def _check_failed_content_solve_shrinks_dt(monkeypatch, material, inject, messag
         return content_solver
 
     monkeypatch.setattr(FrozenElastic, "content_solver", faulty(1))
-    new_state, rep = picard_window(g, material, st, SourceSpec(), cfg)
+    new_state, rep = picard_window(Run(g, material, cfg, st, SourceSpec()), cfg.dt, st)
     assert rep.shrinks == 1 and rep.dt_used == 5e-4
     assert new_state.t == pytest.approx(st.t + 5e-4)
 
     monkeypatch.setattr(FrozenElastic, "content_solver", faulty(10**6))
     with pytest.raises(StepFailure) as exc:
-        picard_window(g, material, st, SourceSpec(), cfg)
+        picard_window(Run(g, material, cfg, st, SourceSpec()), cfg.dt, st)
     assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
     for a in exc.value.attempts:
         assert message in a.error and a.residuals == []
@@ -976,29 +976,27 @@ def test_content_operator_follows_the_coupling_strength(strong, monkeypatch):
     st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng),
                        SourceSpec())
     created = _counting_factors(monkeypatch)
-    lin = Linearization()
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10)
-    _, rep = picard_window(g, m, st, SourceSpec(), cfg, lin)
+    run = Run(g, m, cfg, st)
+    _, rep = picard_window(run, cfg.dt, st)
     assert rep.shrinks == 0
-    assert (lin.frozen.coupling > FIXED_STRESS_MAX_COUPLING) == strong
-    solver = lin.frozen.content_solver(cfg.dt)
+    assert (run.frozen.coupling > FIXED_STRESS_MAX_COUPLING) == strong
+    solver = run.frozen.content_solver(cfg.dt)
     if strong:
         assert isinstance(solver, ContentSchur)
-        assert lin.frozen.ctx0.plain._solver is solver.k0
+        assert run.frozen.ctx0.plain._solver is solver.k0
         assert len(created) == 3 and rep.iterations == 12
     else:
         assert isinstance(solver, DirectSolver)
-        assert lin.frozen.ctx0.plain._solver is None
+        assert run.frozen.ctx0.plain._solver is None
         assert len(created) == 2
-    assert lin.frozen.ctx0.augmented._solver is None
+    assert run.frozen.ctx0.augmented._solver is None
 
 
-def _stale_linearization(g, m, phi):
-    """A Linearization whose bundle is frozen at phi, for a window that
-    starts elsewhere."""
-    lin = Linearization()
-    lin.refresh(FrozenVisco if m.rho == 1 else FrozenElastic, g, m, phi)
-    return lin
+def _stale_bundle(g, m, phi):
+    """A bundle of m's regime frozen at phi, for a window that starts
+    elsewhere."""
+    return (FrozenVisco if m.rho == 1 else FrozenElastic)(g, m, phi)
 
 
 @ITERATE_MAPS
@@ -1016,9 +1014,9 @@ def test_linearization_point_does_not_change_fixed_point(rho, formulation):
     tol = 1e-10
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=tol, max_picard=200,
                         formulation=formulation)
-    own, own_rep = picard_window(g, m, st, sources, cfg)
-    lagged, lagged_rep = picard_window(g, m, st, sources, cfg,
-                                       _stale_linearization(g, m, other))
+    own, own_rep = picard_window(Run(g, m, cfg, st, sources), cfg.dt, st)
+    lagged, lagged_rep = picard_window(
+        Run(g, m, cfg, st, sources, frozen=_stale_bundle(g, m, other)), cfg.dt, st)
     assert own_rep.shrinks == 0 and lagged_rep.shrinks == 0
     for a, b in ((own.phi, lagged.phi), (own.theta, lagged.theta),
                  (own.u.ux, lagged.u.ux), (own.u.uy, lagged.u.uy)):
@@ -1051,7 +1049,7 @@ def test_run_shares_one_bundle_among_several_windows(rho, formulation, monkeypat
     initial = len(created)
     built = _counting_bundles(monkeypatch)
     cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6, formulation=formulation)
-    _, reports = run_simulation(g, m, cfg, st, SourceSpec())
+    _, reports = run_trajectory(g, m, cfg, st, SourceSpec())
     assert len(reports) == 20 and all(r.shrinks == 0 for r in reports)
     assert len(built) == -(-20 // BUNDLE_WINDOWS)
     assert len(created) - initial == len(built) * (3 if rho == 1 else 2)
@@ -1059,16 +1057,21 @@ def test_run_shares_one_bundle_among_several_windows(rho, formulation, monkeypat
 
 def test_bundle_is_dropped_only_after_bundle_windows():
     """A bundle serves BUNDLE_WINDOWS windows whatever their Picard
-    counts: record() takes no count, and drops the bundle at the
-    BUNDLE_WINDOWS-th window and not before."""
-    lin = Linearization()
-    lin.refresh(FrozenElastic, make_grid(4), make_material(), np.zeros(16))
-    bundle = lin.frozen
+    counts: a run keeps the bundle it is given, and counts its accepted
+    windows, until the BUNDLE_WINDOWS-th drops it, and not before."""
+    g = make_grid(8, tags=MIXED)
+    m = make_material(eps=0.3)
+    rng = np.random.default_rng(12)
+    st = initial_state(g, m, 0.1 * smooth_phi(g, rng), np.zeros(g.n_nodes), SourceSpec())
+    cfg = StepperConfig(dt=1e-3, t_end=1.0, tol_picard=1e-6)
+    bundle = FrozenElastic(g, m, np.zeros(g.n_nodes))
+    run = Run(g, m, cfg, st, frozen=bundle)
+    iterations = set()
     for windows in range(1, BUNDLE_WINDOWS):
-        lin.record()
-        assert lin.frozen is bundle and lin.windows == windows
-    lin.record()
-    assert lin.frozen is None
+        iterations.add(run.step().iterations)
+        assert run.frozen is bundle and run.windows == windows
+    run.step()
+    assert run.frozen is None and len(iterations) > 1
 
 
 @pytest.mark.parametrize("bundle", ["stale", "fresh"])
@@ -1079,7 +1082,7 @@ def test_failed_attempt_retries_on_a_bundle_rebuilt_at_the_window_phase(
     phi, to the attempt at the shrunk dt, whether the failed bundle was
     frozen at an earlier phase (stale) or built by this window (fresh);
     the retried window is bitwise the window run directly at the shrunk
-    dt on a new Linearization.  StepFailure lists the dt values tried."""
+    dt on a new Run.  StepFailure lists the dt values tried."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(14)
@@ -1088,19 +1091,18 @@ def test_failed_attempt_retries_on_a_bundle_rebuilt_at_the_window_phase(
     other = st.phi + 0.2 * smooth_phi(g, rng)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
 
-    def linearization():
-        return Linearization() if bundle == "fresh" else _stale_linearization(g, m, other)
+    def new_run():
+        return Run(g, m, cfg, st, frozen=None if bundle == "fresh" else _stale_bundle(g, m, other))
 
     _fault_first_solves(monkeypatch, rho, 1)
     built = _counting_bundles(monkeypatch)
-    lin = linearization()
-    new_state, rep = picard_window(g, m, st, SourceSpec(), cfg, lin)
+    run = new_run()
+    new_state, rep = picard_window(run, cfg.dt, st)
     assert rep.shrinks == 1 and rep.dt_used == 5e-4
     assert new_state.t == pytest.approx(st.t + 5e-4)
-    assert len(built) == 2 and lin.frozen is built[1]
-    assert np.array_equal(lin.frozen.phi0, st.phi) and lin.windows == 1
-    direct, direct_rep = picard_window(g, m, st, SourceSpec(), replace(cfg, dt=5e-4),
-                                       Linearization())
+    assert len(built) == 2 and run.frozen is built[1]
+    assert np.array_equal(run.frozen.phi0, st.phi) and run.windows == 1
+    direct, direct_rep = picard_window(Run(g, m, cfg, st), 5e-4, st)
     assert rep.residuals == direct_rep.residuals and new_state.t == direct.t
     for a, b in ((new_state.phi, direct.phi), (new_state.theta, direct.theta),
                  (new_state.u.ux, direct.u.ux), (new_state.u.uy, direct.u.uy)):
@@ -1108,7 +1110,7 @@ def test_failed_attempt_retries_on_a_bundle_rebuilt_at_the_window_phase(
 
     _fault_first_solves(monkeypatch, rho, 10**6)
     with pytest.raises(StepFailure) as exc:
-        picard_window(g, m, st, SourceSpec(), cfg, linearization())
+        picard_window(new_run(), cfg.dt, st)
     assert [a.dt for a in exc.value.attempts] == [1e-3, 5e-4]
     assert "dt tried: 0.001, 0.0005)" in str(exc.value)
 
@@ -1125,12 +1127,12 @@ def test_bundle_keeps_the_factors_of_one_dt(rho, monkeypatch):
                        SourceSpec())
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
     _fault_first_solves(monkeypatch, rho, 1)
-    lin = Linearization()
-    new_state, rep = picard_window(g, m, st, SourceSpec(), cfg, lin)
+    run = Run(g, m, cfg, st)
+    run.state, rep = picard_window(run, cfg.dt, st)
     assert rep.shrinks == 1
-    assert {dt for _, dt in lin.frozen._solvers} == {5e-4}
-    bundle = lin.frozen
-    picard_window(g, m, new_state, SourceSpec(), cfg, lin)
+    assert {dt for _, dt in run.frozen._solvers} == {5e-4}
+    bundle = run.frozen
+    picard_window(run, cfg.dt, run.state)
     assert {dt for _, dt in bundle._solvers} == {1e-3}
 
 
@@ -1144,30 +1146,38 @@ def test_run_keeps_cfg_dt_in_its_last_window():
     st = initial_state(g, m, 0.01 * rng.standard_normal(g.n_nodes), np.zeros(g.n_nodes),
                        SourceSpec())
     cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6)
-    final, reports = run_simulation(g, m, cfg, st, SourceSpec())
+    states, reports = run_trajectory(g, m, cfg, st, SourceSpec())
     assert len(reports) == 20
     assert all(r.dt_used == cfg.dt for r in reports)
-    assert abs(final.t - cfg.t_end) <= 1e-12
+    assert abs(states[-1].t - cfg.t_end) <= 1e-12
 
 
 @ITERATE_MAPS
 def test_run_keeps_no_trajectory(rho, formulation):
-    """run_simulation holds only the current state, so its memory does
-    not grow with the windows: of the states an observer sees, keeping
-    only weak references, the returned final state alone is still alive
-    after the call."""
+    """run_simulation holds only its Run, so its memory does not grow
+    with the windows: of the states and PicardReports an observer sees,
+    keeping only weak references, the returned final state alone is
+    still alive after the call, over enough windows to rebuild the
+    bundle twice and fill the predictor's history."""
     g = make_grid(8, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(11)
     st = initial_state(g, m, 0.1 * smooth_phi(g, rng), np.zeros(g.n_nodes), SourceSpec())
-    seen = []
-    cfg = StepperConfig(dt=1e-3, t_end=6e-3, tol_picard=1e-6, formulation=formulation)
-    final, reports = run_simulation(g, m, cfg, st, SourceSpec(),
-                                    observer=lambda s, r: seen.append(weakref.ref(s)))
+    states, reports = [], []
+
+    def keep_weakly(state, report):
+        states.append(weakref.ref(state))
+        reports.append(weakref.ref(report))
+
+    windows = 2 * BUNDLE_WINDOWS + 1
+    cfg = StepperConfig(dt=1e-3, t_end=windows * 1e-3, tol_picard=1e-6,
+                        formulation=formulation)
+    final = run_simulation(g, m, cfg, st, SourceSpec(), observer=keep_weakly)
     gc.collect()
-    alive = [ref() for ref in seen if ref() is not None]
-    assert len(seen) == len(reports) == 6
+    alive = [ref() for ref in states if ref() is not None]
+    assert len(states) == len(reports) == windows
     assert len(alive) == 1 and alive[0] is final
+    assert all(ref() is None for ref in reports)
 
 
 # Window end times with a shrunk window (2.5e-3) and a short last one.
@@ -1253,10 +1263,10 @@ def test_predicted_starts_save_iterates_within_the_picard_tolerance(rho, formula
     cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6, formulation=formulation)
     states, reports = run_trajectory(g, m, cfg, st, SourceSpec())
     reference, _ = run_trajectory(g, m, replace(cfg, tol_picard=1e-11), st, SourceSpec())
-    loop, loop_reports, lin = [st], [], Linearization()
+    run, loop, loop_reports = Run(g, m, cfg, st), [st], []
     for _ in reports:
-        new, rep = picard_window(g, m, loop[-1], SourceSpec(), cfg, lin)
-        loop.append(new)
+        run.state, rep = picard_window(run, cfg.dt, run.state)
+        loop.append(run.state)
         loop_reports.append(rep)
     assert all(r.shrinks == 0 for r in reports + loop_reports)
     assert all(r.start_order == 0 for r in loop_reports)
@@ -1271,14 +1281,14 @@ def test_predicted_starts_save_iterates_within_the_picard_tolerance(rho, formula
 def test_window_started_at_its_fixed_point_accepts_at_once(rho, formulation):
     """picard_window's start is the first attempt's x_0: started at the
     window's own accepted state, solved to 1e-11, the window accepts
-    its first iterate, at the same state to the Picard tolerance, and
-    reports the start_order it is given."""
+    its first iterate, at the same state to the Picard tolerance.  It
+    reports start_order 0: only Run.step knows the order of a start."""
     g, m, st = _spinodal_start(rho)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-8, formulation=formulation)
-    fixed_point, rep = picard_window(g, m, st, SourceSpec(), replace(cfg, tol_picard=1e-11))
+    fixed_point, rep = picard_window(Run(g, m, replace(cfg, tol_picard=1e-11), st), cfg.dt, st)
     assert rep.iterations > 1
-    new, rep = picard_window(g, m, st, SourceSpec(), cfg, start=fixed_point, start_order=2)
-    assert rep.iterations == 1 and rep.shrinks == 0 and rep.start_order == 2
+    new, rep = picard_window(Run(g, m, cfg, st), cfg.dt, fixed_point)
+    assert rep.iterations == 1 and rep.shrinks == 0 and rep.start_order == 0
     assert _largest_gap([new], [fixed_point]) <= 1e-8
 
 
@@ -1287,8 +1297,7 @@ def test_failed_predicted_attempt_retries_from_the_window_start(rho, monkeypatch
     """An attempt from a predicted start that fails hands the attempt at
     the shrunk dt x_n, not the prediction, on a bundle rebuilt at the
     window's phi: the retried window is bitwise the window run directly
-    at the shrunk dt from x_n on a new Linearization, and reports
-    start_order 0."""
+    at the shrunk dt from x_n on a new Run, and reports start_order 0."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(14)
@@ -1298,11 +1307,9 @@ def test_failed_predicted_attempt_retries_from_the_window_start(rho, monkeypatch
                          st.u.copy(), st.t + 1e-3)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3, tol_picard=1e-10, max_shrinks=1)
     _fault_first_solves(monkeypatch, rho, 1)
-    new_state, rep = picard_window(g, m, st, SourceSpec(), cfg, Linearization(),
-                                   start=predicted, start_order=1)
+    new_state, rep = picard_window(Run(g, m, cfg, st), cfg.dt, predicted)
     assert rep.shrinks == 1 and rep.dt_used == 5e-4 and rep.start_order == 0
-    direct, direct_rep = picard_window(g, m, st, SourceSpec(), replace(cfg, dt=5e-4),
-                                       Linearization())
+    direct, direct_rep = picard_window(Run(g, m, cfg, st), 5e-4, st)
     assert rep.residuals == direct_rep.residuals and new_state.t == direct.t
     for a, b in ((new_state.phi, direct.phi), (new_state.theta, direct.theta),
                  (new_state.u.ux, direct.u.ux), (new_state.u.uy, direct.u.uy)):
@@ -1314,7 +1321,9 @@ def test_retried_window_of_a_run_reports_start_order_zero(rho, formulation, monk
     """In a run whose seventh window fails its attempt from a predicted
     start, that window is retried from x_n at the shrunk dt and reports
     start_order 0; the windows after it extrapolate through the shrunk
-    window's non-uniform times again."""
+    window's non-uniform times again.  Run.step calls picard_window
+    through the module at every window, so a wrapper set on the module
+    sees each one."""
     g, m, st = _spinodal_start(rho)
     cfg = StepperConfig(dt=1e-3, t_end=0.012, tol_picard=1e-6, formulation=formulation)
     substep, window = stepper.linear_substep_phi, stepper.picard_window
@@ -1326,14 +1335,16 @@ def test_retried_window_of_a_run_reports_start_order_zero(rho, formulation, monk
             raise SolverFailure("injected failure", [])
         return substep(*args)
 
-    def recording_window(*args):
-        starts.append(args[6])
+    def recording_window(run, dt, start):
+        starts.append(None if start is run.state else start)
         fail[:] = [True] * (len(starts) == 7)   # the seventh window's first solve
-        return window(*args)
+        return window(run, dt, start)
 
     monkeypatch.setattr(stepper, "linear_substep_phi", failing_once)
     monkeypatch.setattr(stepper, "picard_window", recording_window)
-    final, reports = run_simulation(g, m, cfg, st, SourceSpec())
+    states, reports = run_trajectory(g, m, cfg, st, SourceSpec())
+    final = states[-1]
+    assert len(starts) == len(reports)
     assert [r.shrinks for r in reports] == [0] * 6 + [1] + [0] * (len(reports) - 7)
     assert starts[6] is not None
     assert reports[6].dt_used == 5e-4 and reports[6].start_order == 0
@@ -1349,10 +1360,10 @@ def test_run_simulation_window_count_and_observer():
     rng = np.random.default_rng(11)
     st = initial_state(g, m, 0.1 * smooth_phi(g, rng),
                        np.zeros(g.n_nodes), SourceSpec())
-    seen = []
+    seen, reports = [], []
     cfg = StepperConfig(dt=1e-3, t_end=3e-3, tol_picard=1e-9)
-    final, reports = run_simulation(g, m, cfg, st, SourceSpec(),
-                                    observer=lambda s, r: seen.append(s.t))
+    final = run_simulation(g, m, cfg, st, SourceSpec(),
+                           observer=lambda s, r: (seen.append(s.t), reports.append(r)))
     assert len(reports) == 3
     assert seen == [pytest.approx(1e-3), pytest.approx(2e-3), pytest.approx(3e-3)]
     assert final.t == pytest.approx(3e-3)
