@@ -46,8 +46,8 @@ STIFFNESS_SCALE = 2.0
 class BiotContext:
     """Frozen-phase context bundling the two displacement problems.
 
-    Each problem factors its stiffness on first use, so the operators
-    below cost one pair of triangular solves per application.
+    The operators below factor a problem on first use.  The time stepper
+    factors only the plain one (ContentSchur); the augmented is a CG reference.
     """
 
     grid: object

@@ -35,15 +35,15 @@ Picard iterate: the phase operator, the content system (quasi-static:
 the fixed-stress P, and at strong coupling also the plain stiffness K0
 that each product with the Schur complement solves with; visco: the
 content matrix itself) and the visco regime's shifted elasticity
-problem.  Displacement problems at
-the current iterate phi_k (the quasi-static reconstruction and the
-pressure form's displacement) are never factored: they are solved by CG
-preconditioned with the block fast-diagonalization of the frozen
-problem at phi0 (elliptic.LameBlockPreconditioner), which factors
-nothing either.  A weakly coupled quasi-static bundle therefore
-factors two matrices per dt, phase and P, in both forms; a strongly
-coupled one adds K0 (three).  A visco bundle factors three: phase,
-content and the shifted visco problem.
+problem.  The displacement problems at a current iterate phi_k (the
+quasi-static reconstruction and the pressure form's displacement) and
+the initial state's are solved by CG preconditioned with the block
+fast-diagonalization (elliptic.LameBlockPreconditioner) of the problem
+at phi0, or at the initial phase, which factors nothing (initial_state
+factors only if its CG fails).  A weakly coupled quasi-static bundle
+therefore factors two matrices per dt, phase and P, in both forms; a
+strongly coupled one adds K0 (three).  A visco bundle factors three:
+phase, content and the shifted visco problem.
 
 A quasi-static map feeds an iterate's u only into its tendencies, so
 the displacement solve at a Picard iterate is inexact: it starts from
@@ -112,7 +112,7 @@ Wanner, Solving Ordinary Differential Equations II, Sec. IV.8).
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -477,11 +477,11 @@ def linear_substep_u_visco(frozen, dt, f_u):
 # --- Picard windows -------------------------------------------------------
 
 
-# Most windows one bundle serves before it is rebuilt.  On the criterion
-# 05 runs (200 windows at 32^2), 5 factors 4.7 times less than a bundle
-# per window, for 0.2-0.4 % more Picard iterates; 20 saves another 8-13 %
-# of the run time there but takes up to 1.3 % more iterates.
-BUNDLE_WINDOWS = 5
+# Most windows one bundle serves before it is rebuilt.  Picard iterates of
+# criterion 05's 200-window 32^2 runs (seed 1, rho = 0 plus 1) by the age:
+# 5: 852, 10: 859, 20: 851, 40: 872, one per run: 984.  On seeds 1-10 of
+# the workloads, 20 keeps the iterates of 5 and 1/4 of the spinodal bundles.
+BUNDLE_WINDOWS = 20
 
 
 # Forcing term eta of the displacement solves at a Picard iterate: each
@@ -746,7 +746,7 @@ def picard_window(run, dt, start):
 # Highest order of the extrapolation a window starts from (see
 # Run.step); the history holds PREDICTOR_ORDER + 2 states.  Total
 # Picard iterates on seeds 1-10 of spinodal-qs-32 and spinodal-visco-32
-# (20 windows each), then on their 200-window runs at seed 1, by the
+# (20 windows each), then 200-window runs at seed 1 (bundles of 5), by the
 # highest order: 0 (every window from x_n) 795, 773; 1090, 1009.  1: 625,
 # 611; 829, 760.  2: 498, 442; 584, 577.  3: 414, 397; 429, 423.  4: 438,
 # 404; 408, 375.  5: 446, 418; 422, 370.  From 1 on, source-qs-64 and
@@ -798,15 +798,20 @@ def initial_state(grid, material, phi, theta, sources=None):
 
     The regime fixes the start displacement: the quasi-static regime
     (rho = 0) reconstructs it from (phi, theta) and the sources, and the
-    Kelvin-Voigt regime (rho = 1) starts from rest, u = 0.
+    Kelvin-Voigt regime (rho = 1) starts from rest, u = 0.  No window
+    reuses a factor at phi: u is solved by CG preconditioned at phi, and
+    directly only where CG fails (a nearly incompressible stiffness).
     """
     phi = np.asarray(phi, dtype=float).ravel()
     theta = np.asarray(theta, dtype=float).ravel()
     if material.rho == 1:
-        u = VectorField2.zero(grid)
-    else:
-        sources = SourceSpec() if sources is None else sources
-        problem = displacement_problem(grid, material, phi)
+        return SimState(grid, phi, theta, VectorField2.zero(grid), 0.0)
+    sources = SourceSpec() if sources is None else sources
+    problem = displacement_problem(grid, material, phi)
+    try:
+        u, _ = reconstruct_displacement(replace(problem, reference=problem), material, theta,
+                                        sources, 0.0)
+    except SolverFailure:
         u, _ = reconstruct_displacement(problem, material, theta, sources, 0.0)
     return SimState(grid, phi, theta, u, 0.0)
 

@@ -442,7 +442,14 @@ def test_accepted_state_is_tight_and_the_iterates_are_not(formulation, monkeypat
     balance at the accepted (phi, theta) holds to that target (up to
     rounding), and every window keeps the weak momentum residual to
     1e-10.  (The pressure form's first solve of a window, from the start
-    state's u, is tight too.)"""
+    state's u, is tight too.)  The recorder sees the windows' solves
+    only, not initial_state's."""
+    g = make_grid(10, tags=MIXED)
+    m = make_material(eps=0.3, tau1=0.05)
+    rng = np.random.default_rng(22)
+    sources = SourceSpec(s_phase=lambda x, y, t: 0.5 * np.cos(np.pi * x),
+                         s_fluid=lambda x, y, t: np.exp(-10.0 * ((x - 0.4)**2 + y**2)))
+    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng), sources)
     solves = []
     original = elliptic.conjugate_gradient
 
@@ -454,12 +461,6 @@ def test_accepted_state_is_tight_and_the_iterates_are_not(formulation, monkeypat
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "chbsim" and vars(module).get("conjugate_gradient") is original:
             monkeypatch.setattr(module, "conjugate_gradient", recorded)
-    g = make_grid(10, tags=MIXED)
-    m = make_material(eps=0.3, tau1=0.05)
-    rng = np.random.default_rng(22)
-    sources = SourceSpec(s_phase=lambda x, y, t: 0.5 * np.cos(np.pi * x),
-                         s_fluid=lambda x, y, t: np.exp(-10.0 * ((x - 0.4)**2 + y**2)))
-    st = initial_state(g, m, 0.3 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng), sources)
     cfg = StepperConfig(dt=1e-3, t_end=3e-3, tol_picard=1e-9, formulation=formulation)
     states, reports = run_trajectory(g, m, cfg, st, sources)
     assert len(reports) == 3 and all(r.shrinks == 0 for r in reports)
@@ -482,6 +483,63 @@ def test_accepted_state_is_tight_and_the_iterates_are_not(formulation, monkeypat
     for rep, bnorm in tight:
         assert rep.residuals[0] <= 1e-4 * bnorm
         assert rep.residual <= REFERENCE_CG_TOL * bnorm
+
+
+def _initial_balance(g, m, phi, theta, sources):
+    """The augmented displacement problem at phi and the weak right-hand
+    side b of its momentum balance at (phi, theta) and t = 0."""
+    problem = displacement_problem(g, m, phi)
+    scalar = eigenstrain_tensor_source(m, phi) + m.biot_alpha(phi) * m.biot_modulus(phi) * theta
+    return problem, np.concatenate(problem.assemble_rhs(
+        body=sources.body_at(g, 0.0), scalar_source=scalar, traction=sources.traction))
+
+
+@pytest.mark.parametrize("tags", [MIXED, FULL_DIRICHLET], ids=["mixed", "clamped"])
+@pytest.mark.parametrize("nx, ny", [(11, 7), (6, 13)])
+def test_initial_state_solves_the_displacement_without_a_factor(nx, ny, tags, monkeypatch):
+    """The quasi-static initial state's u is solved by CG preconditioned
+    at its own phase: initial_state factors nothing, and u holds the
+    augmented momentum balance at (phi, theta), with a body force and,
+    on the mixed tags, a traction, to the absolute target of an accepted
+    state, and matches a dense solve of the independently assembled
+    stiffness."""
+    g = make_grid(nx, ny, tags=tags, lx=1.5, ly=0.8)
+    m = make_material(eps=0.3, tau1=0.05)
+    rng = np.random.default_rng(23)
+    phi, theta = 0.8 * smooth_phi(g, rng), 0.1 * smooth_phi(g, rng)
+    sources = SourceSpec(body=lambda x, y, t: (np.sin(3.0 * x), 0.5 * y),
+                         traction={"top": (0.1, -0.2)} if tags == MIXED else None)
+    created = _counting_factors(monkeypatch)
+    st = initial_state(g, m, phi, theta, sources)
+    assert created == []
+    problem, b = _initial_balance(g, m, phi, theta, sources)
+    u = np.concatenate([st.u.ux, st.u.uy])
+    residual = b - np.concatenate(problem.apply(st.u.ux, st.u.uy))
+    assert np.linalg.norm(residual) <= 2 * REFERENCE_CG_TOL * np.linalg.norm(b)
+    free = np.flatnonzero(~np.tile(reference_clamped(g), 2))
+    want = np.zeros_like(u)
+    want[free] = np.linalg.solve(dense_reference_stiffness(problem)[np.ix_(free, free)], b[free])
+    assert np.max(np.abs(u - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_initial_state_factors_only_where_its_pcg_fails(monkeypatch):
+    """At alpha = 1 and M = 1e3 the augmented stiffness is nearly
+    incompressible, and CG from zero preconditioned at phi needs more than
+    REFERENCE_CG_MAXITER iterations at 32^2 (116).  initial_state then
+    solves u directly, with one factor, to the momentum balance of an
+    accepted state, as a run's windows need it to."""
+    g = make_grid(32, tags=MIXED)
+    m = make_material(a0=1.0, a1=0.0, M0=1e3, M1=0.0)
+    rng = np.random.default_rng(0)
+    phi, theta = smooth_phi(g, rng), 0.1 * smooth_phi(g, rng)
+    problem, b = _initial_balance(g, m, phi, theta, SourceSpec())
+    with pytest.raises(SolverFailure, match="did not converge"):
+        displacement_problem(g, m, phi, reference=problem).solve(b)
+    created = _counting_factors(monkeypatch)
+    st = initial_state(g, m, phi, theta, SourceSpec())
+    assert len(created) == 1
+    residual = b - np.concatenate(problem.apply(st.u.ux, st.u.uy))
+    assert np.linalg.norm(residual) <= 2 * REFERENCE_CG_TOL * np.linalg.norm(b)
 
 
 def _uniform_equilibrium(g, m):
@@ -1037,22 +1095,26 @@ def _counting_bundles(monkeypatch):
 
 @ITERATE_MAPS
 def test_run_shares_one_bundle_among_several_windows(rho, formulation, monkeypatch):
-    """A 20-window run with no failed attempt builds a bundle every
-    BUNDLE_WINDOWS windows: exactly ceil(20 / 5) bundles, each of three
-    factors (visco) or two (quasi-static), besides the initial state's."""
+    """A run of 2 BUNDLE_WINDOWS + 1 windows with no failed attempt builds
+    a bundle every BUNDLE_WINDOWS windows: exactly
+    ceil(windows / BUNDLE_WINDOWS) bundles, each of three factors (visco)
+    or two (quasi-static).  initial_state factors nothing in either
+    regime, so these are all the factors of the run."""
     g = make_grid(10, tags=MIXED)
     m = make_material(rho=rho, eps=0.3)
     rng = np.random.default_rng(17)
     created = _counting_factors(monkeypatch)
     st = initial_state(g, m, 0.01 * rng.standard_normal(g.n_nodes), np.zeros(g.n_nodes),
                        SourceSpec())
-    initial = len(created)
+    assert created == []
     built = _counting_bundles(monkeypatch)
-    cfg = StepperConfig(dt=1e-3, t_end=0.02, tol_picard=1e-6, formulation=formulation)
+    windows = 2 * BUNDLE_WINDOWS + 1
+    cfg = StepperConfig(dt=1e-3, t_end=windows * 1e-3, tol_picard=1e-6,
+                        formulation=formulation)
     _, reports = run_trajectory(g, m, cfg, st, SourceSpec())
-    assert len(reports) == 20 and all(r.shrinks == 0 for r in reports)
-    assert len(built) == -(-20 // BUNDLE_WINDOWS)
-    assert len(created) - initial == len(built) * (3 if rho == 1 else 2)
+    assert len(reports) == windows and all(r.shrinks == 0 for r in reports)
+    assert len(built) == -(-windows // BUNDLE_WINDOWS)
+    assert len(created) == len(built) * (3 if rho == 1 else 2)
 
 
 def test_bundle_is_dropped_only_after_bundle_windows():
