@@ -5,9 +5,14 @@ the initial state), VTK legacy ASCII STRUCTURED_POINTS snapshots every
 ``output.stride`` windows, and ``config.echo`` with the resolved
 configuration.  Runs are single-threaded and byte-deterministic for a
 fixed config.
+
+Snapshot values read exactly as ``"%.12e"`` writes them: array arithmetic
+with a bounded error, and ``%`` for a value too near a rounding tie for the
+bound to decide (``TIE_MARGIN``).  A snapshot appears whole or not at all.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -21,32 +26,87 @@ from .rhs import pressure
 from .stepper import StepFailure, initial_state, run_simulation
 
 
+# format_e12 takes a value's 13 significant digits as m = rint(y), with
+# y = |x| * 10**(12 - e) in [1e12, 1e13).  y is rounded twice, in the power
+# of ten and in the product, each by a relative 2**-53 at most, so it is off
+# its exact value by less than (2**-52 + 2**-106) * 1e13 < 2.3e-3.  So where
+# |y - m| <= 0.5 - TIE_MARGIN, m is the exact value's nearest integer, the
+# correctly rounded digits; a value nearer a tie is formatted by Python.
+TIE_MARGIN = 3e-3
+
+
+@functools.cache
+def _e12_tables():
+    r"""Words of 4 ASCII bytes (NUL for none) that spell the parts of a row,
+    "[-]d.d" | "dddd" (twice) | "ddde" | the exponent's "+dd\n" or "-dd\n",
+    and the correctly rounded powers of ten 1e-87 ... 1e111."""
+    def words(*columns):
+        return (np.stack(np.broadcast_arrays(*columns), -1).astype(np.uint8)
+                .view(np.uint32)[..., 0])
+
+    k, exp = np.arange(10000), np.arange(-99, 100)
+    d = [48 + k // place % 10 for place in (1000, 100, 10, 1)]
+    sign = np.where(exp < 0, ord("-"), ord("+"))
+    return (words(np.where(k < 100, 0, ord("-")), d[2], ord("."), d[3])[:200], words(*d),
+            words(*d[1:], ord("e"))[:1000],
+            words(sign, d[2][abs(exp)], d[3][abs(exp)], ord("\n")),
+            np.array([float(f"1e{p}") for p in range(-87, 112)]))
+
+
+def _by_percent(values):
+    r"""Rows of ``"%.12e\n" % v`` for each value, padded with NULs to 24 bytes."""
+    return np.frombuffer(b"".join((b"%.12e\n" % v).ljust(24, b"\0") for v in values.tolist()),
+                         np.uint8).reshape(-1, 24)
+
+
+def format_e12(blocks):
+    r"""``("%.12e\n" * n) % tuple(row)`` for each row of a 2-D array, from array
+    arithmetic (see TIE_MARGIN); values near a tie, non-finite values and
+    three-digit exponents are formatted by ``%`` itself (``_by_percent``)."""
+    lead, quad, tail, expo, pow10 = _e12_tables()
+    x = np.asarray(blocks, dtype=np.float64).ravel()
+    a = np.where(np.isfinite(x) & (x != 0), np.abs(x), 1.0)
+    e = np.clip(np.floor(np.log10(a)), -99, 99).astype(np.int64)
+    y = a * pow10[99 - e]
+    e = np.clip(e + (y >= 1e13) - (y < 1e12), -99, 99)   # log10 may miss by one
+    y = a * pow10[99 - e]
+    m = np.rint(y)
+    doubtful = ~np.isfinite(x) | (np.abs(y - m) > 0.5 - TIE_MARGIN) | (y < 1e12) | (y >= 1e13)
+    e += m == 1e13   # 9.9999999999996 rounds to 1.000000000000 of the next decade
+    m[m == 1e13] = 1e12
+    doubtful |= e > 99
+    hi, lo = np.divmod(np.where(doubtful | (x == 0), 0, m).astype(np.int64), 10**7)
+    rows = np.stack([lead[100 * np.signbit(x) + hi // 10**4], quad[hi % 10**4],
+                     quad[lo // 1000], tail[lo % 1000], expo[np.minimum(e, 99) + 99],
+                     np.zeros_like(lo, np.uint32)], axis=1).view(np.uint8)
+    rows[doubtful] = _by_percent(x[doubtful])
+    return [row.tobytes().translate(None, b"\0").decode("ascii")
+            for row in rows.reshape(len(blocks), -1)]
+
+
 def write_vtk_snapshot(path, grid, material, state):
-    """Write one STRUCTURED_POINTS file with phi, theta, p, |u|, u_x, u_y."""
+    """Write one STRUCTURED_POINTS file with phi, theta, p, |u|, u_x, u_y.
+
+    Every value reads exactly as ``"%.12e"`` writes it (``format_e12``).  The text
+    goes to a temporary file that is renamed to ``path``: no partial snapshot."""
     p = pressure(material, state.phi, state.theta, divergence(state.u))
-    u_mag = np.hypot(state.u.ux, state.u.uy)
-    fields = [("phi", state.phi), ("theta", state.theta), ("p", p),
-              ("u_mag", u_mag), ("u_x", state.u.ux), ("u_y", state.u.uy)]
-    chunks = [
-        "# vtk DataFile Version 3.0\n",
-        f"chbsim snapshot t={state.t:.12e}\n",
-        "ASCII\n",
-        "DATASET STRUCTURED_POINTS\n",
-        f"DIMENSIONS {grid.nx} {grid.ny} 1\n",
-        "ORIGIN 0 0 0\n",
-        f"SPACING {grid.hx:.12e} {grid.hy:.12e} 1\n",
-        f"POINT_DATA {grid.n_nodes}\n",
-    ]
-    for name, data in fields:
-        values = np.asarray(data).ravel().tolist()
-        chunks.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        # one %-format of the whole field: the same digits as f"{v:.12e}"
-        chunks.append(("%.12e\n" * len(values)) % tuple(values))
+    fields = [state.phi, state.theta, p, np.hypot(state.u.ux, state.u.uy),
+              state.u.ux, state.u.uy]
+    text = (f"# vtk DataFile Version 3.0\nchbsim snapshot t={state.t:.12e}\nASCII\n"
+            f"DATASET STRUCTURED_POINTS\nDIMENSIONS {grid.nx} {grid.ny} 1\nORIGIN 0 0 0\n"
+            f"SPACING {grid.hx:.12e} {grid.hy:.12e} 1\nPOINT_DATA {grid.n_nodes}\n") + "".join(
+        f"SCALARS {name} double 1\nLOOKUP_TABLE default\n{values}" for name, values
+        in zip(["phi", "theta", "p", "u_mag", "u_x", "u_y"], format_e12(fields)))
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
     try:
-        with open(path, "w") as fh:
-            fh.write("".join(chunks))
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
         raise RuntimeError(f"failed to write snapshot '{path}': {exc}")
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_outputs_init(out_dir, cfg):

@@ -1,9 +1,12 @@
+import errno
 import os
 import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import chbsim.cli as cli
 import chbsim.stepper as stepper
@@ -326,3 +329,123 @@ def test_vtk_snapshot_bytes_match_the_per_value_formatter(tmp_path):
     path = tmp_path / "snap.vtk"
     cli.write_vtk_snapshot(str(path), g, m, state)
     assert path.read_bytes() == _reference_vtk_text(g, m, state).encode()
+
+
+def _per_value(values):
+    return "".join(f"{v:.12e}\n" for v in np.asarray(values, dtype=np.float64).ravel())
+
+
+@settings(deadline=None, max_examples=200)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 40)),
+              elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)))
+def test_format_e12_matches_the_per_value_formatter(blocks):
+    """Every finite double, subnormals and signed zeros among them, reads
+    as "%.12e" writes it, and each row of the array gets its own text."""
+    assert cli.format_e12(blocks) == [_per_value(row) for row in blocks]
+
+
+def _adversarial_values(kind):
+    rng = np.random.default_rng(29)
+    p10 = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    if kind == "near-ties":
+        # a 5 in the 14th significant digit: rint of a scaled value that
+        # errs by a few ulps lands on either side of the tie
+        return np.array([float(f"{s}{k}.{j:012d}5e{p}") for s, k, j, p in zip(
+            rng.choice(["", "-"], 3000), rng.integers(1, 10, 3000),
+            rng.integers(0, 10**12, 3000), rng.integers(-110, 110, 3000))])
+    if kind == "carries":
+        # 9.9999999999995e{p} rounds up to 1.000000000000e{p + 1}
+        nines = np.array([float(f"9.9999999999995e{p}") for p in range(-120, 120)])
+        return np.concatenate([nines, -nines, np.nextafter(nines, 0),
+                               np.nextafter(nines, np.inf)])
+    if kind == "powers-of-ten":
+        return np.concatenate([p10, -p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf)])
+    if kind == "three-digit-exponents":
+        return np.concatenate([
+            rng.standard_normal(500) * 10.0 ** rng.integers(-320, -99, 500),
+            rng.standard_normal(500) * 10.0 ** rng.integers(100, 308, 500),
+            [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+    if kind == "integers":
+        ints = np.concatenate([np.arange(-1000, 1001), rng.integers(-10**15, 10**15, 2000),
+                               10 ** np.arange(16), 2 ** np.arange(50, 54)])
+        return np.concatenate([ints, rng.integers(1, 2**30, 2000)
+                               / 2.0 ** rng.integers(1, 60, 2000)]).astype(np.float64)
+    # zeros and non-finite values among ordinary ones
+    values = rng.standard_normal(60)
+    values[::6], values[1::6], values[2::6] = 0.0, -0.0, np.nan
+    values[3::6], values[4::6] = np.inf, -np.inf
+    return values
+
+
+@pytest.mark.parametrize("kind", ["near-ties", "carries", "powers-of-ten",
+                                  "three-digit-exponents", "integers", "zeros-and-non-finite"])
+def test_format_e12_matches_on_adversarial_values(kind):
+    """Near-ties, decade carries, powers of ten and their neighbours,
+    three-digit exponents, exact integers, dyadic fractions, signed zeros
+    and non-finite values read as "%.12e" writes them."""
+    values = _adversarial_values(kind)
+    assert cli.format_e12([values, values[::-1]]) == [_per_value(values),
+                                                      _per_value(values[::-1])]
+
+
+@pytest.mark.parametrize("rho", [0, 1], ids=["quasi-static", "visco"])
+def test_run_snapshots_match_the_per_value_formatter(tmp_path, monkeypatch, rho):
+    """Each snapshot that a 12x12 run writes has the bytes of the
+    per-value formatter, exact zeros of u at the Dirichlet nodes included."""
+    write, zeros = cli.write_vtk_snapshot, []
+
+    def checked(path, grid, material, state):
+        write(path, grid, material, state)
+        with open(path, "rb") as fh:
+            assert fh.read() == _reference_vtk_text(grid, material, state).encode()
+        assert state.t == 0 or (np.count_nonzero(state.u.ux) and np.count_nonzero(state.u.uy))
+        zeros.append(min(np.count_nonzero(state.u.ux == 0), np.count_nonzero(state.u.uy == 0)))
+
+    monkeypatch.setattr(cli, "write_vtk_snapshot", checked)
+    text = BASE.replace("10\n", "12\n") + f"rho = {rho}\ntau1 = 0.05\noutput.stride = 1\n"
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert len(zeros) == 5 and min(zeros) >= 23     # 23 Dirichlet nodes on a 12x12 grid
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                   KeyboardInterrupt()], ids=["full-disk", "interrupt"])
+def test_failed_snapshot_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, error):
+    """A snapshot write that fails partway leaves neither that snapshot nor
+    its temporary file behind.  A full disk ends the run with a message
+    naming the snapshot; an interrupt propagates."""
+    written = []
+
+    class Failing:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            written.append(os.path.getsize(self.fh.name))
+            raise error
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return Failing(fh) if "snapshot_00002" in path else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    out = tmp_path / "out"
+    args = ["--config", _write(tmp_path, BASE + "output.stride = 1\n"), "--out", str(out)]
+    if isinstance(error, OSError):
+        assert main(args) == 2
+        snapshot = os.path.join(str(out), "snapshot_00002.vtk")
+        assert capsys.readouterr().err == (f"failed to write snapshot '{snapshot}': "
+                                           f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+    assert written and written[0] > 0
+    assert sorted(os.listdir(out)) == ["config.echo", "diagnostics.csv",
+                                       "snapshot_00000.vtk", "snapshot_00001.vtk"]
