@@ -56,9 +56,8 @@ class BiotContext:
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float).ravel()
-        self.alpha = self.material.biot_alpha(self.phi)
-        self.modulus = self.material.biot_modulus(self.phi)
-        self.kappa = self.material.permeability(self.phi)
+        c = self.material.coefficients(self.phi)
+        self.alpha, self.modulus, self.kappa = c.alpha, c.modulus, c.permeability
         self.plain = EllipticProblem(
             self.grid, self.material, self.phi, variant=PLAIN,
             scale=STIFFNESS_SCALE)
@@ -82,7 +81,7 @@ def apply_A_tilde(ctx, theta):
     """Fluid content -> pressure map, inverse of apply_B_tilde."""
     theta = np.asarray(theta, dtype=float).ravel()
     w = ctx._solve(ctx.augmented, ctx.alpha * ctx.modulus * theta)
-    return ctx.modulus * (theta - ctx.alpha * divergence(w))
+    return ctx.material.coefficients(ctx.phi).content_split(theta, divergence(w))[1]
 
 
 def apply_fluid_operator(ctx, theta):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .elliptic import EllipticProblem
 from .grid import (DIRICHLET, NEUMANN, Grid, VectorField2, laplacian_stiffness_form,
-                   neumann_laplacian, symmetric_gradient)
-from .rhs import SourceSpec, chemical_potential, pressure, stress
+                   symmetric_gradient)
+from .rhs import SourceSpec, derive, momentum_force, rate_strain, tendencies
 from .stepper import PRESSURE_FORM, THETA_FORM, StepperConfig, initial_state, run_simulation
 
 
@@ -54,11 +54,11 @@ def total_energy(grid, material, state):
     e_grad = 0.5 * material.eps * laplacian_stiffness_form(grid, phi)
     e_well = grid.integrate(material.psi(phi)) / material.eps
     e_interface = e_grad + e_well
+    c = material.coefficients(phi)
     strain = symmetric_gradient(state.u)
-    wdens = material.elastic_density_W(phi, strain.xx, strain.yy, strain.xy)
-    e_elastic = grid.integrate(wdens)
-    zeta = state.theta - material.biot_alpha(phi) * strain.trace()
-    e_fluid = grid.integrate(0.5 * material.biot_modulus(phi) * zeta**2)
+    e_elastic = grid.integrate(c.elastic_density_W(strain.xx, strain.yy, strain.xy))
+    zeta, _ = c.content_split(state.theta, strain.trace())
+    e_fluid = grid.integrate(0.5 * c.modulus * zeta**2)
     return e_interface + e_elastic + e_fluid, e_interface, e_elastic, e_fluid
 
 
@@ -93,32 +93,16 @@ def pde_residual(grid, material, state_prev, state_new, sources=None):
     phi, theta, u = state_new.phi, state_new.theta, state_new.u
     t = state_new.t
 
-    mu_chem = chemical_potential(grid, material, phi, theta, u)
-    r_phase = ((phi - state_prev.phi) / dt
-               - neumann_laplacian(grid, mu_chem, material.mobility(phi)))
-    strain = symmetric_gradient(u)
-    p = pressure(material, phi, theta, strain.trace())
-    r_fluid = ((theta - state_prev.theta) / dt
-               - neumann_laplacian(grid, p, material.permeability(phi)))
-    s = sources.phase_at(grid, t)
-    if s is not None:
-        r_phase = r_phase - s
-    s = sources.fluid_at(grid, t)
-    if s is not None:
-        r_fluid = r_fluid - s
+    fields = derive(grid, material, phi, theta, u)
+    n_phi, n_theta = tendencies(fields, sources, t)
+    r_phase = (phi - state_prev.phi) / dt - n_phi
+    r_fluid = (theta - state_prev.theta) / dt - n_theta
 
-    strain_rate = None
-    if material.rho == 1:
-        du = VectorField2(grid, (u.ux - state_prev.u.ux) / dt,
-                          (u.uy - state_prev.u.uy) / dt)
-        strain_rate = symmetric_gradient(du)
-    sigma = stress(grid, material, phi, theta, u, strain_rate=strain_rate)
-    prob = EllipticProblem(grid, material, phi)  # geometry/bookkeeping only
-    # weak residual of -div sigma = f: E'W sigma - W f - traction, free nodes
-    sig_rhs = prob.assemble_rhs(tensor_source=sigma)
-    ext_rhs = prob.assemble_rhs(body=sources.body_at(grid, t), traction=sources.traction)
-    resx = (sig_rhs[0] - ext_rhs[0]) / w
-    resy = (sig_rhs[1] - ext_rhs[1]) / w
+    rate = rate_strain(u, state_prev.u, dt) if material.rho == 1 else None
+    # weak residual of -div sigma = f on the free nodes, the momentum force
+    f_u = momentum_force(grid, fields.stress(rate), sources, t)
+    resx = f_u.ux / w
+    resy = f_u.uy / w
 
     def wnorm(v):
         return float(np.sqrt(np.dot(w, np.asarray(v)**2)))

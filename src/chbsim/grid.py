@@ -415,6 +415,18 @@ def divergence(u):
     return g.dx_op @ u.ux + g.dy_op @ u.uy
 
 
+def weak_divergence(grid, pxx, pyy, pxy=None):
+    """The weak form of -div P, sum_k P_k : E(w_test)_k, from the
+    quadrature-weighted components (pxx, pyy, pxy) = w P of a symmetric
+    tensor field: (Dx' pxx + Dy' pxy, Dy' pyy + Dx' pxy), as a pair of
+    nodal arrays.  pxy None means a diagonal P and skips the shear terms.
+    """
+    sx, sy = grid.dx_op_t @ pxx, grid.dy_op_t @ pyy
+    if pxy is not None:
+        sx, sy = sx + grid.dy_op_t @ pxy, sy + grid.dx_op_t @ pxy
+    return sx, sy
+
+
 def _face_weights(grid, coeff):
     """Face volume times the face-averaged flux coefficient, v * c_bar.
 

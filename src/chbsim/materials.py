@@ -27,8 +27,17 @@ its strain derivative is W_E = 2 C(phi)(E - T), and its phase derivative
 
 which obeys the quadratic growth bound |W_phi| <= C2 (|E|^2 + phi^2 + 1)
 with the computable constant returned by growth_constant().
+
+MaterialModel.coefficients(phi) evaluates every blend law and its
+phi-derivative in one pass, with one tanh and one cosh sweep over phi
+(mobility and permeability on their first read), and returns them as a
+Coefficients, whose methods evaluate W, its derivatives and the pressure
+from them.  The per-law methods (lame(phi, deriv), biot_modulus, ...)
+share each law's expression with it, so their values agree bit for bit;
+a caller that needs several laws at one phase field reads one pass.
 """
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,6 +51,70 @@ def _blend_d(phi):
     # cosh overflows to inf beyond |phi| ~ 710, where the derivative is 0
     with np.errstate(over="ignore"):
         return 0.5 / np.cosh(phi) ** 2
+
+
+def _blend_law(base, swing, s, deriv):
+    """A law linear in the blend: base + swing * s(phi) from s = s(phi)
+    (deriv = 0), or its phi-derivative swing * s'(phi) from s = s'(phi)
+    (deriv = 1)."""
+    return base + swing * s if deriv == 0 else swing * s
+
+
+class Coefficients:
+    """The coefficient fields of one phase field phi, as attributes
+    (MaterialModel.coefficients): each blend law's field (lam, mu, lam_nu,
+    mu_nu, tau, alpha, modulus; see MaterialModel._blend_laws) and,
+    suffixed _d, its phi-derivative, from one _blend and one _blend_d
+    sweep; and mobility and permeability, built on first read, so that a
+    reader of the Biot laws alone (a snapshot's pressure) does not square
+    a diverging phi.  Its methods evaluate the elastic energy density laws
+    and the pressure."""
+
+    def __init__(self, material, phi):
+        self.material = material
+        self.phi = np.asarray(phi, dtype=float)
+        s, s_d = _blend(self.phi), _blend_d(self.phi)
+        for name, (base, swing) in material._blend_laws().items():
+            setattr(self, name, _blend_law(base, swing, s, 0))
+            setattr(self, name + "_d", _blend_law(base, swing, s_d, 1))
+
+    @functools.cached_property
+    def mobility(self):
+        return self.material.mobility(self.phi)
+
+    @functools.cached_property
+    def permeability(self):
+        return self.material.permeability(self.phi)
+
+    def content_split(self, theta, div_u):
+        """(zeta, p): the fluid content net of the volumetric strain,
+        zeta = theta - alpha(phi) div u, and the pressure p = M(phi) zeta."""
+        zeta = theta - self.alpha * div_u
+        return zeta, self.modulus * zeta
+
+    def elastic_density_W(self, exx, eyy, exy):
+        """W(phi, E) = C(phi)(E - T) : (E - T), componentwise over arrays."""
+        dxx, dyy = exx - self.tau, eyy - self.tau
+        tr = dxx + dyy
+        norm2 = dxx**2 + dyy**2 + 2.0 * exy**2
+        return 2.0 * self.mu * norm2 + self.lam * tr**2
+
+    def elastic_density_derivatives(self, exx, eyy, exy):
+        """Return (W_E components (xx, yy, xy), W_phi).
+
+        W_E = 2 C(phi)(E - T); W_phi collects the phase derivatives of the
+        stiffness and the eigenstrain.
+        """
+        lam, mu = self.lam, self.mu
+        dxx, dyy = exx - self.tau, eyy - self.tau
+        tr = dxx + dyy
+        norm2 = dxx**2 + dyy**2 + 2.0 * exy**2
+        w_exx = 2.0 * (2.0 * mu * dxx + lam * tr)
+        w_eyy = 2.0 * (2.0 * mu * dyy + lam * tr)
+        w_exy = 2.0 * (2.0 * mu * exy)
+        w_phi = (2.0 * self.mu_d * norm2 + self.lam_d * tr**2
+                 - 2.0 * self.tau_d * (2.0 * mu + 2.0 * lam) * tr)
+        return w_exx, w_eyy, w_exy, w_phi
 
 
 @dataclass(frozen=True)
@@ -115,28 +188,13 @@ class MaterialModel:
         raise ValueError("deriv must be 0 or 1")
 
     def biot_modulus(self, phi, deriv=0):
-        phi = np.asarray(phi, dtype=float)
-        if deriv == 0:
-            return self.M0 + self.M1 * _blend(phi)
-        if deriv == 1:
-            return self.M1 * _blend_d(phi)
-        raise ValueError("deriv must be 0 or 1")
+        return self._blended(("modulus",), phi, deriv)[0]
 
     def biot_alpha(self, phi, deriv=0):
-        phi = np.asarray(phi, dtype=float)
-        if deriv == 0:
-            return self.a0 + self.a1 * _blend(phi)
-        if deriv == 1:
-            return self.a1 * _blend_d(phi)
-        raise ValueError("deriv must be 0 or 1")
+        return self._blended(("alpha",), phi, deriv)[0]
 
     def tau(self, phi, deriv=0):
-        phi = np.asarray(phi, dtype=float)
-        if deriv == 0:
-            return self.tau0 + self.tau1 * _blend(phi)
-        if deriv == 1:
-            return self.tau1 * _blend_d(phi)
-        raise ValueError("deriv must be 0 or 1")
+        return self._blended(("tau",), phi, deriv)[0]
 
     # --- double well ------------------------------------------------------
 
@@ -156,28 +214,10 @@ class MaterialModel:
 
     def lame(self, phi, deriv=0):
         """Elastic Lame parameters (lam, mu) at phase phi."""
-        phi = np.asarray(phi, dtype=float)
-        if deriv == 0:
-            s = _blend(phi)
-            return (self.lam_a + (self.lam_b - self.lam_a) * s,
-                    self.mu_a + (self.mu_b - self.mu_a) * s)
-        if deriv == 1:
-            sd = _blend_d(phi)
-            return ((self.lam_b - self.lam_a) * sd,
-                    (self.mu_b - self.mu_a) * sd)
-        raise ValueError("deriv must be 0 or 1")
+        return self._blended(("lam", "mu"), phi, deriv)
 
     def lame_visco(self, phi, deriv=0):
-        phi = np.asarray(phi, dtype=float)
-        if deriv == 0:
-            s = _blend(phi)
-            return (self.lam_nu_a + (self.lam_nu_b - self.lam_nu_a) * s,
-                    self.mu_nu_a + (self.mu_nu_b - self.mu_nu_a) * s)
-        if deriv == 1:
-            sd = _blend_d(phi)
-            return ((self.lam_nu_b - self.lam_nu_a) * sd,
-                    (self.mu_nu_b - self.mu_nu_a) * sd)
-        raise ValueError("deriv must be 0 or 1")
+        return self._blended(("lam_nu", "mu_nu"), phi, deriv)
 
     def lame_bounds(self):
         """(lam_min, lam_max, mu_min, mu_max) over all real phi."""
@@ -188,31 +228,41 @@ class MaterialModel:
 
     def elastic_density_W(self, phi, exx, eyy, exy):
         """W(phi, E) = C(phi)(E - T) : (E - T), componentwise over arrays."""
-        lam, mu = self.lame(phi)
-        t = self.tau(phi)
-        dxx, dyy = exx - t, eyy - t
-        tr = dxx + dyy
-        norm2 = dxx**2 + dyy**2 + 2.0 * exy**2
-        return 2.0 * mu * norm2 + lam * tr**2
+        return self.coefficients(phi).elastic_density_W(exx, eyy, exy)
 
     def elastic_density_derivatives(self, phi, exx, eyy, exy):
-        """Return (W_E components (xx, yy, xy), W_phi).
+        """Return (W_E components (xx, yy, xy), W_phi) (see
+        Coefficients.elastic_density_derivatives)."""
+        return self.coefficients(phi).elastic_density_derivatives(exx, eyy, exy)
 
-        W_E = 2 C(phi)(E - T); W_phi collects the phase derivatives of the
-        stiffness and the eigenstrain.
-        """
-        lam, mu = self.lame(phi)
-        lam_d, mu_d = self.lame(phi, deriv=1)
-        t = self.tau(phi)
-        t_d = self.tau(phi, deriv=1)
-        dxx, dyy = exx - t, eyy - t
-        tr = dxx + dyy
-        norm2 = dxx**2 + dyy**2 + 2.0 * exy**2
-        w_exx = 2.0 * (2.0 * mu * dxx + lam * tr)
-        w_eyy = 2.0 * (2.0 * mu * dyy + lam * tr)
-        w_exy = 2.0 * (2.0 * mu * exy)
-        w_phi = 2.0 * mu_d * norm2 + lam_d * tr**2 - 2.0 * t_d * (2.0 * mu + 2.0 * lam) * tr
-        return w_exx, w_eyy, w_exy, w_phi
+    # --- one pass over a phase field --------------------------------------
+
+    def _blend_laws(self):
+        """(base, swing) of each coefficient linear in the blend, by its
+        Coefficients name: the coefficient is base + swing * s(phi)."""
+        return {"lam": (self.lam_a, self.lam_b - self.lam_a),
+                "mu": (self.mu_a, self.mu_b - self.mu_a),
+                "lam_nu": (self.lam_nu_a, self.lam_nu_b - self.lam_nu_a),
+                "mu_nu": (self.mu_nu_a, self.mu_nu_b - self.mu_nu_a),
+                "tau": (self.tau0, self.tau1),
+                "alpha": (self.a0, self.a1),
+                "modulus": (self.M0, self.M1)}
+
+    def _blended(self, names, phi, order):
+        """The blend-law coefficients `names` at phase phi (order 0), or
+        their phi-derivatives (order 1), as a tuple."""
+        phi = np.asarray(phi, dtype=float)
+        if order not in (0, 1):
+            raise ValueError("deriv must be 0 or 1")
+        s = _blend(phi) if order == 0 else _blend_d(phi)
+        laws = self._blend_laws()
+        return tuple(_blend_law(*laws[name], s, order) for name in names)
+
+    def coefficients(self, phi):
+        """The Coefficients of phase phi: every phase-dependent coefficient
+        and the phi-derivative of each blend law, from one _blend and one
+        _blend_d sweep, bit for bit the per-law methods' values."""
+        return Coefficients(self, phi)
 
     def growth_constant(self):
         """A constant C2 with |W_phi| <= C2 (|E|^2 + phi^2 + 1) for all inputs."""

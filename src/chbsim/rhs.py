@@ -17,6 +17,20 @@ strain rate, vanishes at the Kelvin-Voigt window's momentum balance.
 Evaluating N and F_u through the derived fields keeps every sign tied
 to the governing equations.
 
+Each derived field is computed once per state (phi, theta, u), by
+derive: one MaterialModel.coefficients pass over phi, one strain E(u),
+whose trace is div u, one evaluation of W_E and W_phi, and zeta and p
+once; mu, N_phi and N_theta, and for rho = 1 the rate strain, sigma and
+F_u, are built from them.  rhs_elastic and rhs_visco, the stepper's
+entry points at each Picard evaluation, are calls of derive, and so
+are chemical_potential, stress and diagnostics.pde_residual.  pressure,
+diagnostics.total_energy, the displacement stiffness
+(EllipticProblem.lame) and reconstruct_displacement's load read the
+same coefficient pass; a displacement problem's stiffness and load
+share one (EllipticProblem.coefficients).  F_u's weak divergence of
+sigma is grid.weak_divergence, the one EllipticProblem.assemble_rhs
+uses.
+
 The quasi-static reconstruction at the current iterate (when the
 stepper passes a reference to displacement_problem) factors nothing:
 it runs CG preconditioned by the block fast-diagonalization of the same
@@ -31,8 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biot import STIFFNESS_SCALE
-from .elliptic import AUGMENTED, VISCO, EllipticProblem, solve_elasticity
-from .grid import SymTensorField, VectorField2, divergence, neumann_laplacian, symmetric_gradient
+from .elliptic import AUGMENTED, VISCO, EllipticProblem, solve_elasticity, weak_rhs
+from .grid import (SymTensorField, VectorField2, neumann_laplacian, symmetric_gradient,
+                   weak_divergence)
 
 
 @dataclass
@@ -93,61 +108,104 @@ class SimState:
 
 def pressure(material, phi, theta, div_u):
     """p = M(phi) (theta - alpha(phi) div u)."""
-    return material.biot_modulus(phi) * (theta - material.biot_alpha(phi) * div_u)
+    return material.coefficients(phi).content_split(theta, div_u)[1]
 
 
-def eigenstrain_tensor_source(material, phi):
-    """Isotropic scalar P with P I = C(phi) T(phi) (model stiffness scale).
+def eigenstrain_tensor_source(c):
+    """Isotropic scalar P with P I = C(phi) T(phi) (model stiffness scale),
+    STIFFNESS_SCALE (2 mu + 2 lam) tau, from the Coefficients c at phi.
 
     Used as the scalar tensor-source of the displacement right-hand
     side: -div(C T) enters weakly as + sum w P div(w_test).
     """
-    lam, mu = material.lame(phi)
-    tau = material.tau(phi)
-    return STIFFNESS_SCALE * (2.0 * mu + 2.0 * lam) * tau
+    return STIFFNESS_SCALE * (2.0 * c.mu + 2.0 * c.lam) * c.tau
 
 
-def chemical_potential(grid, material, phi, theta, u):
-    """mu = -eps Lap phi + psi'(phi)/eps + W_phi + coupling terms.
+@dataclass
+class StateFields:
+    """The fields derived from one state (phi, theta, u) on grid, each
+    computed once (see derive): the Coefficients c at phi, the strain
+    derivative w_e = (xx, yy, xy) of the elastic energy density, zeta,
+    the pressure p and the chemical potential mu_chem."""
 
-    The coupling terms are the phase derivatives of the fluid energy
-    density (M/2)(theta - alpha div u)^2:
+    grid: object
+    material: object
+    c: object
+    w_e: list
+    zeta: np.ndarray
+    p: np.ndarray
+    mu_chem: np.ndarray
+
+    def stress(self, strain_rate=None):
+        """Total stress sigma = W_E + rho C_nu E(du/dt) - alpha M zeta I; the
+        viscous term only for rho = 1 and a strain rate."""
+        c = self.c
+        w_exx, w_eyy, w_exy = self.w_e
+        piso = c.alpha * c.modulus * self.zeta
+        sxx = w_exx - piso
+        syy = w_eyy - piso
+        sxy = w_exy
+        if self.material.rho == 1 and strain_rate is not None:
+            lam_nu, mu_nu = c.lam_nu, c.mu_nu
+            tr = strain_rate.trace()
+            sxx = sxx + 2.0 * mu_nu * strain_rate.xx + lam_nu * tr
+            syy = syy + 2.0 * mu_nu * strain_rate.yy + lam_nu * tr
+            sxy = sxy + 2.0 * mu_nu * strain_rate.xy
+        return SymTensorField(self.grid, sxx, syy, sxy)
+
+
+def derive(grid, material, phi, theta, u):
+    """The StateFields of (phi, theta, u): one coefficient pass over phi,
+    one strain of u, whose trace is div u, and one evaluation of the
+    elastic density derivatives.
+
+    mu = -eps Lap phi + psi'(phi)/eps + W_phi + coupling terms, where the
+    coupling terms are the phase derivatives of the fluid energy density
+    (M/2)(theta - alpha div u)^2:
       (M'/2)(theta - alpha div u)^2 - M (theta - alpha div u) alpha' div u.
     """
+    c = material.coefficients(phi)
     strain = symmetric_gradient(u)
     div_u = strain.trace()
     lap_phi = neumann_laplacian(grid, phi, 1.0)
-    _, _, _, w_phi = material.elastic_density_derivatives(
-        phi, strain.xx, strain.yy, strain.xy)
-    zeta = theta - material.biot_alpha(phi) * div_u
-    m_d = material.biot_modulus(phi, deriv=1)
-    a_d = material.biot_alpha(phi, deriv=1)
-    bm = material.biot_modulus(phi)
+    *w_e, w_phi = c.elastic_density_derivatives(strain.xx, strain.yy, strain.xy)
+    zeta, p = c.content_split(theta, div_u)
     mu_chem = (-material.eps * lap_phi
                + material.psi_d(phi) / material.eps
                + w_phi
-               + 0.5 * m_d * zeta**2
-               - bm * zeta * a_d * div_u)
-    return mu_chem
+               + 0.5 * c.modulus_d * zeta**2
+               - p * c.alpha_d * div_u)
+    return StateFields(grid, material, c, w_e, zeta, p, mu_chem)
+
+
+def chemical_potential(grid, material, phi, theta, u):
+    """mu = -eps Lap phi + psi'(phi)/eps + W_phi + coupling terms (see derive)."""
+    return derive(grid, material, phi, theta, u).mu_chem
 
 
 def stress(grid, material, phi, theta, u, strain_rate=None):
     """Total stress sigma = W_E + rho C_nu E(du/dt) - alpha M zeta I."""
-    strain = symmetric_gradient(u)
-    w_exx, w_eyy, w_exy, _ = material.elastic_density_derivatives(
-        phi, strain.xx, strain.yy, strain.xy)
-    zeta = theta - material.biot_alpha(phi) * strain.trace()
-    piso = material.biot_alpha(phi) * material.biot_modulus(phi) * zeta
-    sxx = w_exx - piso
-    syy = w_eyy - piso
-    sxy = w_exy
-    if material.rho == 1 and strain_rate is not None:
-        lam_nu, mu_nu = material.lame_visco(phi)
-        tr = strain_rate.trace()
-        sxx = sxx + 2.0 * mu_nu * strain_rate.xx + lam_nu * tr
-        syy = syy + 2.0 * mu_nu * strain_rate.yy + lam_nu * tr
-        sxy = sxy + 2.0 * mu_nu * strain_rate.xy
-    return SymTensorField(grid, sxx, syy, sxy)
+    return derive(grid, material, phi, theta, u).stress(strain_rate)
+
+
+def rate_strain(u, u_n, dt):
+    """The implicit-Euler strain rate E((u - u_n) / dt)."""
+    grid = u.grid
+    return symmetric_gradient(VectorField2(grid, (u.ux - u_n.ux) / dt, (u.uy - u_n.uy) / dt))
+
+
+def momentum_force(grid, sigma, sources, t):
+    """F_u = weak(f, g) - E'W sigma: the weak momentum force of the stress
+    sigma under the sources' body force and tractions at time t, as a
+    VectorField2 of nodal weak-form values, zero on the Dirichlet nodes."""
+    w = grid.quad_weights()
+    ext_x, ext_y = weak_rhs(grid, body=sources.body_at(grid, t), traction=sources.traction)
+    sig_x, sig_y = weak_divergence(grid, w * sigma.xx, w * sigma.yy, w * sigma.xy)
+    f_x, f_y = ext_x - sig_x, ext_y - sig_y
+    clamped = grid.dirichlet_mask()
+    f_x[clamped] = 0.0
+    f_y[clamped] = 0.0
+    return VectorField2(grid, f_x, f_y)
 
 
 # --- displacement reconstruction (elastic regime) -------------------------
@@ -174,9 +232,8 @@ def reconstruct_displacement(problem, material, theta, sources, t, start=None, f
     until its preconditioned residual norm has fallen by that factor
     (see EllipticProblem.solve); a problem without one solves directly.
     """
-    phi = problem.phi
-    scalar = (eigenstrain_tensor_source(material, phi)
-              + material.biot_alpha(phi) * material.biot_modulus(phi) * theta)
+    c = problem.coefficients
+    scalar = eigenstrain_tensor_source(c) + c.alpha * c.modulus * theta
     rhs = problem.assemble_rhs(
         body=sources.body_at(problem.grid, t), scalar_source=scalar,
         traction=sources.traction)
@@ -186,22 +243,24 @@ def reconstruct_displacement(problem, material, theta, sources, t, start=None, f
 # --- right-hand sides -----------------------------------------------------
 
 
-def phase_rhs(grid, material, phi, mu_chem, s_phase):
-    """N_phi = div(m(phi) grad mu) + S_phase."""
-    out = neumann_laplacian(grid, mu_chem, material.mobility(phi))
+def phase_rhs(grid, mobility, mu_chem, s_phase):
+    """N_phi = div(m(phi) grad mu) + S_phase, from the mobility field."""
+    out = neumann_laplacian(grid, mu_chem, mobility)
     if s_phase is not None:
         out = out + s_phase
     return out
 
 
-def _content_rhs(grid, material, phi, theta, u, sources, t):
-    """N_theta = div(kappa(phi) grad p) + S_fluid."""
-    p = pressure(material, phi, theta, divergence(u))
-    out = neumann_laplacian(grid, p, material.permeability(phi))
+def tendencies(fields, sources, t):
+    """(N_phi, N_theta) at time t from the StateFields of one state;
+    N_theta = div(kappa(phi) grad p) + S_fluid."""
+    grid = fields.grid
+    n_phi = phase_rhs(grid, fields.c.mobility, fields.mu_chem, sources.phase_at(grid, t))
+    n_theta = neumann_laplacian(grid, fields.p, fields.c.permeability)
     s_fluid = sources.fluid_at(grid, t)
     if s_fluid is not None:
-        out = out + s_fluid
-    return out
+        n_theta = n_theta + s_fluid
+    return n_phi, n_theta
 
 
 def rhs_elastic(grid, material, phi, theta, u, sources, t):
@@ -209,9 +268,7 @@ def rhs_elastic(grid, material, phi, theta, u, sources, t):
 
     u must be the displacement reconstructed at (phi, theta).
     """
-    mu_chem = chemical_potential(grid, material, phi, theta, u)
-    f_phi = phase_rhs(grid, material, phi, mu_chem, sources.phase_at(grid, t))
-    return f_phi, _content_rhs(grid, material, phi, theta, u, sources, t)
+    return tendencies(derive(grid, material, phi, theta, u), sources, t)
 
 
 @dataclass
@@ -247,12 +304,7 @@ def rhs_visco(grid, material, phi, theta, u, u_n, dt, sources, t):
     on the Dirichlet nodes); it vanishes where the window's momentum
     balance holds.
     """
-    mu_chem = chemical_potential(grid, material, phi, theta, u)
-    f_phi = phase_rhs(grid, material, phi, mu_chem, sources.phase_at(grid, t))
-    rate = symmetric_gradient(VectorField2(grid, (u.ux - u_n.ux) / dt, (u.uy - u_n.uy) / dt))
-    sigma = stress(grid, material, phi, theta, u, strain_rate=rate)
-    prob = EllipticProblem(grid, material, phi)  # assembly only
-    rhs_ext = prob.assemble_rhs(body=sources.body_at(grid, t), traction=sources.traction)
-    rhs_sig = prob.assemble_rhs(tensor_source=sigma)
-    f_u = VectorField2(grid, rhs_ext[0] - rhs_sig[0], rhs_ext[1] - rhs_sig[1])
-    return f_phi, f_u, _content_rhs(grid, material, phi, theta, u, sources, t)
+    fields = derive(grid, material, phi, theta, u)
+    n_phi, n_theta = tendencies(fields, sources, t)
+    sigma = fields.stress(rate_strain(u, u_n, dt))
+    return n_phi, momentum_force(grid, sigma, sources, t), n_theta

@@ -573,27 +573,25 @@ def _pressure_iterates(frozen, state, sources, dt, start):
     iterate_forcing = _iterate_forcing(frozen)
 
     def solve_u(phi, p, u0, forcing):
+        """(u, theta) at (phi, p), both from one coefficient pass."""
         prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=STIFFNESS_SCALE,
                                reference=frozen.ctx0.plain)
-        scalar = eigenstrain_tensor_source(material, phi) + material.biot_alpha(phi) * p
+        c = prob.coefficients
+        scalar = eigenstrain_tensor_source(c) + c.alpha * p
         rhs = prob.assemble_rhs(body=sources.body_at(grid, t_new), scalar_source=scalar,
                                 traction=sources.traction)
-        return solve_elasticity(prob, rhs, u0, forcing)[0]
-
-    def content_of(phi, p, u):
-        return p / material.biot_modulus(phi) + material.biot_alpha(phi) * divergence(u)
+        u = solve_elasticity(prob, rhs, u0, forcing)[0]
+        return u, p / c.modulus + c.alpha * divergence(u)
 
     phi_k = start.phi
     p_k = pressure(material, start.phi, start.theta, divergence(start.u))
-    u_k = solve_u(phi_k, p_k, start.u, 0.0 if start is state else iterate_forcing)
-    theta_k = content_of(phi_k, p_k, u_k)
+    u_k, theta_k = solve_u(phi_k, p_k, start.u, 0.0 if start is state else iterate_forcing)
     while True:
         n_phi, n_theta = rhs_elastic(grid, material, phi_k, theta_k, u_k, sources, t_new)
         d_phi, _ = linear_substep_phi(frozen, dt, state.phi - phi_k + dt * n_phi)
         d_p, _ = frozen.content_solver(dt).solve(w * (state.theta - theta_k + dt * n_theta))
         (phi_k, p_k), accepted = yield (phi_k, p_k), (d_phi, d_p)
-        u_k = solve_u(phi_k, p_k, u_k, 0.0 if accepted else iterate_forcing)
-        theta_k = content_of(phi_k, p_k, u_k)
+        u_k, theta_k = solve_u(phi_k, p_k, u_k, 0.0 if accepted else iterate_forcing)
         yield SimState(grid, phi_k, theta_k, u_k, t_new)
 
 
@@ -839,8 +837,16 @@ class Run:
         self.w = np.tile(self.grid.quad_weights(), 4)   # weights of a history entry
         self.history = deque(maxlen=PREDICTOR_ORDER + 2)
 
+    @property
+    def done(self):
+        """Whether the run has reached t_end, to within the rounding margin
+        1e-12 max(1, t_end)."""
+        t_end = self.cfg.t_end
+        return self.state.t >= t_end - 1e-12 * max(1.0, t_end)
+
     def step(self):
         """Advance the run one window by picard_window; returns its report.
+        Raises ValueError, naming t and t_end, on a run that is done.
 
         The window runs at cfg.dt, or at the remainder t_end - t when that
         is shorter by more than rounding (1e-9 cfg.dt), so that a run of
@@ -854,6 +860,9 @@ class Run:
         in the first two windows.  The report's start_order records k
         unless the window shrank."""
         state, cfg = self.state, self.cfg
+        if self.done:
+            raise ValueError(f"run has reached its end: t = {state.t:.17g}, "
+                             f"t_end = {cfg.t_end:.17g}")
         dt = cfg.t_end - state.t
         if dt >= cfg.dt * (1.0 - 1e-9):
             dt = cfg.dt
@@ -881,7 +890,7 @@ def run_simulation(grid, material, cfg, state, sources=None, observer=None):
     called after each window (the CLI uses it for output).
     """
     run = Run(grid, material, cfg, state, sources)
-    while run.state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+    while not run.done:
         report = run.step()
         if observer is not None:
             observer(run.state, report)

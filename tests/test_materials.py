@@ -172,3 +172,34 @@ def test_blend_derivative_is_zero_without_warning_where_cosh_overflows():
         assert np.array_equal(_blend_d(phi), [0.0, 0.0])
         for name in laws:
             assert np.all(np.isfinite(getattr(m, name)(phi, deriv=1))), name
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_coefficient_pass_equals_every_law_bit_for_bit(swap):
+    """MaterialModel.coefficients makes one blend pass and one blend
+    derivative pass; each field equals its per-law method's value (and
+    each _d field its deriv = 1 value) in every bit, at phi = +-800, where
+    cosh overflows, with no warning, at exact zeros and at ordinary values.
+    swap exchanges the two phase endpoints, so every swing changes sign."""
+    m = make_material(lam_nu_a=0.7, M1=-0.3, tau0=0.02)
+    if swap:
+        m = make_material(lam_a=2.0, lam_b=1.0, mu_a=2.0, mu_b=1.0, lam_nu_a=1.5,
+                          lam_nu_b=1.0, mu_nu_a=1.5, mu_nu_b=1.0, a1=-0.2, tau1=-0.1)
+    rng = np.random.default_rng(31)
+    phi = np.concatenate([[-800.0, 800.0, 0.0, -0.0, 30.0, -30.0],
+                          3.0 * rng.standard_normal(50)])
+    pairs = {"lame": ("lam", "mu"), "lame_visco": ("lam_nu", "mu_nu"), "tau": ("tau",),
+             "biot_alpha": ("alpha",), "biot_modulus": ("modulus",)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = m.coefficients(phi)
+        for law, names in pairs.items():
+            for deriv, suffix in ((0, ""), (1, "_d")):
+                values = getattr(m, law)(phi, deriv=deriv)
+                values = values if len(names) == 2 else (values,)
+                for name, want in zip(names, values):
+                    got = getattr(c, name + suffix)
+                    assert got.tobytes() == want.tobytes(), (law, deriv, name)
+        for law in ("mobility", "permeability"):
+            assert getattr(c, law).tobytes() == getattr(m, law)(phi).tobytes(), law
+    assert np.array_equal(c.lam_d[:2], [0.0, 0.0]) and np.array_equal(c.modulus_d[:2], [0.0, 0.0])

@@ -95,7 +95,7 @@ def test_quasistatic_momentum_balance():
     kx, ky = reference_stiffness_apply(plain, u.ux, u.uy)
     p = pressure(m, phi, theta, divergence(u))
     rx, ry = plain.assemble_rhs(
-        scalar_source=eigenstrain_tensor_source(m, phi) + m.biot_alpha(phi) * p)
+        scalar_source=eigenstrain_tensor_source(m.coefficients(phi)) + m.biot_alpha(phi) * p)
     res = np.concatenate([kx - rx, ky - ry])
     scale = max(1.0, np.max(np.abs(np.concatenate([rx, ry]))))
     assert np.max(np.abs(res)) <= 1e-8 * scale

@@ -467,7 +467,7 @@ def test_accepted_state_is_tight_and_the_iterates_are_not(formulation, monkeypat
     for prev, new in zip(states, states[1:]):
         assert pde_residual(g, m, prev, new, sources)["mechanics"] <= 1e-10
         problem = displacement_problem(g, m, new.phi)
-        scalar = (eigenstrain_tensor_source(m, new.phi)
+        scalar = (eigenstrain_tensor_source(m.coefficients(new.phi))
                   + m.biot_alpha(new.phi) * m.biot_modulus(new.phi) * new.theta)
         b = np.concatenate(problem.assemble_rhs(scalar_source=scalar))
         residual = b - np.concatenate(problem.apply(new.u.ux, new.u.uy))
@@ -489,7 +489,8 @@ def _initial_balance(g, m, phi, theta, sources):
     """The augmented displacement problem at phi and the weak right-hand
     side b of its momentum balance at (phi, theta) and t = 0."""
     problem = displacement_problem(g, m, phi)
-    scalar = eigenstrain_tensor_source(m, phi) + m.biot_alpha(phi) * m.biot_modulus(phi) * theta
+    scalar = (eigenstrain_tensor_source(m.coefficients(phi))
+              + m.biot_alpha(phi) * m.biot_modulus(phi) * theta)
     return problem, np.concatenate(problem.assemble_rhs(
         body=sources.body_at(g, 0.0), scalar_source=scalar, traction=sources.traction))
 
@@ -1134,6 +1135,28 @@ def test_bundle_is_dropped_only_after_bundle_windows():
         assert run.frozen is bundle and run.windows == windows
     run.step()
     assert run.frozen is None and len(iterations) > 1
+
+
+@pytest.mark.parametrize("rho", [0, 1])
+def test_a_run_at_t_end_refuses_another_window(rho):
+    """Run.step on a run that has reached t_end raises ValueError naming t
+    and t_end, and steps no zero-length window; run_simulation stops on
+    the same margin, after the two windows that Run.step made."""
+    g = make_grid(8, tags=MIXED)
+    m = make_material(rho=rho, eps=0.3)
+    rng = np.random.default_rng(19)
+    st = initial_state(g, m, 0.1 * smooth_phi(g, rng), np.zeros(g.n_nodes), SourceSpec())
+    cfg = StepperConfig(dt=1e-3, t_end=2e-3, tol_picard=1e-6)
+    run = Run(g, m, cfg, st)
+    assert [run.step().dt_used for _ in range(2)] == [1e-3, 1e-3]
+    assert run.done
+    with pytest.raises(ValueError, match=r"t = 0\.002\d*, t_end = 0\.002$"):
+        run.step()
+    states, reports = run_trajectory(g, m, cfg, st, SourceSpec())
+    assert len(reports) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(
+        (states[-1].phi, states[-1].theta, states[-1].u.ux, states[-1].u.uy),
+        (run.state.phi, run.state.theta, run.state.u.ux, run.state.u.uy)))
 
 
 @pytest.mark.parametrize("bundle", ["stale", "fresh"])
