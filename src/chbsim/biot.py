@@ -36,11 +36,6 @@ import numpy as np
 from .elliptic import AUGMENTED, PLAIN, EllipticProblem, solve_elasticity
 from .grid import divergence, neumann_laplacian
 
-# The coupled model's strain energy density C(E-T):(E-T) has strain
-# derivative 2 C (E-T); its elasticity operator therefore carries twice
-# the Lame parameters of the bilinear form written with C alone.
-STIFFNESS_SCALE = 2.0
-
 
 @dataclass
 class BiotContext:
@@ -58,12 +53,8 @@ class BiotContext:
         self.phi = np.asarray(self.phi, dtype=float).ravel()
         c = self.material.coefficients(self.phi)
         self.alpha, self.modulus, self.kappa = c.alpha, c.modulus, c.permeability
-        self.plain = EllipticProblem(
-            self.grid, self.material, self.phi, variant=PLAIN,
-            scale=STIFFNESS_SCALE)
-        self.augmented = EllipticProblem(
-            self.grid, self.material, self.phi, variant=AUGMENTED,
-            scale=STIFFNESS_SCALE)
+        self.plain = EllipticProblem(self.grid, self.material, self.phi, variant=PLAIN)
+        self.augmented = EllipticProblem(self.grid, self.material, self.phi, variant=AUGMENTED)
 
     def _solve(self, problem, scalar_source):
         rhs = problem.assemble_rhs(scalar_source=scalar_source)

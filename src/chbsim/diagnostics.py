@@ -224,7 +224,10 @@ def elasticity_mms(ns=(16, 32, 64), lam=1.0, mu=1.0):
     errs = []
     for n in ns:
         g = Grid(n, n)
-        mat = MaterialModel(lam_a=lam, lam_b=lam, mu_a=mu, mu_b=mu)
+        # The problem's stiffness is the model's 2 C; a material at
+        # (lam/2, mu/2) makes it C E = 2 mu E + lam tr(E) I bit for bit,
+        # since halving and doubling a float are exact.
+        mat = MaterialModel(lam_a=lam / 2, lam_b=lam / 2, mu_a=mu / 2, mu_b=mu / 2)
         prob = EllipticProblem(g, mat, np.zeros(g.n_nodes))
         x, y = g.coords()
         s = np.sin(np.pi * x) * np.sin(np.pi * y)

@@ -1,17 +1,19 @@
 """Elliptic solves: sparse direct factorizations, preconditioned CG.
 
 Displacement problems are posed in weak form with the trapezoidal
-quadrature: for the plain variant the bilinear form is
+quadrature.  The stiffness is always the coupled model's: its strain
+energy density C(phi)(E - T):(E - T) has strain derivative 2 C(phi)(E - T),
+so for the plain variant the bilinear form is
 
-    a(v, w) = sum_k w_k  C(phi_k) E(v)_k : E(w)_k.
+    a(v, w) = sum_k w_k  2 C(phi_k) E(v)_k : E(w)_k,
 
-Variants:
+the Lame parameters of C scaled by STIFFNESS_SCALE = 2.  Variants:
 
-  * plain      : C(phi) only
-  * augmented  : C(phi) plus the volumetric term alpha^2 M (div v)(div w)
+  * plain      : 2 C(phi) only
+  * augmented  : 2 C(phi) plus the volumetric term alpha^2 M (div v)(div w)
   * visco      : visco-elastic stiffness C_nu(phi), optionally shifted by
-                 s times the elastic stiffness (for implicit steps of the
-                 Kelvin-Voigt regime)
+                 s times the elastic stiffness 2 C(phi) (for implicit steps
+                 of the Kelvin-Voigt regime)
 
 All variants are symmetric positive definite on the subspace of
 displacements vanishing on the Dirichlet nodes; at least one Dirichlet
@@ -64,6 +66,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import NEUMANN, EDGES, VectorField2, weak_divergence
+
+
+# The coupled model's strain energy density C(E-T):(E-T) has strain
+# derivative 2 C (E-T); its elasticity operator therefore carries twice
+# the Lame parameters of the bilinear form written with C alone.
+STIFFNESS_SCALE = 2.0
 
 
 class SolverFailure(RuntimeError):
@@ -310,12 +318,10 @@ class EllipticProblem:
     """One displacement solve context with frozen coefficient fields.
 
     variant selects the stiffness (see module docstring); shift adds
-    shift * elastic stiffness on top of the visco stiffness.  scale
-    multiplies the Lame parameters of the (elastic) stiffness; the
-    coupled model uses scale = 2 because its strain energy density
-    C(E-T):(E-T) has strain derivative 2 C (E-T).  phi is copied at
-    construction, so the stiffness is assembled and factored at most
-    once per problem.
+    shift * elastic stiffness on top of the visco stiffness.  The elastic
+    stiffness is always the model's, 2 C(phi): the Lame parameters of C
+    times STIFFNESS_SCALE.  phi is copied at construction, so the
+    stiffness is assembled and factored at most once per problem.
 
     reference, when given, is a problem on the same grid with the same
     variant whose LameBlockPreconditioner, built on first need,
@@ -327,7 +333,6 @@ class EllipticProblem:
     material: object
     phi: np.ndarray
     variant: str = PLAIN
-    scale: float = 1.0
     shift: float = 0.0
     reference: "EllipticProblem" = None
 
@@ -364,9 +369,10 @@ class EllipticProblem:
 
     def lame(self):
         """The nodal Lame pair (lam, mu) of this problem's stiffness: the
-        variant's coefficients, scaled and shifted (see stiffness_matrix)."""
+        variant's coefficients, the elastic ones scaled by STIFFNESS_SCALE,
+        and shifted (see stiffness_matrix)."""
         c = self.coefficients
-        lam, mu = self.scale * c.lam, self.scale * c.mu
+        lam, mu = STIFFNESS_SCALE * c.lam, STIFFNESS_SCALE * c.mu
         if self.variant == VISCO:
             return c.lam_nu + self.shift * lam, c.mu_nu + self.shift * mu
         if self.variant == AUGMENTED:

@@ -32,9 +32,8 @@ MaterialModel.coefficients(phi) evaluates every blend law and its
 phi-derivative in one pass, with one tanh and one cosh sweep over phi
 (mobility and permeability on their first read), and returns them as a
 Coefficients, whose methods evaluate W, its derivatives and the pressure
-from them.  The per-law methods (lame(phi, deriv), biot_modulus, ...)
-share each law's expression with it, so their values agree bit for bit;
-a caller that needs several laws at one phase field reads one pass.
+from them.  It is the only reader of the blend laws: a caller that needs
+any of them at a phase field reads one pass.
 """
 
 import functools
@@ -53,13 +52,6 @@ def _blend_d(phi):
         return 0.5 / np.cosh(phi) ** 2
 
 
-def _blend_law(base, swing, s, deriv):
-    """A law linear in the blend: base + swing * s(phi) from s = s(phi)
-    (deriv = 0), or its phi-derivative swing * s'(phi) from s = s'(phi)
-    (deriv = 1)."""
-    return base + swing * s if deriv == 0 else swing * s
-
-
 class Coefficients:
     """The coefficient fields of one phase field phi, as attributes
     (MaterialModel.coefficients): each blend law's field (lam, mu, lam_nu,
@@ -75,8 +67,8 @@ class Coefficients:
         self.phi = np.asarray(phi, dtype=float)
         s, s_d = _blend(self.phi), _blend_d(self.phi)
         for name, (base, swing) in material._blend_laws().items():
-            setattr(self, name, _blend_law(base, swing, s, 0))
-            setattr(self, name + "_d", _blend_law(base, swing, s_d, 1))
+            setattr(self, name, base + swing * s)
+            setattr(self, name + "_d", swing * s_d)
 
     @functools.cached_property
     def mobility(self):
@@ -187,15 +179,6 @@ class MaterialModel:
             return 2.0 * self.k1 * phi
         raise ValueError("deriv must be 0 or 1")
 
-    def biot_modulus(self, phi, deriv=0):
-        return self._blended(("modulus",), phi, deriv)[0]
-
-    def biot_alpha(self, phi, deriv=0):
-        return self._blended(("alpha",), phi, deriv)[0]
-
-    def tau(self, phi, deriv=0):
-        return self._blended(("tau",), phi, deriv)[0]
-
     # --- double well ------------------------------------------------------
 
     def psi(self, phi):
@@ -212,28 +195,10 @@ class MaterialModel:
 
     # --- Lame interpolations ---------------------------------------------
 
-    def lame(self, phi, deriv=0):
-        """Elastic Lame parameters (lam, mu) at phase phi."""
-        return self._blended(("lam", "mu"), phi, deriv)
-
-    def lame_visco(self, phi, deriv=0):
-        return self._blended(("lam_nu", "mu_nu"), phi, deriv)
-
     def lame_bounds(self):
         """(lam_min, lam_max, mu_min, mu_max) over all real phi."""
         return (min(self.lam_a, self.lam_b), max(self.lam_a, self.lam_b),
                 min(self.mu_a, self.mu_b), max(self.mu_a, self.mu_b))
-
-    # --- elastic energy density ------------------------------------------
-
-    def elastic_density_W(self, phi, exx, eyy, exy):
-        """W(phi, E) = C(phi)(E - T) : (E - T), componentwise over arrays."""
-        return self.coefficients(phi).elastic_density_W(exx, eyy, exy)
-
-    def elastic_density_derivatives(self, phi, exx, eyy, exy):
-        """Return (W_E components (xx, yy, xy), W_phi) (see
-        Coefficients.elastic_density_derivatives)."""
-        return self.coefficients(phi).elastic_density_derivatives(exx, eyy, exy)
 
     # --- one pass over a phase field --------------------------------------
 
@@ -248,20 +213,10 @@ class MaterialModel:
                 "alpha": (self.a0, self.a1),
                 "modulus": (self.M0, self.M1)}
 
-    def _blended(self, names, phi, order):
-        """The blend-law coefficients `names` at phase phi (order 0), or
-        their phi-derivatives (order 1), as a tuple."""
-        phi = np.asarray(phi, dtype=float)
-        if order not in (0, 1):
-            raise ValueError("deriv must be 0 or 1")
-        s = _blend(phi) if order == 0 else _blend_d(phi)
-        laws = self._blend_laws()
-        return tuple(_blend_law(*laws[name], s, order) for name in names)
-
     def coefficients(self, phi):
         """The Coefficients of phase phi: every phase-dependent coefficient
         and the phi-derivative of each blend law, from one _blend and one
-        _blend_d sweep, bit for bit the per-law methods' values."""
+        _blend_d sweep."""
         return Coefficients(self, phi)
 
     def growth_constant(self):

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biot import STIFFNESS_SCALE
-from .elliptic import AUGMENTED, VISCO, EllipticProblem, solve_elasticity, weak_rhs
+from .elliptic import (AUGMENTED, STIFFNESS_SCALE, VISCO, EllipticProblem, solve_elasticity,
+                       weak_rhs)
 from .grid import (SymTensorField, VectorField2, neumann_laplacian, symmetric_gradient,
                    weak_divergence)
 
@@ -218,11 +218,10 @@ def displacement_problem(grid, material, phi, reference=None):
     augmented problem at phi0, the solve is CG preconditioned by that
     problem's block fast-diagonalization, and nothing is factored.
     """
-    return EllipticProblem(grid, material, phi, variant=AUGMENTED, scale=STIFFNESS_SCALE,
-                           reference=reference)
+    return EllipticProblem(grid, material, phi, variant=AUGMENTED, reference=reference)
 
 
-def reconstruct_displacement(problem, material, theta, sources, t, start=None, forcing=0.0):
+def reconstruct_displacement(problem, theta, sources, t, start=None, forcing=0.0):
     """Solve the quasi-static displacement for given phase and content.
 
     u = Ctilde(phi)^{-1}( -div(C T + alpha M theta I) + f, g ).
@@ -286,13 +285,11 @@ class ViscoOperators:
 
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=float).ravel()
-        self.visco0 = EllipticProblem(
-            self.grid, self.material, self.phi0, variant=VISCO,
-            scale=STIFFNESS_SCALE)
+        self.visco0 = EllipticProblem(self.grid, self.material, self.phi0, variant=VISCO)
 
     def apply_a0(self, u):
         """A0 u = Knu(phi0)^{-1} K(phi0) u (Knu(phi0) factored on first use)."""
-        elastic0 = EllipticProblem(self.grid, self.material, self.phi0, scale=STIFFNESS_SCALE)
+        elastic0 = EllipticProblem(self.grid, self.material, self.phi0)
         return solve_elasticity(self.visco0, elastic0.apply(u.ux, u.uy))[0]
 
 

@@ -117,9 +117,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .biot import STIFFNESS_SCALE, BiotContext
-from .elliptic import (PLAIN, REFERENCE_CG_MAXITER, REFERENCE_CG_TOL, VISCO, DirectSolver,
-                       EllipticProblem, SolverFailure, conjugate_gradient, solve_elasticity)
+from .biot import BiotContext
+from .elliptic import (PLAIN, REFERENCE_CG_MAXITER, REFERENCE_CG_TOL, STIFFNESS_SCALE, VISCO,
+                       DirectSolver, EllipticProblem, SolverFailure, conjugate_gradient,
+                       solve_elasticity)
 from .grid import VectorField2, divergence, flux_stiffness_matrix
 from .rhs import (SimState, SourceSpec, displacement_problem, eigenstrain_tensor_source,
                   pressure, reconstruct_displacement, rhs_elastic, rhs_visco)
@@ -321,7 +322,9 @@ class ContentSchur:
 @dataclass
 class _FrozenPhase:
     """Frozen data shared by both regimes, with the phase solver and the
-    bundle's one solver cache, keyed by (role, dt)."""
+    bundle's one solver cache, keyed by (role, dt).  A bundle reads its
+    frozen coefficient fields from one Coefficients pass at phi0 (_freeze),
+    which it does not keep."""
 
     grid: object
     material: object
@@ -330,9 +333,13 @@ class _FrozenPhase:
     def __post_init__(self):
         self.phi0 = np.asarray(self.phi0, dtype=float).ravel()
         self.b_one = flux_stiffness_matrix(self.grid, 1.0)
-        self.m0 = self.material.mobility(self.phi0)
         self.w = self.grid.quad_weights()
         self._solvers = {}
+        self._freeze(self.material.coefficients(self.phi0))
+
+    def _freeze(self, c):
+        """Read the frozen fields from the Coefficients c at phi0: m(phi0)."""
+        self.m0 = c.mobility
 
     def _cached(self, role, dt, build):
         """The bundle's solver for (role, dt); build() makes it on first use.
@@ -362,12 +369,13 @@ class FrozenElastic(_FrozenPhase):
     nodes, with the drained bulk modulus K_dr of the fixed-stress P.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _freeze(self, c):
+        """m(phi0) and the drained bulk modulus K_dr from c; the Biot fields
+        from the bundle's BiotContext."""
+        super()._freeze(c)
         self.ctx0 = BiotContext(self.grid, self.material, self.phi0)
         self.b_kappa = flux_stiffness_matrix(self.grid, self.ctx0.kappa)
-        lam, mu = self.material.lame(self.phi0)
-        self.k_drained = STIFFNESS_SCALE * (lam + mu)
+        self.k_drained = STIFFNESS_SCALE * (c.lam + c.mu)
         self.coupling = float(np.max(self.ctx0.alpha**2 * self.ctx0.modulus / self.k_drained))
 
     def content_solver(self, dt):
@@ -413,10 +421,10 @@ class FrozenVisco(_FrozenPhase):
     """Window-frozen operators for the Kelvin-Voigt regime: B_{kappa M}(phi0)
     and, per dt, the content solver and the shifted visco problem."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        m, phi0 = self.material, self.phi0
-        self.b_km = flux_stiffness_matrix(self.grid, m.permeability(phi0) * m.biot_modulus(phi0))
+    def _freeze(self, c):
+        """m(phi0) and kappa M(phi0) from c."""
+        super()._freeze(c)
+        self.b_km = flux_stiffness_matrix(self.grid, c.permeability * c.modulus)
 
     def content_solver(self, dt):
         """DirectSolver of W + dt B_{kappa M}(phi0), cached per dt: SPD, as
@@ -427,8 +435,7 @@ class FrozenVisco(_FrozenPhase):
     def shifted_problem(self, dt):
         """Shifted visco problem K_nu + dt K at phi0, cached per dt."""
         return self._cached("shifted", dt, lambda: EllipticProblem(
-            self.grid, self.material, self.phi0, variant=VISCO,
-            scale=STIFFNESS_SCALE, shift=dt))
+            self.grid, self.material, self.phi0, variant=VISCO, shift=dt))
 
 
 # --- linear substeps ------------------------------------------------------
@@ -546,7 +553,7 @@ def _theta_iterates(frozen, state, sources, dt, start):
         (phi_k, theta_k), accepted = yield (phi_k, theta_k), (d_phi, d_theta)
         problem = displacement_problem(grid, material, phi_k,
                                        reference=frozen.ctx0.augmented)
-        u_k, _ = reconstruct_displacement(problem, material, theta_k, sources, t_new, u_k,
+        u_k, _ = reconstruct_displacement(problem, theta_k, sources, t_new, u_k,
                                           0.0 if accepted else iterate_forcing)
         yield SimState(grid, phi_k, theta_k, u_k, t_new)
 
@@ -574,8 +581,7 @@ def _pressure_iterates(frozen, state, sources, dt, start):
 
     def solve_u(phi, p, u0, forcing):
         """(u, theta) at (phi, p), both from one coefficient pass."""
-        prob = EllipticProblem(grid, material, phi, variant=PLAIN, scale=STIFFNESS_SCALE,
-                               reference=frozen.ctx0.plain)
+        prob = EllipticProblem(grid, material, phi, variant=PLAIN, reference=frozen.ctx0.plain)
         c = prob.coefficients
         scalar = eigenstrain_tensor_source(c) + c.alpha * p
         rhs = prob.assemble_rhs(body=sources.body_at(grid, t_new), scalar_source=scalar,
@@ -807,10 +813,9 @@ def initial_state(grid, material, phi, theta, sources=None):
     sources = SourceSpec() if sources is None else sources
     problem = displacement_problem(grid, material, phi)
     try:
-        u, _ = reconstruct_displacement(replace(problem, reference=problem), material, theta,
-                                        sources, 0.0)
+        u, _ = reconstruct_displacement(replace(problem, reference=problem), theta, sources, 0.0)
     except SolverFailure:
-        u, _ = reconstruct_displacement(problem, material, theta, sources, 0.0)
+        u, _ = reconstruct_displacement(problem, theta, sources, 0.0)
     return SimState(grid, phi, theta, u, 0.0)
 
 

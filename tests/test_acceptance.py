@@ -18,7 +18,7 @@ from chbsim.materials import MaterialModel
 from chbsim.oracle import fluid_operator_spectrum, verify_operator_identities
 from chbsim.rhs import SourceSpec
 from chbsim.stepper import PRESSURE_FORM, Run, StepperConfig, initial_state, picard_window
-from conftest import (FULL_DIRICHLET, MIXED, decoupled_material,
+from conftest import (FULL_DIRICHLET, MIXED, coefficient_law, decoupled_material,
                       dense_reference_stiffness, make_grid, make_material, run_trajectory,
                       smooth_phi)
 
@@ -298,15 +298,15 @@ def test_criterion_11_derivative_correctness():
     pairs = [
         (lambda p: m.mobility(p), lambda p: m.mobility(p, 1)),
         (lambda p: m.permeability(p), lambda p: m.permeability(p, 1)),
-        (lambda p: m.biot_modulus(p), lambda p: m.biot_modulus(p, 1)),
-        (lambda p: m.biot_alpha(p), lambda p: m.biot_alpha(p, 1)),
-        (lambda p: m.tau(p), lambda p: m.tau(p, 1)),
+        coefficient_law(m, "modulus"),
+        coefficient_law(m, "alpha"),
+        coefficient_law(m, "tau"),
         (lambda p: m.psi(p), lambda p: m.psi_d(p)),
         (lambda p: m.psi_d(p), lambda p: m.psi_dd(p)),
-        (lambda p: m.lame(p)[0], lambda p: m.lame(p, 1)[0]),
-        (lambda p: m.lame(p)[1], lambda p: m.lame(p, 1)[1]),
-        (lambda p: m.lame_visco(p)[0], lambda p: m.lame_visco(p, 1)[0]),
-        (lambda p: m.lame_visco(p)[1], lambda p: m.lame_visco(p, 1)[1]),
+        coefficient_law(m, "lam"),
+        coefficient_law(m, "mu"),
+        coefficient_law(m, "lam_nu"),
+        coefficient_law(m, "mu_nu"),
     ]
     for fn, dfn in pairs:
         ref = (fn(pts + d) - fn(pts - d)) / (2 * d)
@@ -315,15 +315,16 @@ def test_criterion_11_derivative_correctness():
     for _ in range(30):
         phi = rng.uniform(-1.5, 1.5)
         exx, eyy, exy = rng.uniform(-3, 3, 3)
-        w_exx, w_eyy, w_exy, w_phi = m.elastic_density_derivatives(
-            phi, exx, eyy, exy)
+        w_exx, w_eyy, w_exy, w_phi = m.coefficients(phi).elastic_density_derivatives(
+            exx, eyy, exy)
         grads = [w_phi, w_exx, w_eyy, 2.0 * w_exy]
         args = np.array([phi, exx, eyy, exy])
         for i in range(4):
             hi, lo = args.copy(), args.copy()
             hi[i] += d
             lo[i] -= d
-            fd = (m.elastic_density_W(*hi) - m.elastic_density_W(*lo)) / (2 * d)
+            fd = (m.coefficients(hi[0]).elastic_density_W(*hi[1:])
+                  - m.coefficients(lo[0]).elastic_density_W(*lo[1:])) / (2 * d)
             rel = abs(grads[i] - fd) / max(abs(fd), 1.0)
             worst = max(worst, rel)
     ok = worst <= 1e-6

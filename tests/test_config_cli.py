@@ -57,6 +57,20 @@ def test_out_of_range_stepper_setting_names_its_field(setting):
         parse_config(f"stepper.{setting}")
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("stepper.dt = 0", "dt must be positive and t_end nonnegative"),
+    ("stepper.t_end = -1e-3", "dt must be positive and t_end nonnegative"),
+    ("stepper.shrink_factor = 0", r"shrink_factor must lie in \(0, 1\)"),
+    ("stepper.shrink_factor = 1", r"shrink_factor must lie in \(0, 1\)"),
+    ("stepper.formulation = mixed", "unknown formulation 'mixed'"),
+    ("output.stride = 0", "output.stride must be >= 1")])
+def test_invalid_setting_arrives_as_a_config_error(setting, message):
+    """The rejections of StepperConfig and RunConfig.validate reach the
+    caller of parse_config as a ConfigError with their message."""
+    with pytest.raises(ConfigError, match=message):
+        parse_config(setting)
+
+
 @pytest.mark.parametrize("setting", [
     "stepper.t_end = nan", "stepper.dt = nan", "stepper.t_end = inf",
     "grid.lx = nan", "eps = nan", "m0 = nan"])
@@ -160,6 +174,33 @@ def test_cli_run_outputs(tmp_path):
     assert "DATASET STRUCTURED_POINTS" in head
     assert any(l.startswith("SCALARS phi") for l in head)
     assert any(l.startswith("SCALARS u_mag") for l in head)
+
+
+# A source preset with its overrides, and the check on the last row of
+# diagnostics.csv that it loads its field: a phase source raises mass_phi
+# (1.256e-4 in both regimes), and a body force alone loads the mechanics
+# (E_elastic 2.880e-3 at rho = 0, 4.738e-8 at rho = 1).
+SOURCE_PRESET_RUNS = {
+    "phase_gaussian": (["source.amplitude=1"], lambda row: row["mass_phi"] > 1e-5),
+    "body_constant": (["source.fx=0.3", "source.fy=-0.2"], lambda row: row["E_elastic"] != 0.0),
+}
+
+
+@pytest.mark.parametrize("rho", [0, 1])
+@pytest.mark.parametrize("preset", sorted(SOURCE_PRESET_RUNS))
+def test_cli_source_preset_loads_its_field(tmp_path, preset, rho):
+    """Two 8x8 windows with a phase or body source write the header, the
+    initial row and one row per window, and the last row shows the load."""
+    overrides, loaded = SOURCE_PRESET_RUNS[preset]
+    args = ["--config", _write(tmp_path, ""), "--out", str(tmp_path / "out")]
+    for override in ["grid.nx=8", "grid.ny=8", "stepper.t_end=0.002", f"rho={rho}",
+                     f"source.preset={preset}"] + overrides:
+        args += ["--override", override]
+    assert main(args) == 0
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 4
+    row = dict(zip(lines[0].split(","), map(float, lines[-1].split(","))))
+    assert loaded(row), row
 
 
 def test_cli_zero_window_run(tmp_path):

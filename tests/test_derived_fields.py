@@ -1,11 +1,12 @@
 """The derived-field kernel of chbsim.rhs against an oracle that composes
 the fields law by law.
 
-The oracle below writes out, expression by expression, the per-law
-material methods, the strain, the divergence, the zero-flux Laplacian and
-the weak right-hand side assembly, and composes the chemical potential,
-the stress, both right-hand sides and the energies from them, each
-derived field computed wherever it is needed.  The kernel computes each
+The oracle below takes the material laws that conftest writes out, one
+call per coefficient, writes out, expression by expression, the strain,
+the divergence, the zero-flux Laplacian and the weak right-hand side
+assembly, and composes the chemical potential, the stress, both
+right-hand sides and the energies from them, each derived field computed
+wherever it is needed.  The kernel computes each
 once per state; it must give the same bits.
 """
 
@@ -17,90 +18,11 @@ from chbsim.grid import (DIRICHLET, EDGES, NEUMANN, SymTensorField, VectorField2
                          laplacian_stiffness_form)
 from chbsim.rhs import (SimState, SourceSpec, chemical_potential, rhs_elastic, rhs_visco,
                         stress)
-from conftest import FULL_DIRICHLET, MIXED, grids, make_material
+from conftest import (FULL_DIRICHLET, MIXED, biot_alpha, biot_modulus,
+                      elastic_density_derivatives, elastic_density_W, grids, lame_visco,
+                      make_material, mobility, permeability, psi, psi_d)
 
 ONE_CLAMPED_EDGE = {"left": DIRICHLET, "right": NEUMANN, "bottom": NEUMANN, "top": NEUMANN}
-
-
-# --- oracle: the laws, one call per coefficient -----------------------------
-
-
-def _blend(phi):
-    return 0.5 * (1.0 + np.tanh(phi))
-
-
-def _blend_d(phi):
-    with np.errstate(over="ignore"):
-        return 0.5 / np.cosh(phi) ** 2
-
-
-def mobility(m, phi):
-    return m.m0 + m.m1 * phi**2
-
-
-def permeability(m, phi):
-    return m.k0 + m.k1 * phi**2
-
-
-def biot_modulus(m, phi, deriv=0):
-    return m.M0 + m.M1 * _blend(phi) if deriv == 0 else m.M1 * _blend_d(phi)
-
-
-def biot_alpha(m, phi, deriv=0):
-    return m.a0 + m.a1 * _blend(phi) if deriv == 0 else m.a1 * _blend_d(phi)
-
-
-def tau(m, phi, deriv=0):
-    return m.tau0 + m.tau1 * _blend(phi) if deriv == 0 else m.tau1 * _blend_d(phi)
-
-
-def lame(m, phi, deriv=0):
-    if deriv == 0:
-        s = _blend(phi)
-        return m.lam_a + (m.lam_b - m.lam_a) * s, m.mu_a + (m.mu_b - m.mu_a) * s
-    sd = _blend_d(phi)
-    return (m.lam_b - m.lam_a) * sd, (m.mu_b - m.mu_a) * sd
-
-
-def lame_visco(m, phi, deriv=0):
-    if deriv == 0:
-        s = _blend(phi)
-        return (m.lam_nu_a + (m.lam_nu_b - m.lam_nu_a) * s,
-                m.mu_nu_a + (m.mu_nu_b - m.mu_nu_a) * s)
-    sd = _blend_d(phi)
-    return (m.lam_nu_b - m.lam_nu_a) * sd, (m.mu_nu_b - m.mu_nu_a) * sd
-
-
-def psi(m, phi):
-    return m.psi_scale * (1.0 - phi**2) ** 2
-
-
-def psi_d(m, phi):
-    return -4.0 * m.psi_scale * phi * (1.0 - phi**2)
-
-
-def elastic_density_W(m, phi, exx, eyy, exy):
-    lam, mu = lame(m, phi)
-    t = tau(m, phi)
-    dxx, dyy = exx - t, eyy - t
-    tr = dxx + dyy
-    norm2 = dxx**2 + dyy**2 + 2.0 * exy**2
-    return 2.0 * mu * norm2 + lam * tr**2
-
-
-def elastic_density_derivatives(m, phi, exx, eyy, exy):
-    lam, mu = lame(m, phi)
-    lam_d, mu_d = lame(m, phi, deriv=1)
-    t = tau(m, phi)
-    t_d = tau(m, phi, deriv=1)
-    dxx, dyy = exx - t, eyy - t
-    tr = dxx + dyy
-    norm2 = dxx**2 + dyy**2 + 2.0 * exy**2
-    w_exx = 2.0 * (2.0 * mu * dxx + lam * tr)
-    w_eyy = 2.0 * (2.0 * mu * dyy + lam * tr)
-    w_exy = 2.0 * (2.0 * mu * exy)
-    w_phi = 2.0 * mu_d * norm2 + lam_d * tr**2 - 2.0 * t_d * (2.0 * mu + 2.0 * lam) * tr
-    return w_exx, w_eyy, w_exy, w_phi
 
 
 # --- oracle: the grid operators ----------------------------------------------

@@ -7,7 +7,8 @@ from chbsim.diagnostics import (DiagnosticsRow, convergence_study,
 from chbsim.grid import VectorField2
 from chbsim.rhs import SimState, SourceSpec
 from chbsim.stepper import StepperConfig, initial_state, run_simulation
-from conftest import MIXED, make_grid, make_material, smooth_phi
+from conftest import (MIXED, biot_alpha, biot_modulus, elastic_density_W, make_grid,
+                      make_material, smooth_phi)
 
 
 def test_csv_schema():
@@ -65,9 +66,9 @@ def test_energy_matches_independent_quadrature():
     gy = np.gradient(p2, g.hy, axis=0, edge_order=2).ravel()
     ref_int = np.dot(w, 0.5 * m.eps * (gx**2 + gy**2) + m.psi(phi) / m.eps)
     strain = symmetric_gradient(u)
-    ref_el = np.dot(w, m.elastic_density_W(phi, strain.xx, strain.yy, strain.xy))
-    zeta = theta - m.biot_alpha(phi) * strain.trace()
-    ref_fl = np.dot(w, 0.5 * m.biot_modulus(phi) * zeta**2)
+    ref_el = np.dot(w, elastic_density_W(m, phi, strain.xx, strain.yy, strain.xy))
+    zeta = theta - biot_alpha(m, phi) * strain.trace()
+    ref_fl = np.dot(w, 0.5 * biot_modulus(m, phi) * zeta**2)
     assert e_el == pytest.approx(ref_el, rel=1e-10)
     assert e_fl == pytest.approx(ref_fl, rel=1e-10)
     # gradient stencils differ between the two readings, so the interface

@@ -247,7 +247,7 @@ def test_assembled_stiffness_matches_matrix_free_apply(variant, shift, tags):
     g = make_grid(7, 9, tags=tags)
     m = make_material(rho=1)
     phi = smooth_phi(g, np.random.default_rng(12))
-    prob = EllipticProblem(g, m, phi, variant=variant, scale=2.0, shift=shift)
+    prob = EllipticProblem(g, m, phi, variant=variant, shift=shift)
     free = np.tile(~g.dirichlet_mask(), 2)
     want = dense_reference_stiffness(prob)[np.ix_(free, free)]
     got = prob.stiffness_matrix().toarray()
@@ -284,7 +284,7 @@ def test_cached_gram_stiffness_matches_the_gram_product(nx, ny, lx, ly, tags, va
     m = make_material(rho=1)
     rng = np.random.default_rng(seed)
     phi = np.full(g.n_nodes, rng.uniform(-1, 1)) if uniform else smooth_phi(g, rng)
-    prob = EllipticProblem(g, m, phi, variant=variant[0], scale=2.0, shift=variant[1])
+    prob = EllipticProblem(g, m, phi, variant=variant[0], shift=variant[1])
     got = prob.stiffness_matrix()
     want = reference_gram_stiffness(prob)
     assert got.shape == want.shape
@@ -331,12 +331,12 @@ def test_reference_preconditioned_solve_matches_direct_solve(nx, ny, variant, mi
     rng = np.random.default_rng(seed)
     phi0 = smooth_phi(g, rng)
     phi = phi0 + smooth_phi(g, rng, amp=delta)
-    reference = EllipticProblem(g, m, phi0, variant=variant, scale=2.0)
-    prob = EllipticProblem(g, m, phi, variant=variant, scale=2.0, reference=reference)
+    reference = EllipticProblem(g, m, phi0, variant=variant)
+    prob = EllipticProblem(g, m, phi, variant=variant, reference=reference)
     b = np.zeros(2 * g.n_nodes)
     b[g.free_dofs] = rng.standard_normal(g.free_dofs.size)
     x, report = prob.solve(b)
-    want, _ = EllipticProblem(g, m, phi, variant=variant, scale=2.0).solve(b)
+    want, _ = EllipticProblem(g, m, phi, variant=variant).solve(b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     assert report.iterations <= 30
     assert prob._solver is None and reference._solver is None
@@ -390,7 +390,7 @@ def test_block_gauss_seidel_preconditioner_is_spd(variant, tags):
     blocks D and the problem's own off-diagonal block L."""
     g = make_grid(7, 6, tags=tags, lx=1.2)
     prob = EllipticProblem(g, make_material(rho=1), smooth_phi(g, np.random.default_rng(4)),
-                           variant=variant, scale=2.0, shift=0.3)
+                           variant=variant, shift=0.3)
     precondition = prob.preconditioner()
     inverse = np.column_stack([precondition(e) for e in np.eye(g.free_dofs.size)])
     assert np.max(np.abs(inverse - inverse.T)) <= 1e-12 * np.max(np.abs(inverse))
@@ -427,8 +427,8 @@ def _interface_factor(name, dt=1e-3):
         "phase": lambda: elastic.phase_solver(dt),
         "fixed-stress": lambda: elastic.content_solver(dt),
         "visco-content": lambda: visco.content_solver(dt),
-        "plain": lambda: EllipticProblem(g, m, phi, PLAIN, scale=2.0).factor(),
-        "augmented": lambda: EllipticProblem(g, m, phi, AUGMENTED, scale=2.0).factor(),
+        "plain": lambda: EllipticProblem(g, m, phi, PLAIN).factor(),
+        "augmented": lambda: EllipticProblem(g, m, phi, AUGMENTED).factor(),
         "shifted": lambda: visco.shifted_problem(dt).factor(),
     }[name]()
 
@@ -464,7 +464,7 @@ def test_node_major_factor_solves_match_the_dense_solve(tags, nx, ny, lx, ly):
     rng = np.random.default_rng(nx * ny)
     phi = smooth_phi(g, rng)
     for variant, shift in ((PLAIN, 0.0), (AUGMENTED, 0.0), (VISCO, 0.3)):
-        prob = EllipticProblem(g, m, phi, variant=variant, scale=2.0, shift=shift)
+        prob = EllipticProblem(g, m, phi, variant=variant, shift=shift)
         b = rng.standard_normal(2 * half)
         want = np.linalg.solve(prob.stiffness_matrix().toarray(), b)
         x, report = prob.factor().solve(b)
@@ -487,8 +487,8 @@ def test_preconditioned_iteration_count_does_not_grow_with_the_grid():
         g = make_grid(n, tags=MIXED)
         x, y = g.coords()
         phi = np.tanh((np.hypot(x - 0.5, y - 0.5) - 0.25) / 0.05)
-        reference = EllipticProblem(g, m, phi, variant=AUGMENTED, scale=2.0)
-        prob = EllipticProblem(g, m, phi, variant=AUGMENTED, scale=2.0, reference=reference)
+        reference = EllipticProblem(g, m, phi, variant=AUGMENTED)
+        prob = EllipticProblem(g, m, phi, variant=AUGMENTED, reference=reference)
         b = np.zeros(2 * g.n_nodes)
         b[g.free_dofs] = np.random.default_rng(n).standard_normal(g.free_dofs.size)
         counts.append(prob.solve(b)[1].iterations)

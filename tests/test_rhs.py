@@ -5,8 +5,8 @@ from chbsim.rhs import (SourceSpec,
                         chemical_potential, displacement_problem, pressure,
                         reconstruct_displacement, rhs_elastic, rhs_visco,
                         stress)
-from conftest import (FULL_DIRICHLET, MIXED, make_grid, make_material,
-                      reference_stiffness_apply, smooth_phi)
+from conftest import (FULL_DIRICHLET, MIXED, biot_alpha, biot_modulus, make_grid,
+                      make_material, reference_stiffness_apply, smooth_phi)
 
 
 def test_pressure_values():
@@ -17,7 +17,7 @@ def test_pressure_values():
     m0 = make_material(a0=0.0, a1=0.0)
     theta = np.array([1.0, -2.0, 0.5, 0.0])
     assert np.allclose(pressure(m0, phi, theta, np.ones(4)),
-                       m0.biot_modulus(phi) * theta)
+                       biot_modulus(m0, phi) * theta)
     # theta exactly alpha div u: zero pressure
     div_u = np.array([2.0, 4.0, -1.0, 0.0])
     assert np.allclose(pressure(m, phi, 1.0 * div_u, div_u), 0.0)
@@ -82,7 +82,6 @@ def test_quasistatic_momentum_balance():
     """Reconstructed displacement solves the plain momentum balance with
     the pressure (not the augmentation) on the right-hand side."""
     from chbsim.elliptic import EllipticProblem
-    from chbsim.biot import STIFFNESS_SCALE
     from chbsim.rhs import eigenstrain_tensor_source
     g = make_grid(12, tags=MIXED)
     m = make_material()
@@ -90,12 +89,12 @@ def test_quasistatic_momentum_balance():
     phi = smooth_phi(g, rng)
     theta = 0.3 * smooth_phi(g, rng)
     prob = displacement_problem(g, m, phi)
-    u, _ = reconstruct_displacement(prob, m, theta, SourceSpec(), 0.0)
-    plain = EllipticProblem(g, m, phi, scale=STIFFNESS_SCALE)
+    u, _ = reconstruct_displacement(prob, theta, SourceSpec(), 0.0)
+    plain = EllipticProblem(g, m, phi)
     kx, ky = reference_stiffness_apply(plain, u.ux, u.uy)
     p = pressure(m, phi, theta, divergence(u))
     rx, ry = plain.assemble_rhs(
-        scalar_source=eigenstrain_tensor_source(m.coefficients(phi)) + m.biot_alpha(phi) * p)
+        scalar_source=eigenstrain_tensor_source(m.coefficients(phi)) + biot_alpha(m, phi) * p)
     res = np.concatenate([kx - rx, ky - ry])
     scale = max(1.0, np.max(np.abs(np.concatenate([rx, ry]))))
     assert np.max(np.abs(res)) <= 1e-8 * scale
@@ -111,7 +110,7 @@ def test_rhs_elastic_vanishes_at_uniform_equilibrium():
     phi = np.ones(g.n_nodes)           # pure phase: psi'(1) = 0
     theta = np.full(g.n_nodes, 0.7)
     prob = displacement_problem(g, m, phi)
-    u, _ = reconstruct_displacement(prob, m, theta, SourceSpec(), 0.0)
+    u, _ = reconstruct_displacement(prob, theta, SourceSpec(), 0.0)
     f_phi, f_theta = rhs_elastic(g, m, phi, theta, u, SourceSpec(), 0.0)
     assert np.max(np.abs(f_phi)) <= 1e-9
     assert np.max(np.abs(f_theta)) <= 1e-9
@@ -143,7 +142,7 @@ def test_rhs_lipschitz_sampled():
     w = g.quad_weights()
 
     def fval(phi, theta):
-        u, _ = reconstruct_displacement(prob, m, theta, SourceSpec(), 0.0)
+        u, _ = reconstruct_displacement(prob, theta, SourceSpec(), 0.0)
         f_phi, f_theta = rhs_elastic(g, m, phi, theta, u, SourceSpec(), 0.0)
         return np.concatenate([f_phi, f_theta])
 
