@@ -41,8 +41,8 @@ from .grid import divergence, neumann_laplacian
 class BiotContext:
     """Frozen-phase context bundling the two displacement problems.
 
-    The operators below factor a problem on first use.  The time stepper
-    factors only the plain one (ContentSchur); the augmented is a CG reference.
+    The operators below factor a problem on first use.  The oracle reads
+    them; the time stepper's FrozenElastic builds its own pair.
     """
 
     grid: object

@@ -12,6 +12,7 @@ bound to decide (``TIE_MARGIN``).  A snapshot appears whole or not at all.
 """
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -176,13 +177,10 @@ def run_from_config(cfg, out_dir):
 def run_oracle(cfg):
     """Small-grid operator identity report; returns 0 iff all checks pass."""
     from .biot import BiotContext
-    from .grid import Grid
     from .oracle import verify_operator_identities, fluid_operator_spectrum
 
     material = cfg.material()
-    grid_small = Grid(8, 8, cfg["grid.lx"], cfg["grid.ly"],
-                      {e: cfg[f"grid.{e}"]
-                       for e in ("left", "right", "bottom", "top")})
+    grid_small = dataclasses.replace(cfg.grid(), nx=8, ny=8)
     rng = np.random.default_rng(cfg["init.seed"])
     phi = np.tanh(rng.standard_normal(grid_small.n_nodes))
     ctx = BiotContext(grid_small, material, phi)

@@ -5,19 +5,21 @@ are dot-separated lowercase identifiers.  Every key has a default, so an
 empty file is a valid configuration; unknown keys are rejected to catch
 typos.  ``serialize`` emits the resolved configuration in a canonical
 order so that parse -> serialize -> parse is bit-identical.
+
+The undotted material keys are MaterialModel's fields and the
+``stepper.*`` keys StepperConfig's, read off the dataclasses with their
+types and defaults, except that M0, M1 are spelled ``modulus0``,
+``modulus1`` and that ``eps`` and ``a0`` default to 0.25 and 0.5.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import Grid, DIRICHLET, NEUMANN
 from .materials import MaterialModel
 from .rhs import SourceSpec
-from .stepper import StepperConfig, THETA_FORM
-
-INIT_PRESETS = ("constant", "interface", "spinodal-noise")
-SOURCE_PRESETS = ("zero", "fluid_gaussian", "phase_gaussian", "body_constant")
+from .stepper import StepperConfig
 
 # key -> (type tag, default).  Type tags: int, float, str.
 _SCHEMA = {
@@ -29,38 +31,6 @@ _SCHEMA = {
     "grid.right": ("str", NEUMANN),
     "grid.bottom": ("str", DIRICHLET),
     "grid.top": ("str", NEUMANN),
-    "eps": ("float", 0.25),
-    "rho": ("int", 0),
-    "m0": ("float", 1.0),
-    "m1": ("float", 0.0),
-    "k0": ("float", 1.0),
-    "k1": ("float", 0.0),
-    "modulus0": ("float", 1.0),
-    "modulus1": ("float", 0.0),
-    "a0": ("float", 0.5),
-    "a1": ("float", 0.0),
-    "psi_scale": ("float", 1.0),
-    "lam_a": ("float", 1.0),
-    "lam_b": ("float", 1.0),
-    "mu_a": ("float", 1.0),
-    "mu_b": ("float", 1.0),
-    "lam_nu_a": ("float", 1.0),
-    "lam_nu_b": ("float", 1.0),
-    "mu_nu_a": ("float", 1.0),
-    "mu_nu_b": ("float", 1.0),
-    "tau0": ("float", 0.0),
-    "tau1": ("float", 0.0),
-    "stepper.dt": ("float", 1e-3),
-    "stepper.t_end": ("float", 1e-2),
-    "stepper.tol_picard": ("float", 1e-9),
-    "stepper.max_picard": ("int", 40),
-    "stepper.shrink_factor": ("float", 0.5),
-    "stepper.max_shrinks": ("int", 10),
-    # No solve reads tol_lin.  It is kept only because bench/run_bench.py
-    # writes stepper.tol_lin into every config, and parse_config rejects
-    # unknown keys.
-    "stepper.tol_lin": ("float", 1e-10),
-    "stepper.formulation": ("str", THETA_FORM),
     "init.preset": ("str", "interface"),
     "init.phi0": ("float", 0.0),
     "init.theta0": ("float", 0.0),
@@ -77,9 +47,69 @@ _SCHEMA = {
     "output.stride": ("int", 1),
 }
 
-# undotted key -> MaterialModel field; only the Biot modulus is renamed
-_MATERIAL_KEYS = {key: {"modulus0": "M0", "modulus1": "M1"}.get(key, key)
-                  for key in _SCHEMA if "." not in key}
+# MaterialModel field -> its config key, where the two differ
+_MATERIAL_KEY_NAMES = {"M0": "modulus0", "M1": "modulus1"}
+# config key -> its default, where it differs from MaterialModel's
+_MATERIAL_DEFAULTS = {"eps": 0.25, "a0": 0.5}
+
+_MATERIAL_KEYS = {}   # undotted key -> MaterialModel field
+for _f in fields(MaterialModel):
+    _key = _MATERIAL_KEY_NAMES.get(_f.name, _f.name)
+    _MATERIAL_KEYS[_key] = _f.name
+    _SCHEMA[_key] = (_f.type.__name__, _MATERIAL_DEFAULTS.get(_key, _f.default))
+for _f in fields(StepperConfig):
+    _SCHEMA[f"stepper.{_f.name}"] = (_f.type.__name__, _f.default)
+
+
+def _constant_phase(d, grid):
+    return np.full(grid.n_nodes, d["init.phi0"])
+
+
+def _interface_phase(d, grid):
+    """tanh profile across a vertical mid-domain interface."""
+    x, _ = grid.coords()
+    return np.tanh((x - 0.5 * d["grid.lx"]) / (np.sqrt(2.0) * d["eps"]))
+
+
+def _noise_phase(d, grid):
+    rng = np.random.default_rng(d["init.seed"])
+    return d["init.phi0"] + d["init.amplitude"] * rng.standard_normal(grid.n_nodes)
+
+
+def _gaussian(d):
+    amp, x0, y0 = d["source.amplitude"], d["source.x0"], d["source.y0"]
+    width = d["source.width"]
+
+    def gaussian(x, y, t):
+        return amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * width ** 2))
+    return gaussian
+
+
+def _no_source(d):
+    return SourceSpec()
+
+
+def _fluid_gaussian(d):
+    return SourceSpec(s_fluid=_gaussian(d))
+
+
+def _phase_gaussian(d):
+    return SourceSpec(s_phase=_gaussian(d))
+
+
+def _body_constant(d):
+    fx, fy = d["source.fx"], d["source.fy"]
+    return SourceSpec(body=lambda x, y, t: (np.full_like(x, fx), np.full_like(x, fy)))
+
+
+# preset -> builder of the initial phase field, (d, grid) -> phi
+_INITIAL_PHASES = {"constant": _constant_phase, "interface": _interface_phase,
+                   "spinodal-noise": _noise_phase}
+# preset -> builder of the SourceSpec, d -> sources
+_SOURCES = {"zero": _no_source, "fluid_gaussian": _fluid_gaussian,
+            "phase_gaussian": _phase_gaussian, "body_constant": _body_constant}
+INIT_PRESETS = tuple(_INITIAL_PHASES)
+SOURCE_PRESETS = tuple(_SOURCES)
 
 
 class ConfigError(ValueError):
@@ -123,58 +153,21 @@ class RunConfig:
 
     def material(self):
         d = self.as_dict()
-        kwargs = {attr: d[key] for key, attr in _MATERIAL_KEYS.items()}
-        return MaterialModel(**kwargs)
+        return MaterialModel(**{attr: d[key] for key, attr in _MATERIAL_KEYS.items()})
 
     def stepper(self):
         d = self.as_dict()
-        return StepperConfig(
-            dt=d["stepper.dt"], t_end=d["stepper.t_end"],
-            tol_picard=d["stepper.tol_picard"], max_picard=d["stepper.max_picard"],
-            shrink_factor=d["stepper.shrink_factor"], max_shrinks=d["stepper.max_shrinks"],
-            tol_lin=d["stepper.tol_lin"], formulation=d["stepper.formulation"])
+        return StepperConfig(**{f.name: d[f"stepper.{f.name}"] for f in fields(StepperConfig)})
 
     def initial_fields(self, grid):
         """Deterministic initial (phi, theta) from the preset."""
         d = self.as_dict()
-        preset = d["init.preset"]
-        x, y = grid.coords()
-        theta = np.full(grid.n_nodes, d["init.theta0"])
-        if preset == "constant":
-            phi = np.full(grid.n_nodes, d["init.phi0"])
-        elif preset == "interface":
-            # tanh profile across a vertical mid-domain interface
-            eps = d["eps"]
-            phi = np.tanh((x - 0.5 * d["grid.lx"]) / (np.sqrt(2.0) * eps))
-        elif preset == "spinodal-noise":
-            rng = np.random.default_rng(d["init.seed"])
-            phi = d["init.phi0"] + d["init.amplitude"] * rng.standard_normal(grid.n_nodes)
-        else:
-            raise ConfigError(f"unknown init.preset '{preset}' "
-                              f"(choose from {INIT_PRESETS})")
-        return phi, theta
+        phi = _INITIAL_PHASES[d["init.preset"]](d, grid)
+        return phi, np.full(grid.n_nodes, d["init.theta0"])
 
     def sources(self):
         d = self.as_dict()
-        preset = d["source.preset"]
-        if preset == "zero":
-            return SourceSpec()
-        amp, x0, y0 = d["source.amplitude"], d["source.x0"], d["source.y0"]
-        width = d["source.width"]
-
-        def gaussian(x, y, t):
-            return amp * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2.0 * width ** 2))
-
-        if preset == "fluid_gaussian":
-            return SourceSpec(s_fluid=gaussian)
-        if preset == "phase_gaussian":
-            return SourceSpec(s_phase=gaussian)
-        if preset == "body_constant":
-            fx, fy = d["source.fx"], d["source.fy"]
-            return SourceSpec(body=lambda x, y, t: (np.full_like(x, fx),
-                                                    np.full_like(x, fy)))
-        raise ConfigError(f"unknown source.preset '{preset}' "
-                          f"(choose from {SOURCE_PRESETS})")
+        return _SOURCES[d["source.preset"]](d)
 
     def validate(self):
         """Build all derived objects, surfacing invariant violations."""
@@ -182,12 +175,10 @@ class RunConfig:
         self.material()
         self.stepper()
         d = self.as_dict()
-        if d["init.preset"] not in INIT_PRESETS:
-            raise ConfigError(f"unknown init.preset '{d['init.preset']}' "
-                              f"(choose from {INIT_PRESETS})")
-        if d["source.preset"] not in SOURCE_PRESETS:
-            raise ConfigError(f"unknown source.preset '{d['source.preset']}' "
-                              f"(choose from {SOURCE_PRESETS})")
+        for family, presets in (("init", INIT_PRESETS), ("source", SOURCE_PRESETS)):
+            preset = d[f"{family}.preset"]
+            if preset not in presets:
+                raise ConfigError(f"unknown {family}.preset '{preset}' (choose from {presets})")
         if d["output.stride"] < 1:
             raise ConfigError("output.stride must be >= 1")
         return self
@@ -202,9 +193,7 @@ def _format_value(kind, value):
 def parse_config(text, overrides=()):
     """Parse key = value text into a RunConfig with defaults applied."""
     values = {k: default for k, (_, default) in _SCHEMA.items()}
-    lines = list(text.splitlines())
-    for extra in overrides:
-        lines.append(extra)
+    lines = text.splitlines() + list(overrides)
     for lineno, line in enumerate(lines, 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

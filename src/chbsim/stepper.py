@@ -117,10 +117,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .biot import BiotContext
-from .elliptic import (PLAIN, REFERENCE_CG_MAXITER, REFERENCE_CG_TOL, STIFFNESS_SCALE, VISCO,
-                       DirectSolver, EllipticProblem, SolverFailure, conjugate_gradient,
-                       solve_elasticity)
+from .elliptic import (AUGMENTED, PLAIN, REFERENCE_CG_MAXITER, REFERENCE_CG_TOL,
+                       STIFFNESS_SCALE, VISCO, DirectSolver, EllipticProblem, SolverFailure,
+                       conjugate_gradient, solve_elasticity)
 from .grid import VectorField2, divergence, flux_stiffness_matrix
 from .rhs import (SimState, SourceSpec, displacement_problem, eigenstrain_tensor_source,
                   pressure, reconstruct_displacement, rhs_elastic, rhs_visco)
@@ -366,17 +365,22 @@ class FrozenElastic(_FrozenPhase):
     """Window-frozen operators for the quasi-static regime.
 
     coupling is the largest coupling strength alpha0^2 M0 / K_dr over the
-    nodes, with the drained bulk modulus K_dr of the fixed-stress P.
+    nodes, with the drained bulk modulus K_dr of the fixed-stress P.  Its
+    plain and augmented displacement problems at phi0 lend their block
+    preconditioners to the iterates' displacement solves (pressure and
+    theta form); only ContentSchur factors one, the plain.
     """
 
     def _freeze(self, c):
-        """m(phi0) and the drained bulk modulus K_dr from c; the Biot fields
-        from the bundle's BiotContext."""
+        """m(phi0), alpha0, M0, kappa0 and the drained bulk modulus K_dr
+        from c, and the two reference problems at phi0."""
         super()._freeze(c)
-        self.ctx0 = BiotContext(self.grid, self.material, self.phi0)
-        self.b_kappa = flux_stiffness_matrix(self.grid, self.ctx0.kappa)
+        self.alpha0, self.modulus0 = c.alpha, c.modulus
+        self.b_kappa = flux_stiffness_matrix(self.grid, c.permeability)
         self.k_drained = STIFFNESS_SCALE * (c.lam + c.mu)
-        self.coupling = float(np.max(self.ctx0.alpha**2 * self.ctx0.modulus / self.k_drained))
+        self.coupling = float(np.max(self.alpha0**2 * self.modulus0 / self.k_drained))
+        self.plain = EllipticProblem(self.grid, self.material, self.phi0, variant=PLAIN)
+        self.augmented = EllipticProblem(self.grid, self.material, self.phi0, variant=AUGMENTED)
 
     def content_solver(self, dt):
         """The frozen content operator's solver, cached per dt.
@@ -404,15 +408,14 @@ class FrozenElastic(_FrozenPhase):
         factor, preconditioned by P.
         """
         def build():
-            alpha = self.ctx0.alpha
-            z = sp.diags(self.w / self.ctx0.modulus) + dt * self.b_kappa
+            z = sp.diags(self.w / self.modulus0) + dt * self.b_kappa
             fixed_stress = DirectSolver(
-                z + sp.diags(FIXED_STRESS_BETA * self.w * alpha**2 / self.k_drained))
+                z + sp.diags(FIXED_STRESS_BETA * self.w * self.alpha0**2 / self.k_drained))
             if self.coupling <= FIXED_STRESS_MAX_COUPLING:
                 return fixed_stress
             n = self.grid.n_nodes
-            g_f = sp.diags(self.w * alpha) @ self.grid.strain_op[3 * n:, self.grid.free_dofs]
-            return ContentSchur(z, g_f, self.ctx0.plain.factor(), fixed_stress)
+            g_f = sp.diags(self.w * self.alpha0) @ self.grid.strain_op[3 * n:, self.grid.free_dofs]
+            return ContentSchur(z, g_f, self.plain.factor(), fixed_stress)
         return self._cached("content", dt, build)
 
 
@@ -552,7 +555,7 @@ def _theta_iterates(frozen, state, sources, dt, start):
             frozen, dt, state.theta - theta_k + dt * n_theta)
         (phi_k, theta_k), accepted = yield (phi_k, theta_k), (d_phi, d_theta)
         problem = displacement_problem(grid, material, phi_k,
-                                       reference=frozen.ctx0.augmented)
+                                       reference=frozen.augmented)
         u_k, _ = reconstruct_displacement(problem, theta_k, sources, t_new, u_k,
                                           0.0 if accepted else iterate_forcing)
         yield SimState(grid, phi_k, theta_k, u_k, t_new)
@@ -581,7 +584,7 @@ def _pressure_iterates(frozen, state, sources, dt, start):
 
     def solve_u(phi, p, u0, forcing):
         """(u, theta) at (phi, p), both from one coefficient pass."""
-        prob = EllipticProblem(grid, material, phi, variant=PLAIN, reference=frozen.ctx0.plain)
+        prob = EllipticProblem(grid, material, phi, variant=PLAIN, reference=frozen.plain)
         c = prob.coefficients
         scalar = eigenstrain_tensor_source(c) + c.alpha * p
         rhs = prob.assemble_rhs(body=sources.body_at(grid, t_new), scalar_source=scalar,

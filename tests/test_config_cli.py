@@ -1,4 +1,5 @@
 import errno
+import importlib.util
 import os
 import re
 from dataclasses import fields
@@ -36,6 +37,68 @@ def test_empty_text_gives_defaults():
     assert cfg["rho"] == 0
     assert cfg["stepper.formulation"] == "theta"
     cfg.validate()
+
+
+# serialize(parse_config("")): every key with its default.  The material
+# and stepper entries are read off MaterialModel and StepperConfig, so a
+# changed field name, type or default there shows up here.
+DEFAULT_CONFIG = """\
+a0 = 0.5
+a1 = 0.0
+eps = 0.25
+grid.bottom = dirichlet
+grid.left = dirichlet
+grid.lx = 1.0
+grid.ly = 1.0
+grid.nx = 32
+grid.ny = 32
+grid.right = neumann
+grid.top = neumann
+init.amplitude = 0.01
+init.phi0 = 0.0
+init.preset = interface
+init.seed = 0
+init.theta0 = 0.0
+k0 = 1.0
+k1 = 0.0
+lam_a = 1.0
+lam_b = 1.0
+lam_nu_a = 1.0
+lam_nu_b = 1.0
+m0 = 1.0
+m1 = 0.0
+modulus0 = 1.0
+modulus1 = 0.0
+mu_a = 1.0
+mu_b = 1.0
+mu_nu_a = 1.0
+mu_nu_b = 1.0
+output.dir = out
+output.stride = 1
+psi_scale = 1.0
+rho = 0
+source.amplitude = 0.0
+source.fx = 0.0
+source.fy = 0.0
+source.preset = zero
+source.width = 0.1
+source.x0 = 0.5
+source.y0 = 0.5
+stepper.dt = 0.001
+stepper.formulation = theta
+stepper.max_picard = 40
+stepper.max_shrinks = 10
+stepper.shrink_factor = 0.5
+stepper.t_end = 0.01
+stepper.tol_lin = 1e-10
+stepper.tol_picard = 1e-09
+tau0 = 0.0
+tau1 = 0.0
+"""
+
+
+def test_default_configuration_is_pinned():
+    assert serialize(parse_config("")) == DEFAULT_CONFIG
 
 
 def test_visco_regime_flag():
@@ -231,6 +294,36 @@ def test_cli_determinism_byte_identical(tmp_path, overrides):
     assert len([n for n in names if n.endswith(".vtk")]) == 1 + -(-windows // 3)
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def _bench_make_config():
+    """make_config of the benchmark (bench/run_bench.py), as the workloads
+    write their configs."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "run_bench.py")
+    spec = importlib.util.spec_from_file_location("run_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_config
+
+
+@pytest.mark.parametrize("workload", ["spinodal-qs-32", "spinodal-visco-32"])
+def test_cli_starts_windows_from_predicted_states(tmp_path, workload):
+    """Each window starts its Picard iteration from an extrapolation of
+    the last accepted states (stepper.Run.step).  The 200-window spinodal
+    runs of acceptance criterion 05, made by the benchmark's make_config
+    at seed 1 with t_end = 0.2, take 1090 (rho = 0) and 1009 (rho = 1)
+    Picard iterates when every window starts from its start state, and
+    423 and 428 from the predictions.  Each run writes the header, the
+    initial row and 200 window rows, and its picard_iters must sum to less
+    than 600, so a predictor that silently starts every window from x_n
+    fails."""
+    text = _bench_make_config()(workload, 1, t_end=0.2)[0]
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 202
+    assert lines[0].split(",")[7] == "picard_iters"
+    assert sum(int(line.split(",")[7]) for line in lines[1:]) < 600
 
 
 # Eight-by-eight run whose first window cannot converge in one Picard

@@ -11,11 +11,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 import chbsim.biot as biot
 import chbsim.elliptic as elliptic
 import chbsim.stepper as stepper
-from chbsim.biot import apply_B_tilde, apply_fluid_operator
+from chbsim.biot import BiotContext, apply_B_tilde, apply_fluid_operator
 from chbsim.diagnostics import pde_residual
 from chbsim.elliptic import (REFERENCE_CG_TOL, STIFFNESS_SCALE, VISCO, DirectSolver,
                              EllipticProblem, SolverFailure)
 from chbsim.grid import VectorField2, divergence, flux_stiffness_matrix, neumann_laplacian
+from chbsim.materials import MaterialModel
 from chbsim.rhs import (SimState, SourceSpec, ViscoOperators, chemical_potential,
                         displacement_problem, eigenstrain_tensor_source, pressure, stress)
 from chbsim.stepper import (ANDERSON_DEPTH, BUNDLE_WINDOWS, FIXED_STRESS_BETA,
@@ -51,6 +52,26 @@ def test_phase_substep_keeps_constants_and_mean():
     out, _ = linear_substep_phi(fr, 1e-3, r)
     w = g.quad_weights()
     assert np.dot(w, out) == pytest.approx(np.dot(w, r), abs=1e-12)
+
+
+@pytest.mark.parametrize("bundle", [FrozenElastic, FrozenVisco])
+def test_bundle_reads_one_coefficient_pass(bundle, monkeypatch):
+    """Constructing a bundle makes exactly one MaterialModel.coefficients
+    pass, at phi0: the quasi-static bundle reads alpha0, M0 and kappa0
+    from it too, and its two reference problems make none until used."""
+    g = make_grid(8, tags=MIXED)
+    m = make_material(rho=int(bundle is FrozenVisco))
+    phi0 = smooth_phi(g, np.random.default_rng(3))
+    passes = []
+    original = MaterialModel.coefficients
+
+    def counting(self, phi):
+        passes.append(phi)
+        return original(self, phi)
+
+    monkeypatch.setattr(MaterialModel, "coefficients", counting)
+    bundle(g, m, phi0)
+    assert len(passes) == 1 and np.array_equal(passes[0], phi0)
 
 
 # The two mean-restoring substeps as (frozen bundle, rho, substep, dense
@@ -256,13 +277,14 @@ def test_content_schur_matches_dense_solve(unknown, nx, ny, mixed, dt, ends, see
     assert isinstance(fr.content_solver(dt), ContentSchur)
     n, w = g.n_nodes, g.quad_weights()
     r = rng.standard_normal(n)
+    ctx = BiotContext(g, m, fr.phi0)
     if unknown == "theta":
-        a = _dense(lambda e: apply_fluid_operator(fr.ctx0, e), n)
+        a = _dense(lambda e: apply_fluid_operator(ctx, e), n)
         want = np.linalg.solve(np.eye(n) + dt * a, r)
         got, report = linear_substep_theta_elastic(fr, dt, r)
         content = got
     else:
-        b_tilde = _dense(lambda e: apply_B_tilde(fr.ctx0, e), n)
+        b_tilde = _dense(lambda e: apply_B_tilde(ctx, e), n)
         want = np.linalg.solve(w[:, None] * b_tilde + dt * fr.b_kappa.toarray(), w * r)
         got, report = fr.content_solver(dt).solve(w * r)
         content = b_tilde @ got
@@ -1059,13 +1081,13 @@ def test_content_operator_follows_the_coupling_strength(strong, monkeypatch):
     solver = run.frozen.content_solver(cfg.dt)
     if strong:
         assert isinstance(solver, ContentSchur)
-        assert run.frozen.ctx0.plain._solver is solver.k0
+        assert run.frozen.plain._solver is solver.k0
         assert len(created) == 3 and rep.iterations == 12
     else:
         assert isinstance(solver, DirectSolver)
-        assert run.frozen.ctx0.plain._solver is None
+        assert run.frozen.plain._solver is None
         assert len(created) == 2
-    assert run.frozen.ctx0.augmented._solver is None
+    assert run.frozen.augmented._solver is None
 
 
 def _stale_bundle(g, m, phi):
